@@ -21,17 +21,15 @@ from .charts import BlowupChart
 from .errors import DomainError, InternalError, StructureError
 from .liealg import (
     Covector,
+    HeightReport,
     LieAlgebra,
     as_covector,
-    cartan_class,
-    coadjoint_orbit_dim,
-    element_type,
-    height,
-    radial_in_orbit,
+    covector_invariants,
+    invariant_failures,
 )
-from .poisson_spinor import linear_poisson, preferred_chart
+from .poisson_spinor import preferred_chart, shared_linear_poisson
 from .rings import Polynomial, PolyRing
-from .sampling import DEFAULT_SEED, covector_stream
+from .sampling import DEFAULT_SEED, sampled_covectors
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,20 @@ def lift_vector_field(
     return LiftedVectorField(chart, bc.chart_ring, lifted)
 
 
+def _hamiltonian_lifts(L: LieAlgebra, chart: int) -> tuple[tuple[Polynomial, ...], ...]:
+    """Lifts through `chart` of the Hamiltonian fields of dx_1, ..., dx_dim
+    of the linear Poisson bivector, built once per algebra and chart."""
+
+    def build():
+        pi = shared_linear_poisson(L)
+        bc = BlowupChart(pi.ring, chart)
+        return tuple(
+            bc.lift_vector_field(pi.hamiltonian_field(i)) for i in range(1, L.dim + 1)
+        )
+
+    return L.memo(("lifts", chart), build)
+
+
 @dataclass(frozen=True)
 class DistributionSample:
     """The divisor distribution at one projective point, with its exact rank."""
@@ -105,27 +117,21 @@ def distribution_at(L: LieAlgebra, v: Sequence) -> DistributionSample:
         raise StructureError("direction vector length does not match the algebra")
     if not any(v):
         raise DomainError("direction vector must be nonzero")
-    pi = linear_poisson(L)
     chart = preferred_chart(v)
-    bc = BlowupChart(pi.ring, chart)
-    lifts = [
-        bc.lift_vector_field(pi.hamiltonian_field(i)) for i in range(1, L.dim + 1)
-    ]
-    pivot = v[chart - 1]
-    point = [value / pivot for value in v]
+    ratios = [value / v[chart - 1] for value in v]
+    point = list(ratios)
     point[chart - 1] = Fraction(0)
-    rows = []
-    for j in range(1, L.dim + 1):
-        if j == chart:
-            continue
-        combo = [
-            lifts[j - 1][k] - (v[j - 1] / pivot) * lifts[chart - 1][k]
-            for k in range(L.dim)
-        ]
-        row = [poly.evaluate(point) for poly in combo]
-        if row[chart - 1] != 0:
-            raise InternalError("lifted annihilator field is not tangent to the divisor")
-        rows.append(row)
+    at_point = [
+        [poly.evaluate(point) for poly in field]
+        for field in _hamiltonian_lifts(L, chart)
+    ]
+    rows = [
+        [a - ratios[j] * b for a, b in zip(at_point[j], at_point[chart - 1])]
+        for j in range(L.dim)
+        if j != chart - 1
+    ]
+    if any(row[chart - 1] for row in rows):
+        raise InternalError("lifted annihilator field is not tangent to the divisor")
     r = linalg.rank(rows)
     if r % 2:
         raise InternalError("divisor distribution has odd rank")
@@ -136,11 +142,7 @@ def distribution_at(L: LieAlgebra, v: Sequence) -> DistributionSample:
 @dataclass(frozen=True)
 class OrbitRankRecord:
     v: Covector
-    height: int
-    element_type: int
-    cartan_class: int
-    orbit_dim: int
-    radial: bool
+    invariants: HeightReport
     distribution_rank: int
     failures: tuple[str, ...]
 
@@ -172,35 +174,19 @@ def orbit_rank_crosscheck(
     distribution rank, height, orbit dimension, radial membership and Cartan
     class.  Identities hold pointwise on any algebra; global constancy of
     the height is reported separately."""
-    if samples < 1:
-        raise DomainError("samples must be positive")
     records = []
-    stream = covector_stream(L.dim, seed)
-    for _ in range(samples):
-        v = next(stream)
-        k = height(L, v)
-        etype = int(element_type(L, v))
-        cls = cartan_class(L, v)
-        orbit = coadjoint_orbit_dim(L, v)
-        radial = radial_in_orbit(L, v)
-        sample = distribution_at(L, v)
+    for v in sampled_covectors(L.dim, samples, seed):
+        inv = covector_invariants(L, v)
+        rank = distribution_at(L, v).rank
         failures = []
-        if sample.rank != 2 * k:
-            failures.append(f"distribution rank {sample.rank} != 2*height {2 * k}")
-        expected_orbit = 2 * k + 2 if radial else 2 * k
-        if orbit != expected_orbit:
-            failures.append(f"orbit dim {orbit} != {expected_orbit}")
-        expected_rank = orbit - 2 if radial else orbit
-        if sample.rank != expected_rank:
-            failures.append(
-                f"distribution rank {sample.rank} != orbit-dim rule {expected_rank}"
-            )
-        if cls != 2 * k + etype:
-            failures.append(f"Cartan class {cls} != 2*{k} + {etype}")
-        records.append(
-            OrbitRankRecord(v, k, etype, cls, orbit, radial, sample.rank, tuple(failures))
-        )
+        if rank != 2 * inv.height:
+            failures.append(f"distribution rank {rank} != 2*height {2 * inv.height}")
+        expected_rank = inv.orbit_dim - 2 if inv.radial_in_orbit else inv.orbit_dim
+        if rank != expected_rank:
+            failures.append(f"distribution rank {rank} != orbit-dim rule {expected_rank}")
+        failures.extend(invariant_failures(inv))
+        records.append(OrbitRankRecord(v, inv, rank, tuple(failures)))
     records = tuple(records)
     mismatches = tuple(r for r in records if not r.ok)
-    heights = tuple(sorted({r.height for r in records}))
+    heights = tuple(sorted({r.invariants.height for r in records}))
     return OrbitRankReport(samples, records, mismatches, heights)

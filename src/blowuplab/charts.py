@@ -63,16 +63,9 @@ class BlowupChart:
                 images.append(self.chart_ring.variable(pos))
         self._poly_images = images
         self._form_images = [
-            self._differential(img) for img in images
+            GradedForm(m, self.chart_ring, {(k,): img.diff(k) for k in range(1, m + 1)})
+            for img in images
         ]
-
-    def _differential(self, poly: Polynomial) -> GradedForm:
-        m = len(self.chart_ring.vars)
-        return GradedForm(
-            m,
-            self.chart_ring,
-            {(k,): poly.diff(k) for k in range(1, m + 1)},
-        )
 
     def pull_polynomial(self, poly: Polynomial) -> Polynomial:
         if poly.vars != self.ring.vars:
@@ -129,11 +122,3 @@ class BlowupChart:
         if lifted[c - 1] and lifted[c - 1].valuation(c) < 1:
             raise InternalError("lifted field is not tangent to the divisor")
         return tuple(lifted)
-
-    def divisor_point(self, values) -> tuple:
-        """Chart coordinates of a divisor point: chart variable forced to zero."""
-        point = list(values)
-        if len(point) != len(self.chart_ring.vars):
-            raise StructureError("divisor point has wrong length")
-        point[self.chart - 1] = 0
-        return tuple(point)

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import WitnessSearchError
-from .liealg import Covector, LieAlgebra, derived_algebra, height, killing_form
-from .sampling import DEFAULT_SEED, covector_stream, dual_basis, pairwise_combinations, random_vector
+from .liealg import Covector, LieAlgebra, covector_invariants, derived_algebra, height, killing_form
+from .sampling import DEFAULT_SEED, dual_basis, pairwise_combinations, random_vector, sampled_covectors
 
 WITNESS_CAP = 10_000
 ESCALATE_EVERY = 2_000
@@ -94,9 +94,12 @@ def _witness_candidates(L: LieAlgebra, seed: int):
     covectors, then small-integer shells interleaved with random draws.
 
     Covectors annihilating the derived algebra are killed by the
-    differential, so they have height 0 in any basis; the height-drop locus
-    of a conjugated table contains small integer points whenever the original
-    did, which the shell enumeration sweeps systematically.
+    differential, so they have height 0 in any basis.  Small integer points
+    of a height-drop locus do not survive a rational change of basis: the
+    locus of a conjugated table may have only rational points of large
+    height, out of reach of both the shells and the random draws.  Random
+    rational conjugates of sl2 (entries p/q with |p|, q <= 30) typically
+    exhaust WITNESS_CAP, and the search then raises WitnessSearchError.
     """
     n = L.dim
     yield from dual_basis(n)
@@ -174,14 +177,10 @@ def sample_height_spectrum(
     L: LieAlgebra, samples: int, seed: int = DEFAULT_SEED
 ) -> HeightSpectrum:
     """Heights of the first `samples` covectors of the deterministic stream."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
     counts: dict[int, int] = {}
     witnesses: dict[int, Covector] = {}
-    stream = covector_stream(L.dim, seed)
-    for _ in range(samples):
-        xi = next(stream)
-        k = height(L, xi)
+    for xi in sampled_covectors(L.dim, samples, seed):
+        k = covector_invariants(L, xi).height
         counts[k] = counts.get(k, 0) + 1
         witnesses.setdefault(k, xi)
     return HeightSpectrum(dict(sorted(counts.items())), witnesses, samples)

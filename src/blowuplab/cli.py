@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .blowup_geometry import orbit_rank_crosscheck
 from .classify import sample_height_spectrum
@@ -35,10 +34,11 @@ from .errors import (
 from .liealg import LieAlgebra
 from .model_io import (
     AnalysisResult,
+    CrosscheckResult,
     SCALED_SO3_BLOWN,
+    SpinorResult,
     catalog_algebra,
     catalog_entries,
-    certificate_to_dict,
     emit_report,
     parse_algebra,
     scaled_so3_bundle,
@@ -47,6 +47,7 @@ from .poisson_spinor import (
     blowup_pullback,
     check_line_orders,
     lift_verdict,
+    linear_poisson,
     spinor,
     vanishing_order,
 )
@@ -128,14 +129,15 @@ def _resolve_algebra(args) -> LieAlgebra:
     return parse_algebra(text)
 
 
-def _check_samples(args):
+def _checked_seed(args) -> int:
+    """The effective seed, after checking --samples."""
     if args.samples < 1:
         raise UsageError("--samples must be a positive integer")
+    return args.seed if args.seed is not None else _default_seed()
 
 
 def cmd_analyze(args) -> int:
-    _check_samples(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _checked_seed(args)
     algebra = _resolve_algebra(args)
     verdict = lift_verdict(algebra, seed=seed, samples=args.samples)
     spectrum = sample_height_spectrum(algebra, args.samples, seed=seed)
@@ -160,8 +162,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_spinor(args) -> int:
-    _check_samples(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _checked_seed(args)
     if args.catalog == "scaled_so3_bundle":
         pi = scaled_so3_bundle(args.f if args.f is not None else "1")
         blown = SCALED_SO3_BLOWN
@@ -169,8 +170,6 @@ def cmd_spinor(args) -> int:
     else:
         if args.f is not None:
             raise UsageError("--f applies only to --catalog scaled_so3_bundle")
-        from .poisson_spinor import linear_poisson
-
         algebra = _resolve_algebra(args)
         pi = linear_poisson(algebra)
         blown = tuple(range(1, algebra.dim + 1))
@@ -180,112 +179,23 @@ def cmd_spinor(args) -> int:
     for chart in charts:
         if chart not in blown:
             raise UsageError(f"--chart must be one of {blown}")
-    payload = {"command": "spinor", "input": name, "seed": seed, "charts": {}}
-    human_lines = [f"spinor analysis: {name}"]
+    pulled = []
     for chart in charts:
         cf = blowup_pullback(phi, chart, blown)
-        cert = vanishing_order(cf, seed=seed, samples=args.samples)
-        payload["charts"][str(chart)] = {
-            "pullback": cf.render(),
-            "certificate": certificate_to_dict(cert, cf.ring),
-        }
-        names = tuple("d" + v for v in cf.ring.vars)
-        human_lines.append(f"chart {chart}:")
-        human_lines.append(f"  pullback: {cf.render()}")
-        human_lines.append(f"  order: {cert.order}, {cert.status}")
-        human_lines.append(f"  leading form: {cert.leading.render(names)}")
-        if cert.certificate:
-            human_lines.append(f"  certificate: {cert.certificate}")
-        if cert.witness_point is not None:
-            point = ", ".join(str(v) for v in cert.witness_point)
-            human_lines.append(f"  leading form vanishes at: ({point})")
-        if cert.note:
-            human_lines.append(f"  note: {cert.note}")
-    if args.fmt == "machine":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(human_lines) + "\n")
+        pulled.append((cf, vanishing_order(cf, seed=seed, samples=args.samples)))
+    sys.stdout.write(emit_report(SpinorResult(name, seed, tuple(pulled)), args.fmt))
     return EXIT_OK
 
 
 def cmd_crosscheck(args) -> int:
-    _check_samples(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _checked_seed(args)
     algebra = _resolve_algebra(args)
     line_report = check_line_orders(algebra, args.samples, seed=seed)
     orbit_report = orbit_rank_crosscheck(algebra, args.samples, seed=seed)
-    if args.fmt == "machine":
-        payload = {
-            "command": "crosscheck",
-            "algebra": algebra.name or "anonymous",
-            "seed": seed,
-            "samples": args.samples,
-            "line_orders": {
-                "mismatches": len(line_report.mismatches),
-                "records": [
-                    {
-                        "xi": [str(v) for v in r.xi],
-                        "chart": r.chart,
-                        "order": r.order,
-                        "expected": r.expected,
-                    }
-                    for r in line_report.records
-                ],
-            },
-            "orbit_ranks": {
-                "mismatches": len(orbit_report.mismatches),
-                "heights_observed": list(orbit_report.heights),
-                "constant_height": orbit_report.constant_height,
-                "records": [
-                    {
-                        "v": [str(x) for x in r.v],
-                        "height": r.height,
-                        "type": r.element_type,
-                        "class": r.cartan_class,
-                        "orbit_dim": r.orbit_dim,
-                        "radial": r.radial,
-                        "distribution_rank": r.distribution_rank,
-                        "ok": r.ok,
-                    }
-                    for r in orbit_report.records
-                ],
-            },
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        lines = [
-            f"crosscheck: {algebra.name or 'anonymous'} "
-            f"(seed {seed}, {args.samples} samples)",
-            "line-order identity (order == dim - 1 - height):",
-        ]
-        for r in line_report.records:
-            mark = "ok" if r.ok else "MISMATCH"
-            xi = ", ".join(str(v) for v in r.xi)
-            lines.append(
-                f"  xi=({xi}) chart {r.chart}: order {r.order}, "
-                f"expected {r.expected}  [{mark}]"
-            )
-        lines.append("orbit/rank identities:")
-        for r in orbit_report.records:
-            mark = "ok" if r.ok else "MISMATCH: " + "; ".join(r.failures)
-            v = ", ".join(str(x) for x in r.v)
-            lines.append(
-                f"  v=({v}) height {r.height} type {r.element_type} "
-                f"class {r.cartan_class} orbit {r.orbit_dim} "
-                f"radial {str(r.radial).lower()} rank {r.distribution_rank}  [{mark}]"
-            )
-        constancy = (
-            "constant" if orbit_report.constant_height else "globally non-constant"
-        )
-        status = (
-            "pointwise-consistent"
-            if not (line_report.mismatches or orbit_report.mismatches)
-            else "VIOLATIONS FOUND"
-        )
-        lines.append(
-            f"summary: {status}, heights {set(orbit_report.heights)} ({constancy})"
-        )
-        sys.stdout.write("\n".join(lines) + "\n")
+    result = CrosscheckResult(
+        algebra.name or "anonymous", seed, args.samples, line_report, orbit_report
+    )
+    sys.stdout.write(emit_report(result, args.fmt))
     if line_report.mismatches or orbit_report.mismatches:
         raise InternalError("identity suite reported mismatches")
     return EXIT_OK

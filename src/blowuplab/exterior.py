@@ -180,12 +180,6 @@ class _Alternating:
                     out[merged] = coeff
         return type(self)(self.dim, self.ring, out)
 
-    def wedge_power(self, exponent: int):
-        result = type(self)(self.dim, self.ring, {(): 1})
-        for _ in range(exponent):
-            result = result.wedge(self)
-        return result
-
     # -- rendering ------------------------------------------------------------------
 
     def render(self, names: Sequence[str]) -> str:
@@ -251,33 +245,24 @@ def _insert_single(index: int, terms: dict, ring) -> dict:
     return out
 
 
+def _check_insertion(name: str, v, a, degree: int | None = None):
+    if not isinstance(v, GradedVector) or not isinstance(a, GradedForm):
+        raise StructureError(f"{name} expects (GradedVector, GradedForm)")
+    if v.dim != a.dim or v.ring != a.ring:
+        raise StructureError(f"{name} operands must share dimension and ring")
+    if degree is not None and any(len(indices) != degree for indices in v.terms):
+        raise DomainError(f"{name} expects a homogeneous degree-{degree} vector")
+
+
 def interior(v: GradedVector, a: GradedForm) -> GradedForm:
     """Insertion i_v for a degree-1 vector; a graded derivation of degree -1."""
-    if not isinstance(v, GradedVector) or not isinstance(a, GradedForm):
-        raise StructureError("interior expects (GradedVector, GradedForm)")
-    if v.dim != a.dim or v.ring != a.ring:
-        raise StructureError("interior operands must share dimension and ring")
-    if any(len(indices) != 1 for indices in v.terms):
-        raise DomainError("interior expects a homogeneous degree-1 vector")
-    out: dict[IndexTuple, object] = {}
-    for (index,), vc in v.terms.items():
-        for indices, coeff in _insert_single(index, a.terms, a.ring).items():
-            value = vc * coeff
-            if indices in out:
-                value = out[indices] + value
-            if a.ring.is_zero(value):
-                out.pop(indices, None)
-            else:
-                out[indices] = value
-    return GradedForm(a.dim, a.ring, out)
+    _check_insertion("interior", v, a, degree=1)
+    return multi_interior(v, a)
 
 
 def multi_interior(w: GradedVector, a: GradedForm) -> GradedForm:
     """Insertion of a multivector: i_{X wedge Y} = i_Y i_X, extended linearly."""
-    if not isinstance(w, GradedVector) or not isinstance(a, GradedForm):
-        raise StructureError("multi_interior expects (GradedVector, GradedForm)")
-    if w.dim != a.dim or w.ring != a.ring:
-        raise StructureError("multi_interior operands must share dimension and ring")
+    _check_insertion("multi_interior", w, a)
     total: dict[IndexTuple, object] = {}
     for indices, wc in w.terms.items():
         current = a.terms
@@ -302,12 +287,7 @@ def exp_interior(pi: GradedVector, lam: GradedForm) -> GradedForm:
     The series stops at floor(dim/2); the top-degree component of the result
     is lam itself.
     """
-    if not isinstance(pi, GradedVector) or not isinstance(lam, GradedForm):
-        raise StructureError("exp_interior expects (GradedVector, GradedForm)")
-    if pi.dim != lam.dim or pi.ring != lam.ring:
-        raise StructureError("exp_interior operands must share dimension and ring")
-    if any(len(indices) != 2 for indices in pi.terms):
-        raise DomainError("exp_interior expects a homogeneous degree-2 vector")
+    _check_insertion("exp_interior", pi, lam, degree=2)
     result = lam
     power = lam
     for k in range(1, lam.dim // 2 + 1):

@@ -40,10 +40,10 @@ class LieAlgebra:
     are rejected eagerly).  The Jacobi identity is *not* required at
     construction time: `jacobi_violations()` computes and caches the defect
     list, and operations whose meaning depends on it call `validate()`.
-    Instances are immutable after construction; the cache is write-once.
+    Instances are immutable after construction; the caches are write-once.
     """
 
-    __slots__ = ("dim", "name", "_pairs", "_jacobi")
+    __slots__ = ("dim", "name", "_pairs", "_jacobi", "_memo")
 
     def __init__(self, dim: int, brackets: Mapping, name: str | None = None):
         if dim < 1:
@@ -78,6 +78,7 @@ class LieAlgebra:
                 pairs[key] = vec
         self._pairs = {k: tuple(v) for k, v in sorted(pairs.items())}
         self._jacobi = None
+        self._memo = {}
 
     # -- accessors ---------------------------------------------------------
 
@@ -119,6 +120,16 @@ class LieAlgebra:
 
     def is_abelian(self) -> bool:
         return not self._pairs
+
+    def memo(self, key, build):
+        """build(), computed once per instance and key and kept as long as
+        the algebra: shared derived data such as the linear Poisson bivector,
+        its chart pullbacks and the per-covector invariant records."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- validation -----------------------------------------------------------
 
@@ -240,52 +251,53 @@ def _require_nonzero(L: LieAlgebra, xi: Sequence) -> Covector:
     return xi
 
 
-def _height_by_wedge(L: LieAlgebra, xi: Covector) -> int:
-    form = covector_form(L, xi)
-    omega = ce_differential(L, form)
-    current = form
-    k = 0
+def _wedge_chain(form: GradedForm, omega: GradedForm) -> int:
+    """The largest j with form wedge omega^j != 0, for a nonzero form."""
+    j = 0
     while True:
-        nxt = current.wedge(omega)
-        if nxt.is_zero():
-            return k
-        current = nxt
-        k += 1
+        form = form.wedge(omega)
+        if form.is_zero():
+            return j
+        j += 1
 
 
-def _height_by_rank(L: LieAlgebra, xi: Covector) -> int:
-    """Independent oracle: half the rank of xi([.,.]) restricted to ker xi."""
-    pivot = next(i for i, v in enumerate(xi) if v)
-    others = [i for i in range(L.dim) if i != pivot]
-    adapted = []
-    for i in others:
-        # b'_i = b_i - (xi_i / xi_pivot) b_pivot lies in ker xi
-        vec = [Fraction(0)] * L.dim
-        vec[i] = Fraction(1)
-        vec[pivot] = -xi[i] / xi[pivot]
-        adapted.append(vec)
-    rows = []
-    for u in adapted:
-        row = []
-        for v in adapted:
-            w = L.bracket(u, v)
-            row.append(sum((xi[m] * w[m] for m in range(L.dim)), Fraction(0)))
-        rows.append(row)
+def _pairing_matrix(L: LieAlgebra, xi: Covector) -> list[list[Fraction]]:
+    """A[i][j] = (d xi)(b_i, b_j) = -xi([b_i, b_j]); rows span T_xi O_xi.
+
+    Built as sum_k xi_k C_k, where C_k[i][j] = -c(i, j, k) are read off the
+    stored i < j structure constants and the lower half is implied.
+    """
+    rows = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+    for (i, j), vec in L._pairs.items():
+        value = -sum(x * c for x, c in zip(xi, vec))
+        rows[i - 1][j - 1] = value
+        rows[j - 1][i - 1] = -value
+    return rows
+
+
+def _height_by_rank(pairing: list[list[Fraction]], xi: Covector) -> int:
+    """Independent oracle: half the rank of the pairing restricted to ker xi.
+
+    ker xi has the basis b_i - (xi_i / xi_p) b_p, i != p, for a pivot p with
+    xi_p != 0; the restricted matrix is the pairing in that basis.
+    """
+    p = next(i for i, v in enumerate(xi) if v)
+    ratio = [v / xi[p] for v in xi]
+    others = [i for i in range(len(xi)) if i != p]
+    rows = [
+        [
+            pairing[i][j] - ratio[j] * pairing[i][p] - ratio[i] * pairing[p][j]
+            for j in others
+        ]
+        for i in others
+    ]
     r = linalg.rank(rows)
     if r % 2:
         raise DisagreementError("skew matrix of a covector has odd rank")
     return r // 2
 
 
-def height(L: LieAlgebra, xi: Sequence) -> int:
-    """The unique k with xi wedge (d xi)^k != 0 and xi wedge (d xi)^{k+1} = 0.
-
-    Computed by iterated wedging and cross-checked against the rank of the
-    skew pairing on ker xi; a mismatch raises, since the two must agree.
-    """
-    xi = _require_nonzero(L, xi)
-    by_wedge = _height_by_wedge(L, xi)
-    by_rank = _height_by_rank(L, xi)
+def _checked_height(by_wedge: int, by_rank: int, xi: Covector) -> int:
     if by_wedge != by_rank:
         raise DisagreementError(
             f"height oracles disagree on {xi}: wedge {by_wedge}, rank {by_rank}"
@@ -293,82 +305,107 @@ def height(L: LieAlgebra, xi: Sequence) -> int:
     return by_wedge
 
 
-def element_type(L: LieAlgebra, xi: Sequence) -> ElementType:
-    """Type ONE iff (d xi)^{k+1} = 0 at k = height(xi); TWO otherwise."""
+def height(L: LieAlgebra, xi: Sequence) -> int:
+    """The unique k with xi wedge (d xi)^k != 0 and xi wedge (d xi)^{k+1} = 0.
+
+    Computed by iterated wedging and cross-checked against the rank of the
+    skew pairing on ker xi; a mismatch raises, since the two must agree.
+    Nothing is stored, so a search over many candidates stays flat in memory;
+    `covector_invariants` gives the full, once-per-algebra record.
+    """
     xi = _require_nonzero(L, xi)
-    k = height(L, xi)
-    omega = ce_differential(L, covector_form(L, xi))
-    return ElementType.ONE if omega.wedge_power(k + 1).is_zero() else ElementType.TWO
-
-
-def cartan_class(L: LieAlgebra, xi: Sequence) -> int:
-    """Cartan class: 2k+1 when (d xi)^{k+1} = 0, else 2k+2, at k = height(xi)."""
-    xi = _require_nonzero(L, xi)
-    omega = ce_differential(L, covector_form(L, xi))
-    r = 0
-    while not omega.wedge_power(r + 1).is_zero():
-        r += 1
-    h = _height_by_wedge(L, xi)
-    return 2 * h + 1 if r == h else 2 * h + 2
-
-
-def _pairing_matrix(L: LieAlgebra, xi: Covector) -> list[list[Fraction]]:
-    """A[i][j] = (d xi)(b_i, b_j) = -xi([b_i, b_j]); rows span T_xi O_xi."""
-    rows = []
-    for i in range(1, L.dim + 1):
-        row = []
-        for j in range(1, L.dim + 1):
-            w = L.bracket_basis(i, j)
-            row.append(-sum((xi[m] * w[m] for m in range(L.dim)), Fraction(0)))
-        rows.append(row)
-    return rows
-
-
-def coadjoint_orbit_dim(L: LieAlgebra, xi: Sequence) -> int:
-    """dim O_xi = rank of the skew matrix (d xi)(b_i, b_j); always even."""
-    xi = _require_nonzero(L, xi)
-    r = linalg.rank(_pairing_matrix(L, xi))
-    if r % 2:
-        raise DisagreementError("coadjoint orbit dimension came out odd")
-    return r
-
-
-def radial_in_orbit(L: LieAlgebra, xi: Sequence) -> bool:
-    """Whether xi itself is tangent to its coadjoint orbit (exact solve)."""
-    xi = _require_nonzero(L, xi)
-    return linalg.in_row_space(_pairing_matrix(L, xi), list(xi))
+    form = covector_form(L, xi)
+    by_wedge = _wedge_chain(form, ce_differential(L, form))
+    return _checked_height(by_wedge, _height_by_rank(_pairing_matrix(L, xi), xi), xi)
 
 
 @dataclass(frozen=True)
 class HeightReport:
+    """Every per-covector invariant, each from its own computation.
+
+    height (the wedge oracle) and rank_height must agree; element_type and
+    cartan_class come from the powers of d xi, orbit_dim is the rank of the
+    pairing matrix and radial_in_orbit whether xi lies in its row space.  No
+    field is derived from another, so the identities checked by
+    `invariant_failures` compare independently computed numbers.
+    """
+
     height: int
+    rank_height: int
     element_type: ElementType
     cartan_class: int
     orbit_dim: int
     radial_in_orbit: bool
 
 
-def height_report(L: LieAlgebra, xi: Sequence) -> HeightReport:
-    """Aggregate of all per-covector invariants, mutually cross-checked.
+def _build_invariants(L: LieAlgebra, xi: Covector) -> HeightReport:
+    form = covector_form(L, xi)
+    omega = ce_differential(L, form)
+    by_wedge = _wedge_chain(form, omega)
+    pairing = _pairing_matrix(L, xi)
+    by_rank = _height_by_rank(pairing, xi)
+    k = _checked_height(by_wedge, by_rank, xi)
+    # r is the largest power with (d xi)^r != 0: type ONE iff (d xi)^{k+1} = 0,
+    # and the class is 2k+1 when r equals k, else 2k+2
+    r = _wedge_chain(GradedForm(L.dim, RATIONALS, {(): 1}), omega)
+    etype = ElementType.ONE if r <= k else ElementType.TWO
+    cls = 2 * k + 1 if r == k else 2 * k + 2
+    orbit = linalg.rank(pairing)
+    if orbit % 2:
+        raise DisagreementError("coadjoint orbit dimension came out odd")
+    radial = linalg.in_row_space(pairing, list(xi))
+    return HeightReport(by_wedge, by_rank, etype, cls, orbit, radial)
 
-    The identities class = 2*height + type, orbit_dim = 2*height (+2 for
-    type TWO) and radial <=> type TWO are theorems; a violation means an
-    implementation bug and raises instead of returning.
-    """
+
+def covector_invariants(L: LieAlgebra, xi: Sequence) -> HeightReport:
+    """The invariant record of xi, computed once per algebra and covector."""
     xi = _require_nonzero(L, xi)
-    k = height(L, xi)
-    etype = element_type(L, xi)
-    cls = cartan_class(L, xi)
-    orbit = coadjoint_orbit_dim(L, xi)
-    radial = radial_in_orbit(L, xi)
-    if cls != 2 * k + int(etype):
-        raise DisagreementError(f"Cartan class {cls} != 2*{k} + {int(etype)}")
-    expected_orbit = 2 * k if etype is ElementType.ONE else 2 * k + 2
-    if orbit != expected_orbit:
-        raise DisagreementError(f"orbit dimension {orbit} != {expected_orbit}")
-    if radial != (etype is ElementType.TWO):
-        raise DisagreementError("radial-line membership contradicts the element type")
-    return HeightReport(k, etype, cls, orbit, radial)
+    return L.memo(("invariants", xi), lambda: _build_invariants(L, xi))
+
+
+def invariant_failures(record: HeightReport) -> list[str]:
+    """The identities class = 2*height + type, orbit_dim = 2*height (+2 when
+    radial) and radial <=> type TWO are theorems; each violated one is named."""
+    k, etype = record.height, int(record.element_type)
+    failures = []
+    if record.cartan_class != 2 * k + etype:
+        failures.append(f"Cartan class {record.cartan_class} != 2*{k} + {etype}")
+    expected_orbit = 2 * k + 2 if record.radial_in_orbit else 2 * k
+    if record.orbit_dim != expected_orbit:
+        failures.append(f"orbit dim {record.orbit_dim} != {expected_orbit}")
+    if record.radial_in_orbit != (record.element_type is ElementType.TWO):
+        failures.append("radial-line membership contradicts the element type")
+    return failures
+
+
+def height_report(L: LieAlgebra, xi: Sequence) -> HeightReport:
+    """The invariant record of xi; a violated identity between its fields
+    means an implementation bug and raises."""
+    record = covector_invariants(L, xi)
+    failures = invariant_failures(record)
+    if failures:
+        raise DisagreementError("; ".join(failures))
+    return record
+
+
+def element_type(L: LieAlgebra, xi: Sequence) -> ElementType:
+    """Type ONE iff (d xi)^{k+1} = 0 at k = height(xi); TWO otherwise."""
+    return covector_invariants(L, xi).element_type
+
+
+def cartan_class(L: LieAlgebra, xi: Sequence) -> int:
+    """Cartan class: 2k+1 when (d xi)^{k+1} = 0, else 2k+2, at k = height(xi)."""
+    return covector_invariants(L, xi).cartan_class
+
+
+def coadjoint_orbit_dim(L: LieAlgebra, xi: Sequence) -> int:
+    """dim O_xi = rank of the skew matrix (d xi)(b_i, b_j); always even."""
+    return covector_invariants(L, xi).orbit_dim
+
+
+def radial_in_orbit(L: LieAlgebra, xi: Sequence) -> bool:
+    """Whether xi itself is tangent to its coadjoint orbit (exact solve)."""
+    return covector_invariants(L, xi).radial_in_orbit
 
 
 # -- classical invariants -----------------------------------------------------

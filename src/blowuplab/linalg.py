@@ -18,14 +18,19 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
+def _denominator_lcm(row: Sequence[Fraction]) -> int:
+    scale = 1
+    for x in row:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    return scale
+
+
 def _as_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank-preserving)."""
     out = []
     for row in rows:
         row = [Fraction(x) for x in row]
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
+        scale = _denominator_lcm(row)
         out.append([int(x * scale) for x in row])
     return out
 
@@ -69,9 +74,7 @@ def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     m = []
     for row in matrix:
         row = [Fraction(x) for x in row]
-        rs = 1
-        for x in row:
-            rs = rs * x.denominator // gcd(rs, x.denominator)
+        rs = _denominator_lcm(row)
         scale *= rs
         m.append([int(x * rs) for x in row])
     sign = 1
@@ -150,32 +153,22 @@ def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[Vector]:
         vec[f] = Fraction(1)
         for row, p in zip(echelon, pivots):
             vec[p] = -row[f]
-        scale = 1
-        for x in vec:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
+        scale = _denominator_lcm(vec)
         basis.append([x * scale for x in vec])
     return basis
 
 
 def inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix | None:
-    """Exact inverse via Gauss-Jordan, or None if singular."""
+    """Exact inverse, or None if singular: the reduced echelon form of
+    [matrix | I] is [I | inverse] exactly when the matrix is invertible."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise StructureError("inverse needs a square matrix")
-    m = [[Fraction(x) for x in row] for row in matrix]
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    echelon = rref_basis([list(row) + unit for row, unit in zip(matrix, identity)])
+    if [row[:n] for row in echelon] != identity:
+        return None
+    return [row[n:] for row in echelon]
 
 
 def mat_vec(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> Vector:

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .blowup_geometry import OrbitRankReport
+from .blowup_geometry import OrbitRankRecord, OrbitRankReport
 from .classify import ClassificationVerdict, HeightSpectrum
 from .errors import DomainError, ParseError
 from .liealg import Covector, LieAlgebra
 from .poisson_spinor import (
+    ChartForm,
     LineOrderReport,
     LiftVerdict,
     OrderCertificate,
@@ -318,6 +319,24 @@ class AnalysisResult:
     line_report: LineOrderReport
 
 
+@dataclass(frozen=True)
+class SpinorResult:
+    """Pulled-back spinors of one input with their order certificates."""
+
+    name: str
+    seed: int
+    charts: tuple[tuple[ChartForm, OrderCertificate], ...]
+
+
+@dataclass(frozen=True)
+class CrosscheckResult:
+    name: str
+    seed: int
+    samples: int
+    line_report: LineOrderReport
+    orbit_report: OrbitRankReport
+
+
 def _covector_json(xi: Covector) -> list[str]:
     return [format_rational(v) for v in xi]
 
@@ -386,23 +405,8 @@ def spectrum_to_dict(spectrum: HeightSpectrum) -> dict:
     }
 
 
-def orbit_report_to_dict(report: OrbitRankReport) -> dict:
-    return {
-        "samples": report.samples,
-        "mismatches": len(report.mismatches),
-        "heights_observed": list(report.heights),
-        "constant_height": report.constant_height,
-    }
-
-
-def line_report_to_dict(report: LineOrderReport) -> dict:
-    return {
-        "samples": report.samples,
-        "mismatches": len(report.mismatches),
-    }
-
-
 def analysis_to_dict(result: AnalysisResult) -> dict:
+    orbit, line = result.orbit_report, result.line_report
     return {
         "command": "analyze",
         "algebra": result.name,
@@ -411,8 +415,16 @@ def analysis_to_dict(result: AnalysisResult) -> dict:
         "samples": result.samples,
         "verdict": verdict_to_dict(result.verdict),
         "spectrum": spectrum_to_dict(result.spectrum),
-        "orbit_crosscheck": orbit_report_to_dict(result.orbit_report),
-        "line_order_crosscheck": line_report_to_dict(result.line_report),
+        "orbit_crosscheck": {
+            "samples": orbit.samples,
+            "mismatches": len(orbit.mismatches),
+            "heights_observed": list(orbit.heights),
+            "constant_height": orbit.constant_height,
+        },
+        "line_order_crosscheck": {
+            "samples": line.samples,
+            "mismatches": len(line.mismatches),
+        },
     }
 
 
@@ -450,7 +462,7 @@ def render_human(result: AnalysisResult) -> str:
         if cert.certificate:
             entry += f" ({cert.certificate})"
         if cert.witness_point is not None:
-            entry += f" (vanishes at {_render_point(cert.witness_point)})"
+            entry += f" (vanishes at {_render_covector(cert.witness_point)})"
         if cert.note:
             entry += f" [{cert.note}]"
         lines.append(entry)
@@ -473,16 +485,130 @@ def render_human(result: AnalysisResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_covector(xi: Covector) -> str:
+def _render_covector(xi) -> str:
     return "(" + ", ".join(format_rational(v) for v in xi) + ")"
 
 
-def _render_point(point) -> str:
-    return "(" + ", ".join(format_rational(v) for v in point) + ")"
+def spinor_to_dict(result: SpinorResult) -> dict:
+    return {
+        "command": "spinor",
+        "input": result.name,
+        "seed": result.seed,
+        "charts": {
+            str(cf.chart): {
+                "pullback": cf.render(),
+                "certificate": certificate_to_dict(cert, cf.ring),
+            }
+            for cf, cert in result.charts
+        },
+    }
 
 
-def emit_report(result: AnalysisResult, fmt: str = "human") -> str:
+def render_spinor_human(result: SpinorResult) -> str:
+    lines = [f"spinor analysis: {result.name}"]
+    for cf, cert in result.charts:
+        names = tuple("d" + v for v in cf.ring.vars)
+        lines.append(f"chart {cf.chart}:")
+        lines.append(f"  pullback: {cf.render()}")
+        lines.append(f"  order: {cert.order}, {cert.status}")
+        lines.append(f"  leading form: {cert.leading.render(names)}")
+        if cert.certificate:
+            lines.append(f"  certificate: {cert.certificate}")
+        if cert.witness_point is not None:
+            lines.append(
+                f"  leading form vanishes at: {_render_covector(cert.witness_point)}"
+            )
+        if cert.note:
+            lines.append(f"  note: {cert.note}")
+    return "\n".join(lines) + "\n"
+
+
+def crosscheck_to_dict(result: CrosscheckResult) -> dict:
+    line, orbit = result.line_report, result.orbit_report
+    return {
+        "command": "crosscheck",
+        "algebra": result.name,
+        "seed": result.seed,
+        "samples": result.samples,
+        "line_orders": {
+            "mismatches": len(line.mismatches),
+            "records": [
+                {
+                    "xi": _covector_json(r.xi),
+                    "chart": r.chart,
+                    "order": r.order,
+                    "expected": r.expected,
+                }
+                for r in line.records
+            ],
+        },
+        "orbit_ranks": {
+            "mismatches": len(orbit.mismatches),
+            "heights_observed": list(orbit.heights),
+            "constant_height": orbit.constant_height,
+            "records": [_orbit_record_json(r) for r in orbit.records],
+        },
+    }
+
+
+def _orbit_record_json(record: OrbitRankRecord) -> dict:
+    inv = record.invariants
+    return {
+        "v": _covector_json(record.v),
+        "height": inv.height,
+        "type": int(inv.element_type),
+        "class": inv.cartan_class,
+        "orbit_dim": inv.orbit_dim,
+        "radial": inv.radial_in_orbit,
+        "distribution_rank": record.distribution_rank,
+        "ok": record.ok,
+    }
+
+
+def render_crosscheck_human(result: CrosscheckResult) -> str:
+    line, orbit = result.line_report, result.orbit_report
+    lines = [
+        f"crosscheck: {result.name} (seed {result.seed}, {result.samples} samples)",
+        "line-order identity (order == dim - 1 - height):",
+    ]
+    for r in line.records:
+        mark = "ok" if r.ok else "MISMATCH"
+        lines.append(
+            f"  xi={_render_covector(r.xi)} chart {r.chart}: order {r.order}, "
+            f"expected {r.expected}  [{mark}]"
+        )
+    lines.append("orbit/rank identities:")
+    for r in orbit.records:
+        inv = r.invariants
+        mark = "ok" if r.ok else "MISMATCH: " + "; ".join(r.failures)
+        lines.append(
+            f"  v={_render_covector(r.v)} height {inv.height} "
+            f"type {int(inv.element_type)} class {inv.cartan_class} "
+            f"orbit {inv.orbit_dim} radial {str(inv.radial_in_orbit).lower()} "
+            f"rank {r.distribution_rank}  [{mark}]"
+        )
+    constancy = "constant" if orbit.constant_height else "globally non-constant"
+    status = (
+        "VIOLATIONS FOUND"
+        if line.mismatches or orbit.mismatches
+        else "pointwise-consistent"
+    )
+    lines.append(f"summary: {status}, heights {set(orbit.heights)} ({constancy})")
+    return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {
+    AnalysisResult: (analysis_to_dict, render_human),
+    SpinorResult: (spinor_to_dict, render_spinor_human),
+    CrosscheckResult: (crosscheck_to_dict, render_crosscheck_human),
+}
+
+
+def emit_report(
+    result: AnalysisResult | SpinorResult | CrosscheckResult, fmt: str = "human"
+) -> str:
     """Deterministic report: identical inputs and seeds give identical bytes."""
+    to_dict, to_text = _RENDERERS[type(result)]
     if fmt == "machine":
-        return json.dumps(analysis_to_dict(result), sort_keys=True, indent=2) + "\n"
-    return render_human(result)
+        return json.dumps(to_dict(result), sort_keys=True, indent=2) + "\n"
+    return to_text(result)

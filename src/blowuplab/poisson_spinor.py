@@ -12,7 +12,8 @@ rational divisor point, or reported as undetermined, never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -20,9 +21,9 @@ from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
 from .exterior import GradedForm, GradedVector, exp_interior
-from .liealg import Covector, LieAlgebra, as_covector, height
+from .liealg import Covector, LieAlgebra, as_covector, covector_invariants
 from .rings import Polynomial, PolyRing, Rational
-from .sampling import DEFAULT_SEED, covector_stream, point_stream
+from .sampling import DEFAULT_SEED, point_stream, sampled_covectors
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,11 @@ def linear_poisson(L: LieAlgebra) -> PolyBivector:
     return PolyBivector(ring, entries)
 
 
+def shared_linear_poisson(L: LieAlgebra) -> PolyBivector:
+    """`linear_poisson(L)`, built once per algebra."""
+    return L.memo("linear_poisson", lambda: linear_poisson(L))
+
+
 def volume_form(ring: PolyRing) -> GradedForm:
     m = len(ring.vars)
     return GradedForm(m, ring, {tuple(range(1, m + 1)): 1})
@@ -140,6 +146,13 @@ def blowup_pullback(
     return ChartForm(bc.pull_form(form), chart, bc.blown)
 
 
+def shared_pullback(L: LieAlgebra, chart: int) -> ChartForm:
+    """The spinor of the linear Poisson bivector of L pulled back through
+    chart `chart` of the origin blowup, built once per algebra and chart."""
+    phi = L.memo("spinor", lambda: spinor(shared_linear_poisson(L)))
+    return L.memo(("pullback", chart), lambda: blowup_pullback(phi, chart))
+
+
 # -- vanishing order along the divisor ----------------------------------------
 
 
@@ -178,61 +191,59 @@ class OrderCertificate:
     note: str | None = None
 
 
-def vanishing_order(
-    cf: ChartForm, seed: int = DEFAULT_SEED, samples: int = 200
-) -> OrderCertificate:
+def _leading_form(cf: ChartForm) -> tuple[int, GradedForm]:
     """Order = minimal chart-variable valuation over all coefficients; the
     leading form is the divisor restriction of (chart var)^(-order) * form."""
-    if cf.form.is_zero():
-        raise DomainError("the zero form has no vanishing order")
     c = cf.chart
     order = min(poly.valuation(c) for poly in cf.form.terms.values())
-    leading_terms = {}
+    terms = {}
     for indices, poly in cf.form.terms.items():
         restricted = poly.shift_down(c, order).restrict_zero(c)
         if restricted:
-            leading_terms[indices] = restricted
-    leading = GradedForm(cf.form.dim, cf.ring, leading_terms)
+            terms[indices] = restricted
+    return order, GradedForm(cf.form.dim, cf.ring, terms)
+
+
+def _divisor_points(cf: ChartForm, seed: int, samples: int):
+    """Up to `samples` chart points on the divisor {chart var = 0}, the free
+    coordinates drawn from the seeded point stream."""
+    m = len(cf.ring.vars)
+    free = [pos for pos in range(1, m + 1) if pos != cf.chart]
+    for values in itertools.islice(point_stream(len(free), seed), samples):
+        point = [Fraction(0)] * m
+        for pos, value in zip(free, values):
+            point[pos - 1] = value
+        yield tuple(point)
+
+
+def vanishing_order(
+    cf: ChartForm, seed: int = DEFAULT_SEED, samples: int = 200
+) -> OrderCertificate:
+    """Vanishing order and leading form along the divisor, with a syntactic
+    nonvanishing certificate, a rational divisor zero, or neither."""
+    if cf.form.is_zero():
+        raise DomainError("the zero form has no vanishing order")
+    order, leading = _leading_form(cf)
     note = None
     if order == 0 and len(cf.blown) > 1:
         note = "order 0: transverse-like, outside the invariant-origin setting"
+    undetermined = OrderCertificate(cf.chart, order, leading, "undetermined", note=note)
 
     for indices, poly in leading.terms.items():
         reason = _sign_definite_reason(poly)
         if reason:
             names = tuple("d" + v for v in cf.ring.vars)
             where = "∧".join(names[i - 1] for i in indices) if indices else "1"
-            return OrderCertificate(
-                chart=c,
-                order=order,
-                leading=leading,
+            return replace(
+                undetermined,
                 status="certified",
                 certificate=f"coefficient of {where}: {reason}",
-                note=note,
             )
 
-    free = [pos for pos in range(1, len(cf.ring.vars) + 1) if pos != c]
-    stream = point_stream(len(free), seed)
-    for _ in range(samples):
-        try:
-            values = next(stream)
-        except StopIteration:
-            break
-        point = [Fraction(0)] * len(cf.ring.vars)
-        for pos, value in zip(free, values):
-            point[pos - 1] = value
+    for point in _divisor_points(cf, seed, samples):
         if all(poly.evaluate(point) == 0 for poly in leading.terms.values()):
-            return OrderCertificate(
-                chart=c,
-                order=order,
-                leading=leading,
-                status="falsified",
-                witness_point=tuple(point),
-                note=note,
-            )
-    return OrderCertificate(
-        chart=c, order=order, leading=leading, status="undetermined", note=note
-    )
+            return replace(undetermined, status="falsified", witness_point=point)
+    return undetermined
 
 
 # -- restriction to a projective line ------------------------------------------
@@ -304,12 +315,10 @@ def spinor_chart_certificates(
     L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200
 ) -> dict[int, OrderCertificate]:
     """Vanishing-order certificates of the pulled-back spinor, every chart."""
-    phi = spinor(linear_poisson(L))
-    out = {}
-    for chart in range(1, L.dim + 1):
-        cf = blowup_pullback(phi, chart)
-        out[chart] = vanishing_order(cf, seed=seed, samples=samples)
-    return out
+    return {
+        chart: vanishing_order(shared_pullback(L, chart), seed=seed, samples=samples)
+        for chart in range(1, L.dim + 1)
+    }
 
 
 def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) -> LiftVerdict:
@@ -402,20 +411,11 @@ def check_line_orders(
 ) -> LineOrderReport:
     """Primary cross-oracle identity: for each sampled covector, the t-adic
     order of the line-restricted pullback spinor equals dim - 1 - height."""
-    if samples < 1:
-        raise DomainError("samples must be positive")
-    phi = spinor(linear_poisson(L))
-    pullbacks = {
-        chart: blowup_pullback(phi, chart) for chart in range(1, L.dim + 1)
-    }
     records = []
-    stream = covector_stream(L.dim, seed)
-    for _ in range(samples):
-        xi = next(stream)
+    for xi in sampled_covectors(L.dim, samples, seed):
         chart = preferred_chart(xi)
-        restricted = restrict_to_line(pullbacks[chart], xi)
-        got = t_order(restricted)
-        want = L.dim - 1 - height(L, xi)
+        got = t_order(restrict_to_line(shared_pullback(L, chart), xi))
+        want = L.dim - 1 - covector_invariants(L, xi).height
         records.append(LineOrderRecord(xi, chart, got, want))
     records = tuple(records)
     mismatches = tuple(r for r in records if not r.ok)
@@ -447,7 +447,7 @@ def perturbation_invariance_check(
     the origin must not change pullback-spinor vanishing behaviour: both
     spinors get equal chart orders and their leading forms vanish at the
     same sampled divisor points."""
-    pi = linear_poisson(L)
+    pi = shared_linear_poisson(L)
     if w.ring != pi.ring:
         raise StructureError("perturbation ring does not match the linear bivector")
     blown = tuple(range(1, w.dim + 1))
@@ -456,34 +456,15 @@ def perturbation_invariance_check(
             raise DomainError(
                 f"perturbation entry ({i},{j}) does not vanish to second order at 0"
             )
-    cf_base = blowup_pullback(spinor(pi), chart)
-    cf_pert = blowup_pullback(spinor(pi + w), chart)
-    order_base = min(p.valuation(chart) for p in cf_base.form.terms.values())
-    order_pert = min(p.valuation(chart) for p in cf_pert.form.terms.values())
-
-    def leading(cf: ChartForm, order: int):
-        polys = []
-        for poly in cf.form.terms.values():
-            restricted = poly.shift_down(chart, order).restrict_zero(chart)
-            if restricted:
-                polys.append(restricted)
-        return polys
-
-    lead_base = leading(cf_base, order_base)
-    lead_pert = leading(cf_pert, order_pert)
-    m = len(pi.ring.vars)
-    free = [pos for pos in range(1, m + 1) if pos != chart]
-    stream = point_stream(len(free), seed)
-    points = []
-    for _ in range(samples):
-        try:
-            values = next(stream)
-        except StopIteration:
-            break
-        point = [Fraction(0)] * m
-        for pos, value in zip(free, values):
-            point[pos - 1] = value
-        nz_base = any(p.evaluate(point) != 0 for p in lead_base)
-        nz_pert = any(p.evaluate(point) != 0 for p in lead_pert)
-        points.append((tuple(point), nz_base, nz_pert))
-    return PerturbationReport(chart, order_base, order_pert, tuple(points))
+    cf_base = shared_pullback(L, chart)
+    order_base, lead_base = _leading_form(cf_base)
+    order_pert, lead_pert = _leading_form(blowup_pullback(spinor(pi + w), chart))
+    points = tuple(
+        (
+            point,
+            any(p.evaluate(point) != 0 for p in lead_base.terms.values()),
+            any(p.evaluate(point) != 0 for p in lead_pert.terms.values()),
+        )
+        for point in _divisor_points(cf_base, seed, samples)
+    )
+    return PerturbationReport(chart, order_base, order_pert, points)

@@ -99,9 +99,6 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def min_degree_in(self, positions: Iterable[int]) -> int:
         """Smallest combined degree of the given (1-based) variables over all monomials."""
         cols = [p - 1 for p in positions]

@@ -11,9 +11,12 @@ visit them before luck is needed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Iterator
+
+from .errors import DomainError
 
 DEFAULT_SEED = 1729
 
@@ -50,25 +53,24 @@ def random_vector(rng: random.Random, n: int, bound: int) -> tuple[Fraction, ...
 
 
 def covector_stream(
-    n: int,
-    seed: int = DEFAULT_SEED,
-    bound: int = 20,
-    escalate_every: int | None = None,
+    n: int, seed: int = DEFAULT_SEED, bound: int = 20
 ) -> Iterator[tuple[Fraction, ...]]:
-    """Deterministic seeds first, then an endless seeded random stream.
-
-    With ``escalate_every`` set, the coefficient bound doubles after that
-    many random draws (used by the witness search).
-    """
+    """Deterministic seeds first, then an endless seeded random stream."""
     yield from dual_basis(n)
     yield from pairwise_combinations(n)
     rng = random.Random(seed)
-    drawn = 0
     while True:
         yield random_vector(rng, n, bound)
-        drawn += 1
-        if escalate_every and drawn % escalate_every == 0:
-            bound *= 2
+
+
+def sampled_covectors(
+    n: int, samples: int, seed: int = DEFAULT_SEED
+) -> Iterator[tuple[Fraction, ...]]:
+    """The first `samples` covectors of the stream, the points that every
+    per-sample suite visits."""
+    if samples < 1:
+        raise DomainError("samples must be positive")
+    return itertools.islice(covector_stream(n, seed), samples)
 
 
 def point_stream(

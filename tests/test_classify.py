@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from blowuplab import (
+    DomainError,
     LieAlgebra,
     WitnessSearchError,
     abelian,
@@ -100,6 +101,8 @@ def test_spectrum_fixtures():
     assert sample_height_spectrum(so3(), 100).heights() == (1,)
     assert sample_height_spectrum(heis3(), 100).heights() == (0, 1)
     assert sample_height_spectrum(abelian(5), 60).heights() == (0,)
+    with pytest.raises(DomainError):
+        sample_height_spectrum(so3(), 0)
 
 
 def test_spectrum_witnesses_reverify():

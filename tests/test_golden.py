@@ -1,0 +1,32 @@
+"""Machine output pinned byte for byte.
+
+The files under ``golden/`` hold the machine output of ``analyze``,
+``crosscheck`` and ``spinor`` at seed 1729 with 20 samples.  Any change to
+a verdict, a certificate, a sampled covector or the JSON layout shows up
+here as a byte difference.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from blowuplab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    (command, algebra)
+    for command in ("analyze", "crosscheck", "spinor")
+    for algebra in ("so3", "sl2", "heis3", "diagonal_affine2")
+]
+
+
+@pytest.mark.parametrize(("command", "algebra"), CASES)
+def test_machine_output_matches_golden(capsys, command, algebra):
+    argv = [command, "--catalog", algebra, "--format", "machine"]
+    code = main(argv + ["--seed", "1729", "--samples", "20"])
+    assert code == 0
+    expected = (GOLDEN / f"{command}_{algebra}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

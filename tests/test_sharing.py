@@ -1,0 +1,58 @@
+"""Each shared quantity of one analysis is computed once.
+
+`analyze` runs four suites over the same algebra and the same sampled
+covectors.  The linear Poisson bivector, its spinor and chart pullbacks, the
+lifted Hamiltonian fields and each covector's invariant record are built once
+per algebra and read by every suite; the witness search alone calls the plain
+height oracle, one call per candidate.  Call counts come from cProfile, so
+they count every call whatever name it goes through.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+
+import blowuplab.classify as classify_mod
+from blowuplab import charts, liealg, poisson_spinor
+from blowuplab.cli import main
+
+SAMPLES = 30
+DIM = 3  # sl2
+
+
+def _calls(profile: cProfile.Profile, fn) -> int:
+    code = fn.__code__
+    entry = pstats.Stats(profile).stats.get(
+        (code.co_filename, code.co_firstlineno, code.co_name)
+    )
+    return entry[1] if entry else 0
+
+
+def test_analyze_shares_every_per_algebra_quantity(capsys, monkeypatch):
+    candidates = []
+    real_height = classify_mod.height
+
+    def counted_height(L, xi):
+        candidates.append(xi)
+        return real_height(L, xi)
+
+    monkeypatch.setattr(classify_mod, "height", counted_height)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        code = main(
+            ["analyze", "--catalog", "sl2", "--samples", str(SAMPLES), "--format", "machine"]
+        )
+    finally:
+        profile.disable()
+    capsys.readouterr()
+    assert code == 0
+    assert candidates, "sl2 does not lift, so the witness search must run"
+
+    assert _calls(profile, poisson_spinor.linear_poisson) == 1
+    assert _calls(profile, poisson_spinor.spinor) == 1
+    assert _calls(profile, charts.BlowupChart.pull_form) == DIM
+    assert _calls(profile, charts.BlowupChart.lift_vector_field) <= DIM * DIM
+    assert _calls(profile, liealg.height) == len(candidates)
+    assert _calls(profile, liealg.ce_differential) <= SAMPLES + len(candidates)
