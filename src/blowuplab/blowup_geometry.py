@@ -96,12 +96,20 @@ def _hamiltonian_lifts(L: LieAlgebra, chart: int) -> tuple[tuple[Polynomial, ...
 
 @dataclass(frozen=True)
 class DistributionSample:
-    """The divisor distribution at one projective point, with its exact rank."""
+    """The divisor distribution at one projective point, with its exact rank.
+
+    rows are the evaluated annihilator fields that span it; the reduced
+    basis is computed only when asked for.
+    """
 
     point: Covector
     chart: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Fraction, ...], ...]
     rank: int
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(row) for row in linalg.rref_basis(self.rows))
 
 
 def distribution_at(L: LieAlgebra, v: Sequence) -> DistributionSample:
@@ -135,8 +143,7 @@ def distribution_at(L: LieAlgebra, v: Sequence) -> DistributionSample:
     r = linalg.rank(rows)
     if r % 2:
         raise InternalError("divisor distribution has odd rank")
-    basis = tuple(tuple(row) for row in linalg.rref_basis(rows))
-    return DistributionSample(tuple(point), chart, basis, r)
+    return DistributionSample(tuple(point), chart, tuple(map(tuple, rows)), r)
 
 
 @dataclass(frozen=True)

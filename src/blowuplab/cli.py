@@ -16,7 +16,6 @@ the BLOWUPLAB_SEED environment variable overrides the default seed 1729.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -34,6 +33,7 @@ from .errors import (
 from .liealg import LieAlgebra
 from .model_io import (
     AnalysisResult,
+    CatalogResult,
     CrosscheckResult,
     SCALED_SO3_BLOWN,
     SpinorResult,
@@ -214,30 +214,7 @@ def cmd_catalog(args) -> int:
         except ValueError:
             raise UsageError("--filter dim= expects an integer") from None
         entries = [e for e in entries if e.dim == wanted]
-    if args.fmt == "machine":
-        payload = {
-            "command": "catalog",
-            "entries": [
-                {
-                    "name": e.name,
-                    "dim": e.dim,
-                    "kind": e.kind,
-                    "expected_verdict": e.expected_verdict,
-                    "expected_height": e.expected_height,
-                    "note": e.note,
-                }
-                for e in entries
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        lines = ["catalog:"]
-        for e in entries:
-            height = f", height {e.expected_height}" if e.expected_height is not None else ""
-            lines.append(
-                f"  {e.name}  (dim {e.dim}, {e.kind}): {e.expected_verdict}{height} -- {e.note}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(emit_report(CatalogResult(tuple(entries)), args.fmt))
     return EXIT_OK
 
 

@@ -43,6 +43,10 @@ def _sort_indices(dim: int, indices: Sequence[int]):
 
 def _merge_sign(left: IndexTuple, right: IndexTuple):
     """Shuffle sign for merging two strictly increasing tuples, or 0 if they meet."""
+    if not left:
+        return right, 1
+    if not right:
+        return left, 1
     if set(left) & set(right):
         return (), 0
     inversions = 0
@@ -52,6 +56,11 @@ def _merge_sign(left: IndexTuple, right: IndexTuple):
                 inversions += 1
     merged = tuple(sorted(left + right))
     return merged, (-1) ** inversions
+
+
+def _term_order(item):
+    indices = item[0]
+    return len(indices), indices
 
 
 class _Alternating:
@@ -79,7 +88,18 @@ class _Alternating:
                     clean.pop(sorted_idx, None)
                 else:
                     clean[sorted_idx] = coeff
-        self.terms = dict(sorted(clean.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        self.terms = dict(sorted(clean.items(), key=_term_order))
+
+    @classmethod
+    def _trusted(cls, dim: int, ring: CoeffRing, terms: dict):
+        """Internal constructor for terms that are already canonical: strictly
+        increasing index tuples, coefficients of the ring's own type, no
+        zeros.  Only the key order is restored; callers own the invariants."""
+        self = object.__new__(cls)
+        self.dim = dim
+        self.ring = ring
+        self.terms = dict(sorted(terms.items(), key=_term_order))
+        return self
 
     # -- constructors --------------------------------------------------------
 
@@ -128,22 +148,28 @@ class _Alternating:
     def __add__(self, other):
         self._require_compatible(other)
         merged = dict(self.terms)
+        is_zero = self.ring.is_zero
         for indices, coeff in other.terms.items():
             if indices in merged:
-                merged[indices] = merged[indices] + coeff
-            else:
-                merged[indices] = coeff
-        return type(self)(self.dim, self.ring, merged)
+                coeff = merged[indices] + coeff
+                if is_zero(coeff):
+                    del merged[indices]
+                    continue
+            merged[indices] = coeff
+        return self._trusted(self.dim, self.ring, merged)
 
     def __neg__(self):
-        return type(self)(self.dim, self.ring, {i: -c for i, c in self.terms.items()})
+        return self._trusted(self.dim, self.ring, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value):
         factor = self.ring.coerce(value)
-        return type(self)(
+        if self.ring.is_zero(factor):
+            return self._trusted(self.dim, self.ring, {})
+        # a product of nonzero elements of an integral domain is nonzero
+        return self._trusted(
             self.dim, self.ring, {i: c * factor for i, c in self.terms.items()}
         )
 
@@ -178,7 +204,7 @@ class _Alternating:
                     out.pop(merged, None)
                 else:
                     out[merged] = coeff
-        return type(self)(self.dim, self.ring, out)
+        return self._trusted(self.dim, self.ring, out)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -278,7 +304,7 @@ def multi_interior(w: GradedVector, a: GradedForm) -> GradedForm:
                 total.pop(idx, None)
             else:
                 total[idx] = value
-    return GradedForm(a.dim, a.ring, total)
+    return GradedForm._trusted(a.dim, a.ring, total)
 
 
 def exp_interior(pi: GradedVector, lam: GradedForm) -> GradedForm:

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DisagreementError, DomainError, JacobiError, StructureError
-from .exterior import GradedForm
+from .exterior import GradedForm, _merge_sign
 from .rings import CoeffRing, RATIONALS, Rational
 
 Covector = tuple[Fraction, ...]
@@ -210,6 +211,8 @@ def _generator_differential(L: LieAlgebra, k: int, ring: CoeffRing) -> GradedFor
 def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
     """Chevalley-Eilenberg differential, extended as a degree +1 derivation.
 
+    Each term c theta_I contributes (-1)^t c theta_{I<t} ^ d theta_{I_t} ^
+    theta_{I>t} for every position t, summed into one term map.
     Ring-generic: coefficients may be rationals or polynomials (the structure
     constants act by scalars).  d o d = 0 precisely when the Jacobi identity
     holds, which the property suite checks in both directions.
@@ -217,21 +220,34 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
     if form.dim != L.dim:
         raise StructureError("form dimension does not match the algebra")
     ring = form.ring
-    d_theta = {}
-    result = GradedForm.zero(L.dim, ring)
+    # the terms of d theta_1, ..., d theta_dim, built once per algebra and ring
+    d_theta = L.memo(
+        ("d_theta", ring),
+        lambda: tuple(
+            _generator_differential(L, k, ring).terms for k in range(1, L.dim + 1)
+        ),
+    )
+    out: dict = {}
     for indices, coeff in form.terms.items():
         for t, k in enumerate(indices):
-            if k not in d_theta:
-                d_theta[k] = _generator_differential(L, k, ring)
-            if d_theta[k].is_zero():
-                continue
-            pre = GradedForm(L.dim, ring, {indices[:t]: 1})
-            post = GradedForm(L.dim, ring, {indices[t + 1 :]: 1})
-            piece = pre.wedge(d_theta[k]).wedge(post).scale(coeff)
-            if t % 2:
-                piece = -piece
-            result = result + piece
-    return result
+            pre, post = indices[:t], indices[t + 1 :]
+            for middle, c in d_theta[k - 1].items():
+                left, sign = _merge_sign(pre, middle)
+                if not sign:
+                    continue
+                merged, sign2 = _merge_sign(left, post)
+                if not sign2:
+                    continue
+                value = c * coeff
+                if sign * sign2 * (-1) ** t < 0:
+                    value = -value
+                if merged in out:
+                    value = out[merged] + value
+                out[merged] = value
+    is_zero = ring.is_zero
+    return GradedForm._trusted(
+        L.dim, ring, {i: c for i, c in out.items() if not is_zero(c)}
+    )
 
 
 # -- heights, types, orbits ----------------------------------------------------
@@ -261,32 +277,59 @@ def _wedge_chain(form: GradedForm, omega: GradedForm) -> int:
         j += 1
 
 
-def _pairing_matrix(L: LieAlgebra, xi: Covector) -> list[list[Fraction]]:
-    """A[i][j] = (d xi)(b_i, b_j) = -xi([b_i, b_j]); rows span T_xi O_xi.
+def _primitive(xi: Covector) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of xi: xi times the lcm of its
+    denominators, divided by the gcd of the resulting integers."""
+    scale = linalg.denominator_lcm(xi)
+    ints = [v.numerator * (scale // v.denominator) for v in xi]
+    content = gcd(*ints)
+    return tuple(v // content for v in ints)
 
-    Built as sum_k xi_k C_k, where C_k[i][j] = -c(i, j, k) are read off the
-    stored i < j structure constants and the lower half is implied.
+
+def _integer_constants(L: LieAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The stored i < j structure constants times their common denominator, as ints."""
+    scale = linalg.denominator_lcm([v for vec in L._pairs.values() for v in vec])
+    return {
+        key: tuple(v.numerator * (scale // v.denominator) for v in vec)
+        for key, vec in L._pairs.items()
+    }
+
+
+def _pairing_matrix(L: LieAlgebra, x: tuple[int, ...]) -> list[list[int]]:
+    """A positive integer multiple of A[i][j] = (d xi)(b_i, b_j) = -xi([b_i, b_j]),
+    for x the primitive integer multiple of xi; rows span T_xi O_xi.
+
+    Built as sum_k x_k C_k, where C_k[i][j] = -D c(i, j, k) are the stored
+    i < j structure constants times their common denominator D, and the
+    lower half is implied.  With x = s xi (s > 0) the result is D s A(xi).
+    Rank and row-space membership do not change when the matrix or the
+    vector tested is scaled by a nonzero number, so every rank read off this
+    matrix, and whether x lies in its row space, are those of A(xi) and xi.
     """
-    rows = [[Fraction(0)] * L.dim for _ in range(L.dim)]
-    for (i, j), vec in L._pairs.items():
-        value = -sum(x * c for x, c in zip(xi, vec))
+    rows = [[0] * L.dim for _ in range(L.dim)]
+    constants = L.memo("integer_constants", lambda: _integer_constants(L))
+    for (i, j), vec in constants.items():
+        value = -sum(a * c for a, c in zip(x, vec))
         rows[i - 1][j - 1] = value
         rows[j - 1][i - 1] = -value
     return rows
 
 
-def _height_by_rank(pairing: list[list[Fraction]], xi: Covector) -> int:
+def _height_by_rank(pairing: list[list[int]], x: tuple[int, ...]) -> int:
     """Independent oracle: half the rank of the pairing restricted to ker xi.
 
-    ker xi has the basis b_i - (xi_i / xi_p) b_p, i != p, for a pivot p with
-    xi_p != 0; the restricted matrix is the pairing in that basis.
+    ker xi has the basis b_i - (x_i / x_p) b_p, i != p, for a pivot p with
+    x_p != 0; the restricted matrix is the pairing in that basis.  Scaled by
+    x_p, its entries x_p A_ij - x_j A_ip - x_i A_pj are integers and no
+    division is needed; a nonzero scaling leaves the rank unchanged.
     """
-    p = next(i for i, v in enumerate(xi) if v)
-    ratio = [v / xi[p] for v in xi]
-    others = [i for i in range(len(xi)) if i != p]
+    p = next(i for i, v in enumerate(x) if v)
+    xp = x[p]
+    row_p = pairing[p]
+    others = [i for i in range(len(x)) if i != p]
     rows = [
         [
-            pairing[i][j] - ratio[j] * pairing[i][p] - ratio[i] * pairing[p][j]
+            xp * pairing[i][j] - x[j] * pairing[i][p] - x[i] * row_p[j]
             for j in others
         ]
         for i in others
@@ -316,7 +359,8 @@ def height(L: LieAlgebra, xi: Sequence) -> int:
     xi = _require_nonzero(L, xi)
     form = covector_form(L, xi)
     by_wedge = _wedge_chain(form, ce_differential(L, form))
-    return _checked_height(by_wedge, _height_by_rank(_pairing_matrix(L, xi), xi), xi)
+    x = _primitive(xi)
+    return _checked_height(by_wedge, _height_by_rank(_pairing_matrix(L, x), x), xi)
 
 
 @dataclass(frozen=True)
@@ -342,18 +386,20 @@ def _build_invariants(L: LieAlgebra, xi: Covector) -> HeightReport:
     form = covector_form(L, xi)
     omega = ce_differential(L, form)
     by_wedge = _wedge_chain(form, omega)
-    pairing = _pairing_matrix(L, xi)
-    by_rank = _height_by_rank(pairing, xi)
+    x = _primitive(xi)
+    pairing = _pairing_matrix(L, x)
+    by_rank = _height_by_rank(pairing, x)
     k = _checked_height(by_wedge, by_rank, xi)
     # r is the largest power with (d xi)^r != 0: type ONE iff (d xi)^{k+1} = 0,
     # and the class is 2k+1 when r equals k, else 2k+2
     r = _wedge_chain(GradedForm(L.dim, RATIONALS, {(): 1}), omega)
     etype = ElementType.ONE if r <= k else ElementType.TWO
     cls = 2 * k + 1 if r == k else 2 * k + 2
-    orbit = linalg.rank(pairing)
+    # one elimination of [A; x] pivoting on A's rows only: the pivot count is
+    # the orbit dimension, and x is radial exactly when its row reduces to 0
+    orbit, radial = linalg.rank_and_membership(pairing, x)
     if orbit % 2:
         raise DisagreementError("coadjoint orbit dimension came out odd")
-    radial = linalg.in_row_space(pairing, list(xi))
     return HeightReport(by_wedge, by_rank, etype, cls, orbit, radial)
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Rank and determinant use fraction-free (Bareiss) elimination on integer
-matrices obtained by clearing denominators row by row; this keeps all
-intermediate values integral and avoids coefficient blowup at the small
-dimensions used here.  Basis extraction uses ordinary rational Gauss-Jordan.
+matrices obtained by clearing denominators row by row (rows of ints are
+used as they are); this keeps all intermediate values integral and avoids
+coefficient blowup at the small dimensions used here.  Basis extraction uses ordinary rational Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -18,49 +18,76 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def _denominator_lcm(row: Sequence[Fraction]) -> int:
+def denominator_lcm(row: Sequence[Fraction]) -> int:
     scale = 1
     for x in row:
         scale = scale * x.denominator // gcd(scale, x.denominator)
     return scale
 
 
-def _as_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
+def _as_int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Scale each row by the lcm of its denominators (rank-preserving); rows
+    of ints are copied as they are."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         row = [Fraction(x) for x in row]
-        scale = _denominator_lcm(row)
+        scale = denominator_lcm(row)
         out.append([int(x * scale) for x in row])
     return out
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank via fraction-free elimination."""
-    m = _as_int_rows(rows)
+def _eliminate(m: list[list[int]], n_pivot_rows: int) -> int:
+    """Fraction-free (Bareiss) elimination of the integer matrix m in place,
+    choosing pivots among its first n_pivot_rows rows only; every row below
+    them is reduced as well.  Returns the number of pivots.
+
+    By Sylvester's identity each reduced entry is a minor of the original
+    matrix, so every division is exact; a reduced row below the pivot rows
+    is a nonzero multiple of the original row plus a combination of the
+    pivot rows, and it is zero exactly when that row lies in their span.
+    """
     if not m:
         return 0
     n_rows, n_cols = len(m), len(m[0])
     r = 0
     prev = 1
     for col in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
+        pivot_row = next((i for i in range(r, n_pivot_rows) if m[i][col]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r]
         for i in range(r + 1, n_rows):
+            row = m[i]
+            lead = row[col]
             for j in range(col + 1, n_cols):
-                value = m[i][j] * m[r][col] - m[i][col] * m[r][j]
-                quot, rem = divmod(value, prev)
+                quot, rem = divmod(row[j] * pivot[col] - lead * pivot[j], prev)
                 if rem:
                     raise InternalError("fraction-free elimination produced a non-exact division")
-                m[i][j] = quot
-            m[i][col] = 0
-        prev = m[r][col]
+                row[j] = quot
+            row[col] = 0
+        prev = pivot[col]
         r += 1
-        if r == n_rows:
+        if r == n_pivot_rows:
             break
     return r
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank via fraction-free elimination; entries are ints or rationals."""
+    m = _as_int_rows(rows)
+    return _eliminate(m, len(m))
+
+
+def rank_and_membership(rows: Sequence[Sequence], vector: Sequence) -> tuple[int, bool]:
+    """(rank of rows, whether vector lies in their row space), from one
+    elimination of [rows; vector] that pivots on the given rows only."""
+    m = _as_int_rows([*rows, vector])
+    r = _eliminate(m, len(rows))
+    return r, not any(m[-1])
 
 
 def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -74,7 +101,7 @@ def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     m = []
     for row in matrix:
         row = [Fraction(x) for x in row]
-        rs = _denominator_lcm(row)
+        rs = denominator_lcm(row)
         scale *= rs
         m.append([int(x * rs) for x in row])
     sign = 1
@@ -136,8 +163,7 @@ def rref_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 
 def in_row_space(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
-    base = [list(row) for row in rows]
-    return rank(base) == rank(base + [list(vector)])
+    return rank_and_membership(rows, vector)[1]
 
 
 def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[Vector]:
@@ -153,7 +179,7 @@ def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[Vector]:
         vec[f] = Fraction(1)
         for row, p in zip(echelon, pivots):
             vec[p] = -row[f]
-        scale = _denominator_lcm(vec)
+        scale = denominator_lcm(vec)
         basis.append([x * scale for x in vec])
     return basis
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -337,6 +337,13 @@ class CrosscheckResult:
     orbit_report: OrbitRankReport
 
 
+@dataclass(frozen=True)
+class CatalogResult:
+    """The catalog listing, after any filter."""
+
+    entries: tuple[CatalogEntry, ...]
+
+
 def _covector_json(xi: Covector) -> list[str]:
     return [format_rational(v) for v in xi]
 
@@ -597,15 +604,31 @@ def render_crosscheck_human(result: CrosscheckResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def catalog_to_dict(result: CatalogResult) -> dict:
+    return {"command": "catalog", "entries": [asdict(e) for e in result.entries]}
+
+
+def render_catalog_human(result: CatalogResult) -> str:
+    lines = ["catalog:"]
+    for e in result.entries:
+        height = f", height {e.expected_height}" if e.expected_height is not None else ""
+        lines.append(
+            f"  {e.name}  (dim {e.dim}, {e.kind}): {e.expected_verdict}{height} -- {e.note}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 _RENDERERS = {
     AnalysisResult: (analysis_to_dict, render_human),
     SpinorResult: (spinor_to_dict, render_spinor_human),
     CrosscheckResult: (crosscheck_to_dict, render_crosscheck_human),
+    CatalogResult: (catalog_to_dict, render_catalog_human),
 }
 
 
 def emit_report(
-    result: AnalysisResult | SpinorResult | CrosscheckResult, fmt: str = "human"
+    result: AnalysisResult | SpinorResult | CrosscheckResult | CatalogResult,
+    fmt: str = "human",
 ) -> str:
     """Deterministic report: identical inputs and seeds give identical bytes."""
     to_dict, to_text = _RENDERERS[type(result)]

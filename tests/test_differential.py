@@ -1,0 +1,250 @@
+"""Old-versus-new equality for the per-covector height kernel.
+
+Three fast paths replaced slower ones: the Chevalley-Eilenberg differential
+sums its terms into one map from cached generator differentials, the
+exterior operations build their results through a trusted constructor, and
+the rank oracle eliminates integer matrices.  Each is checked here against
+an independent path on hypothesis-drawn inputs: the term-by-term
+derivation of d, the validating public constructor, and sympy's rank of the
+rational restricted pairing.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+import sympy
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from blowuplab import (
+    GradedForm,
+    GradedVector,
+    LieAlgebra,
+    PolyRing,
+    Polynomial,
+    RATIONALS,
+    abelian,
+    ce_differential,
+    change_basis,
+    diagonal_affine,
+    heis3,
+    height,
+    sl2,
+    so3,
+)
+from blowuplab.exterior import multi_interior
+from blowuplab.linalg import det, rank, rank_and_membership
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+POLY = PolyRing(("y1", "y2"))
+
+
+def so4() -> LieAlgebra:
+    """so(3) + so(3), which is so(4) over the reals."""
+    return LieAlgebra(
+        6,
+        {
+            (1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1},
+            (4, 5): {6: 1}, (5, 6): {4: 1}, (4, 6): {5: -1},
+        },
+        name="so4",
+    )
+
+
+CATALOG = [so3(), sl2(), heis3(), abelian(3), diagonal_affine(2), so4()]
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def conjugates_with_matrix(draw, bases):
+    """A catalog algebra, in its own basis or in a rational change of basis,
+    with the change-of-basis matrix (None for the own basis)."""
+    L = draw(st.sampled_from(bases))
+    if not draw(st.booleans()):
+        return L, None
+    n = L.dim
+    matrix = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    assume(det(matrix) != 0)
+    return change_basis(L, matrix), matrix
+
+
+def conjugates(bases):
+    return conjugates_with_matrix(bases).map(lambda pair: pair[0])
+
+
+@st.composite
+def coefficients(draw, ring):
+    if ring == RATIONALS:
+        return draw(rationals)
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, max_size=3
+        )
+    )
+    return Polynomial(ring.vars, terms)
+
+
+@st.composite
+def forms(draw, dim, ring, cls=GradedForm):
+    """Any mix of degrees 0..dim; index tuples may come unsorted."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        degree = draw(st.integers(0, dim))
+        indices = draw(st.permutations(range(1, dim + 1)))[:degree]
+        terms[tuple(indices)] = draw(coefficients(ring))
+    return cls(dim, ring, terms)
+
+
+def reference_ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
+    """The derivation as it was first written: d theta_k from the structure
+    constants on every call, one wedge of three forms per term, summed form
+    by form through the public constructor."""
+    ring = form.ring
+    n = L.dim
+
+    def d_theta(k):
+        return GradedForm(
+            n,
+            ring,
+            {
+                (i, j): -L.structure_constant(i, j, k)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+            },
+        )
+
+    result = GradedForm(n, ring)
+    for indices, coeff in form.terms.items():
+        for t, k in enumerate(indices):
+            pre = GradedForm(n, ring, {indices[:t]: 1})
+            post = GradedForm(n, ring, {indices[t + 1 :]: 1})
+            piece = GradedForm(n, ring, pre.wedge(d_theta(k)).wedge(post).scale(coeff).terms)
+            if t % 2:
+                piece = GradedForm(n, ring, {i: -c for i, c in piece.terms.items()})
+            merged = dict(result.terms)
+            for i, c in piece.terms.items():
+                merged[i] = merged.get(i, ring.zero()) + c
+            result = GradedForm(n, ring, merged)
+    return result
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from([RATIONALS, POLY]))
+def test_ce_differential_matches_reference(data, ring):
+    L = data.draw(conjugates(CATALOG))
+    form = data.draw(forms(L.dim, ring))
+    assert ce_differential(L, form) == reference_ce_differential(L, form)
+
+
+def _restricted_pairing(L: LieAlgebra, xi) -> list[list[Fraction]]:
+    """The rational pairing (d xi)(u, v) on the basis b_i - (xi_i/xi_p) b_p of ker xi."""
+    n = L.dim
+    pairing = [
+        [-sum(x * c for x, c in zip(xi, L.bracket_basis(i, j))) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    p = next(i for i, v in enumerate(xi) if v)
+    ratio = [v / xi[p] for v in xi]
+    others = [i for i in range(n) if i != p]
+    return [
+        [
+            pairing[i][j] - ratio[j] * pairing[i][p] - ratio[i] * pairing[p][j]
+            for j in others
+        ]
+        for i in others
+    ]
+
+
+# covectors of lower height than the generic one, in the original basis:
+# points of the sl2 cone, annihilators of the heis3 centre, and so4
+# covectors that vanish on one so3 summand
+HEIGHT_DROPS = {
+    "sl2": [(1, 0, 1), (0, 1, -1), (3, 4, 5), (4, -3, 5)],
+    "so3": [(1, 0, 0)],
+    "heis3": [(1, 0, 0), (2, -3, 0)],
+    "so4": [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 2, -2)],
+}
+
+
+@settings(SETTINGS, max_examples=150)
+@given(data=st.data())
+def test_height_is_half_the_sympy_rank_of_the_restricted_pairing(data):
+    L, matrix = data.draw(conjugates_with_matrix([sl2(), so3(), heis3(), so4()]))
+    # a covector of the original basis, carried through the change of basis
+    # as xi M, keeps its height
+    if data.draw(st.booleans()):
+        xi = data.draw(st.sampled_from(HEIGHT_DROPS[L.name.split("~")[0]]))
+    else:
+        xi = data.draw(st.lists(st.integers(-3, 3), min_size=L.dim, max_size=L.dim))
+    assume(any(xi))
+    xi = [Fraction(v) for v in xi]
+    if matrix is not None:
+        n = L.dim
+        xi = [sum(xi[i] * matrix[i][j] for i in range(n)) for j in range(n)]
+    expected = sympy.Matrix(_restricted_pairing(L, xi)).rank()
+    event(f"{L.name} rank={expected}")
+    assert 2 * height(L, xi) == expected
+
+
+def _canonical(result):
+    """The public constructor's reading of a result's terms, which it must
+    leave unchanged: same terms, same key order, ring-typed coefficients."""
+    rebuilt = type(result)(result.dim, result.ring, result.terms)
+    assert rebuilt == result
+    assert list(rebuilt.terms) == list(result.terms)
+    kind = Fraction if result.ring == RATIONALS else Polynomial
+    assert all(type(c) is kind for c in result.terms.values())
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from([RATIONALS, POLY]))
+def test_trusted_constructor_results_are_canonical(data, ring):
+    L = data.draw(conjugates(CATALOG))
+    n = L.dim
+    a = data.draw(forms(n, ring))
+    b = data.draw(forms(n, ring))
+    w = data.draw(forms(n, ring, cls=GradedVector))
+    c = data.draw(coefficients(ring))
+    for result in (
+        a.wedge(b),
+        a + b,
+        a + (-a),
+        -a,
+        a.scale(c),
+        a.scale(0),
+        w.wedge(w),
+        multi_interior(w, a),
+        ce_differential(L, a),
+    ):
+        _canonical(result)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_integer_and_rational_rank_agree_with_sympy(data):
+    """Low-rank matrices L R and vectors c R (+ an optional unit vector), so
+    both outcomes of row-space membership come up."""
+    m, n, k = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+
+    def draw_matrix(rows, cols):
+        return [[data.draw(rationals) for _ in range(cols)] for _ in range(rows)]
+
+    left, right, combo = draw_matrix(m, k), draw_matrix(k, n), draw_matrix(1, k)[0]
+    matrix = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(n)] for row in left]
+    vector = [sum(a * right[t][j] for t, a in enumerate(combo)) for j in range(n)]
+    if data.draw(st.booleans()):
+        vector[data.draw(st.integers(0, n - 1))] += 1
+
+    def sympy_rank(rows):
+        return sympy.Matrix(len(rows), n, [x for row in rows for x in row]).rank()
+
+    expected = sympy_rank(matrix)
+    assert rank(matrix) == expected
+    scale = data.draw(st.integers(1, 30)) * lcm(*(x.denominator for row in matrix for x in row))
+    assert rank([[int(x * scale) for x in row] for row in matrix]) == expected
+    member = sympy_rank(matrix + [vector]) == expected
+    event(f"member={member}")
+    assert rank_and_membership(matrix, vector) == (expected, member)

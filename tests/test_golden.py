@@ -1,9 +1,9 @@
-"""Machine output pinned byte for byte.
+"""Output pinned byte for byte.
 
 The files under ``golden/`` hold the machine output of ``analyze``,
-``crosscheck`` and ``spinor`` at seed 1729 with 20 samples.  Any change to
-a verdict, a certificate, a sampled covector or the JSON layout shows up
-here as a byte difference.
+``crosscheck`` and ``spinor`` at seed 1729 with 20 samples, and the machine
+and human output of ``catalog``.  Any change to a verdict, a certificate, a
+sampled covector or the JSON layout shows up here as a byte difference.
 """
 
 from __future__ import annotations
@@ -29,4 +29,18 @@ def test_machine_output_matches_golden(capsys, command, algebra):
     code = main(argv + ["--seed", "1729", "--samples", "20"])
     assert code == 0
     expected = (GOLDEN / f"{command}_{algebra}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+CATALOG_CASES = [
+    (["catalog", "--format", "machine"], "catalog.json"),
+    (["catalog"], "catalog.txt"),
+    (["catalog", "--filter", "dim=3", "--format", "machine"], "catalog_dim3.json"),
+]
+
+
+@pytest.mark.parametrize(("argv", "golden"), CATALOG_CASES)
+def test_catalog_output_matches_golden(capsys, argv, golden):
+    assert main(argv) == 0
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+from fractions import Fraction
 
 import blowuplab.classify as classify_mod
-from blowuplab import charts, liealg, poisson_spinor
+from blowuplab import change_basis, charts, liealg, poisson_spinor, sl2
 from blowuplab.cli import main
+from blowuplab.model_io import serialize_algebra
 
 SAMPLES = 30
 DIM = 3  # sl2
@@ -56,3 +58,30 @@ def test_analyze_shares_every_per_algebra_quantity(capsys, monkeypatch):
     assert _calls(profile, charts.BlowupChart.lift_vector_field) <= DIM * DIM
     assert _calls(profile, liealg.height) == len(candidates)
     assert _calls(profile, liealg.ce_differential) <= SAMPLES + len(candidates)
+
+
+def test_height_kernel_tables_are_built_once_per_algebra(capsys, tmp_path):
+    """The generator differentials d theta_k and the integer structure
+    constants are per-algebra tables: every covector of one analysis, the
+    witness candidates included, reads the same copy."""
+    conjugator = [
+        [1, Fraction(1, 2), 0],
+        [0, 1, Fraction(-1, 3)],
+        [Fraction(2, 5), 0, 1],
+    ]
+    document = tmp_path / "sl2_conjugate.alg"
+    document.write_text(serialize_algebra(change_basis(sl2(), conjugator)), encoding="utf-8")
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        code = main(
+            ["analyze", "--input", str(document), "--samples", str(SAMPLES), "--format", "machine"]
+        )
+    finally:
+        profile.disable()
+    capsys.readouterr()
+    assert code == 0
+    assert _calls(profile, liealg.height) > 0, "the witness search must run"
+    assert _calls(profile, liealg.ce_differential) > DIM
+    assert _calls(profile, liealg._generator_differential) <= DIM
+    assert _calls(profile, liealg._integer_constants) == 1
