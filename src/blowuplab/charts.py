@@ -15,9 +15,10 @@ fields vanishing at the blown origin, are all exact.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .errors import DomainError, InternalError, StructureError
-from .exterior import GradedForm
+from .exterior import GradedForm, _sort_indices
 from .rings import Polynomial, PolyRing
 
 _NAME_RE = re.compile(r"([A-Za-z]+)(.*)")
@@ -33,7 +34,7 @@ def tilde_name(name: str) -> str:
 class BlowupChart:
     """Chart U_chart of the blowup at the origin of the blown variables."""
 
-    __slots__ = ("ring", "chart", "blown", "chart_ring", "_poly_images", "_form_images")
+    __slots__ = ("ring", "chart", "blown", "chart_ring")
 
     def __init__(self, ring: PolyRing, chart: int, blown=None):
         m = len(ring.vars)
@@ -52,41 +53,76 @@ class BlowupChart:
             for pos, name in enumerate(ring.vars)
         )
         self.chart_ring = PolyRing(names)
-        divisor_var = self.chart_ring.variable(chart)
-        images = []
-        for pos in range(1, m + 1):
-            if pos == chart:
-                images.append(divisor_var)
-            elif pos in self.blown:
-                images.append(divisor_var * self.chart_ring.variable(pos))
-            else:
-                images.append(self.chart_ring.variable(pos))
-        self._poly_images = images
-        self._form_images = [
-            GradedForm(m, self.chart_ring, {(k,): img.diff(k) for k in range(1, m + 1)})
-            for img in images
-        ]
+
+    def _pull_exponents(self, exps: tuple) -> list:
+        """x^a -> x~^e: the chart exponent becomes the total degree in the
+        blown variables, every other exponent is unchanged."""
+        out = list(exps)
+        out[self.chart - 1] = sum(exps[v - 1] for v in self.blown)
+        return out
 
     def pull_polynomial(self, poly: Polynomial) -> Polynomial:
         if poly.vars != self.ring.vars:
             raise StructureError("polynomial does not live on the ambient ring")
-        return poly.substitute(self._poly_images)
+        # the exponent map is injective, so no two monomials meet
+        return Polynomial._trusted(
+            self.chart_ring.vars,
+            {tuple(self._pull_exponents(e)): c for e, c in poly.terms.items()},
+        )
+
+    def _pull_basis_form(self, indices: tuple) -> list:
+        """p* dx_I as (indices, sign, u-exponent shift, raised variable) terms.
+
+        Each blown dx_v (v != c) pulls back to u dx~_v + x~_v du with
+        u = x~_c.  The term keeping every dx~_v carries u^k, k the number of
+        such v in I; when dx_c is not in I already, each one of them may
+        instead become x~_v du, which carries u^(k-1) x~_v.
+        """
+        c = self.chart
+        m = len(self.ring.vars)
+        moved = [v for v in indices if v != c and v in self.blown]
+        k = len(moved)
+        terms = [(indices, 1, k, None)]
+        if c not in indices:
+            for v in moved:
+                swapped, sign = _sort_indices(m, [c if j == v else j for j in indices])
+                terms.append((swapped, sign, k - 1, v))
+        return terms
 
     def pull_form(self, form: GradedForm) -> GradedForm:
-        """p* of a polynomial-coefficient form: substitute coefficients and
-        expand each basis one-form by the product rule."""
+        """p* of a polynomial-coefficient form, one monomial term at a time.
+
+        The blowdown is monomial, so coeff * x^a dx_I pulls back to a sum of
+        monomial terms read off the exponents and the index set alone."""
         if form.ring != self.ring:
             raise StructureError("form does not live over the ambient ring")
         m = len(self.ring.vars)
         if form.dim != m:
             raise StructureError("form dimension does not match the ambient ring")
-        result = GradedForm.zero(m, self.chart_ring)
-        for indices, coeff in form.terms.items():
-            piece = GradedForm(m, self.chart_ring, {(): self.pull_polynomial(coeff)})
-            for j in indices:
-                piece = piece.wedge(self._form_images[j - 1])
-            result = result + piece
-        return result
+        col = self.chart - 1
+        out: dict[tuple, dict[tuple, Fraction]] = {}
+        for indices, poly in form.terms.items():
+            pulled = [(self._pull_exponents(e), coeff) for e, coeff in poly.terms.items()]
+            for target, sign, shift, raised in self._pull_basis_form(indices):
+                bucket = out.setdefault(target, {})
+                for exps, coeff in pulled:
+                    exps = exps.copy()
+                    exps[col] += shift
+                    if raised is not None:
+                        exps[raised - 1] += 1
+                    key = tuple(exps)
+                    if sign < 0:
+                        coeff = -coeff
+                    if key in bucket:
+                        coeff = bucket[key] + coeff
+                    bucket[key] = coeff
+        names = self.chart_ring.vars
+        terms = {}
+        for indices, bucket in out.items():
+            nonzero = {e: c for e, c in bucket.items() if c}
+            if nonzero:
+                terms[indices] = Polynomial._trusted(names, nonzero)
+        return GradedForm._trusted(m, self.chart_ring, terms)
 
     def lift_vector_field(self, coefficients) -> tuple[Polynomial, ...]:
         """Lift sum_j a_j d/dx_j through the blowdown, requiring a_j(0) = 0.

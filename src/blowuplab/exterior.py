@@ -42,20 +42,32 @@ def _sort_indices(dim: int, indices: Sequence[int]):
 
 
 def _merge_sign(left: IndexTuple, right: IndexTuple):
-    """Shuffle sign for merging two strictly increasing tuples, or 0 if they meet."""
+    """Shuffle sign for merging two strictly increasing tuples, or 0 if they meet.
+
+    One linear merge: each entry of `right` that goes before the remaining
+    entries of `left` passes over all of them."""
     if not left:
         return right, 1
     if not right:
         return left, 1
-    if set(left) & set(right):
-        return (), 0
+    merged = []
     inversions = 0
-    for a in left:
-        for b in right:
-            if b < a:
-                inversions += 1
-    merged = tuple(sorted(left + right))
-    return merged, (-1) ** inversions
+    i = j = 0
+    n_left, n_right = len(left), len(right)
+    while i < n_left and j < n_right:
+        a, b = left[i], right[j]
+        if a < b:
+            merged.append(a)
+            i += 1
+        elif b < a:
+            merged.append(b)
+            inversions += n_left - i
+            j += 1
+        else:
+            return (), 0
+    merged += left[i:]
+    merged += right[j:]
+    return tuple(merged), -1 if inversions & 1 else 1
 
 
 def _term_order(item):

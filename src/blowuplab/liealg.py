@@ -29,7 +29,7 @@ Covector = tuple[Fraction, ...]
 
 
 def as_covector(values: Sequence[Rational]) -> Covector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 class LieAlgebra:
@@ -196,7 +196,12 @@ def change_basis(L: LieAlgebra, matrix: Sequence[Sequence[Rational]]) -> LieAlge
 
 def covector_form(L: LieAlgebra, xi: Sequence, ring: CoeffRing = RATIONALS) -> GradedForm:
     """The degree-1 form sum_i xi_i theta_i (coefficients in any ring)."""
-    return GradedForm(L.dim, ring, {(i + 1,): xi[i] for i in range(L.dim)})
+    terms = {}
+    for i in range(L.dim):
+        value = ring.coerce(xi[i])
+        if not ring.is_zero(value):
+            terms[(i + 1,)] = value
+    return GradedForm._trusted(L.dim, ring, terms)
 
 
 def _generator_differential(L: LieAlgebra, k: int, ring: CoeffRing) -> GradedForm:

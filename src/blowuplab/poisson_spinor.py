@@ -136,9 +136,10 @@ def blowup_pullback(
 ) -> ChartForm:
     """Pull an ambient polynomial form back through the blowdown of chart `chart`.
 
-    Substitutes x_c -> x~_c and x_v -> x~_c x~_v on coefficients, with
-    dx_v -> x~_c dx~_v + x~_v dx~_c accordingly; unblown (base) variables and
-    their differentials are left untouched.
+    The blowdown x_c -> x~_c, x_v -> x~_c x~_v, with
+    dx_v -> x~_c dx~_v + x~_v dx~_c, is monomial, so each term is mapped by
+    rewriting its exponents and indices; unblown (base) variables and their
+    differentials are left untouched.
     """
     if not isinstance(form.ring, PolyRing):
         raise StructureError("blowup pullback needs polynomial coefficients")
@@ -252,8 +253,10 @@ def vanishing_order(
 def restrict_to_line(cf: ChartForm, xi: Sequence[Rational]) -> GradedForm:
     """Restrict a chart form to the line through direction xi (xi_chart != 0).
 
-    Substitutes x~_j <- xi_j / xi_chart for j != chart and x~_chart <- t; the
-    result has univariate coefficients in t and the original form indices.
+    Sets x~_j = xi_j / xi_chart for j != chart and x~_chart = t; the result
+    has univariate coefficients in t and the original form indices.  Each
+    monomial's non-chart part is evaluated at the ratios and added to the
+    coefficient of t^(chart exponent).
     """
     m = len(cf.ring.vars)
     if cf.blown != tuple(range(1, m + 1)):
@@ -264,17 +267,27 @@ def restrict_to_line(cf: ChartForm, xi: Sequence[Rational]) -> GradedForm:
     c = cf.chart
     if xi[c - 1] == 0:
         raise DomainError(f"direction lies outside chart {c} (component {c} is zero)")
-    t_ring = PolyRing(("t",))
-    images = []
-    for pos in range(1, m + 1):
-        if pos == c:
-            images.append(t_ring.variable(1))
-        else:
-            images.append(t_ring.const(xi[pos - 1] / xi[c - 1]))
-    restricted = {
-        indices: poly.substitute(images) for indices, poly in cf.form.terms.items()
-    }
-    return GradedForm(m, t_ring, restricted)
+    ratios = [value / xi[c - 1] for value in xi]
+    others = [j for j in range(m) if j != c - 1]
+    powers: dict[tuple[int, int], Fraction] = {}
+    t_vars = ("t",)
+    restricted = {}
+    for indices, poly in cf.form.terms.items():
+        buckets: dict[tuple[int], Fraction] = {}
+        for exps, coeff in poly.terms.items():
+            for j in others:
+                e = exps[j]
+                if e:
+                    key = (j, e)
+                    if key not in powers:
+                        powers[key] = ratios[j] ** e
+                    coeff = coeff * powers[key]
+            t_exp = (exps[c - 1],)
+            buckets[t_exp] = buckets[t_exp] + coeff if t_exp in buckets else coeff
+        nonzero = {e: v for e, v in buckets.items() if v}
+        if nonzero:
+            restricted[indices] = Polynomial._trusted(t_vars, nonzero)
+    return GradedForm._trusted(m, PolyRing(t_vars), restricted)
 
 
 def t_order(form: GradedForm) -> int:

@@ -67,6 +67,16 @@ class Polynomial:
                         clean.pop(exps, None)
         self.terms = dict(sorted(clean.items()))
 
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """Internal constructor for terms that are already canonical: exponent
+        tuples of the right length, nonzero ``Fraction`` coefficients.  Only
+        the key order is restored; callers own the invariants."""
+        self = object.__new__(cls)
+        self.vars = variables
+        self.terms = dict(sorted(terms.items()))
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -129,13 +139,18 @@ class Polynomial:
             return NotImplemented
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.vars, merged)
+            if exps in merged:
+                coeff = merged[exps] + coeff
+                if not coeff:
+                    del merged[exps]
+                    continue
+            merged[exps] = coeff
+        return Polynomial._trusted(self.vars, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -154,8 +169,8 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self.vars, out)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return Polynomial._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -186,7 +201,7 @@ class Polynomial:
                 new = list(exps)
                 new[col] -= 1
                 out[tuple(new)] = coeff * exps[col]
-        return Polynomial(self.vars, out)
+        return Polynomial._trusted(self.vars, out)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace each variable by the corresponding image polynomial.
@@ -241,12 +256,12 @@ class Polynomial:
             new = list(exps)
             new[col] -= amount
             out[tuple(new)] = coeff
-        return Polynomial(self.vars, out)
+        return Polynomial._trusted(self.vars, out)
 
     def restrict_zero(self, position: int) -> "Polynomial":
         """Set variable ``position`` to zero."""
         col = position - 1
-        return Polynomial(
+        return Polynomial._trusted(
             self.vars, {e: c for e, c in self.terms.items() if e[col] == 0}
         )
 
@@ -294,6 +309,8 @@ class Rationals:
         return Fraction(1)
 
     def coerce(self, value) -> Fraction:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise StructureError(f"cannot coerce {value!r} into the rational ring")

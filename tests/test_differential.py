@@ -1,12 +1,15 @@
-"""Old-versus-new equality for the per-covector height kernel.
+"""Old-versus-new equality for the height kernel and the chart pullback.
 
-Three fast paths replaced slower ones: the Chevalley-Eilenberg differential
-sums its terms into one map from cached generator differentials, the
-exterior operations build their results through a trusted constructor, and
-the rank oracle eliminates integer matrices.  Each is checked here against
-an independent path on hypothesis-drawn inputs: the term-by-term
-derivation of d, the validating public constructor, and sympy's rank of the
-rational restricted pairing.
+Fast paths replaced slower ones: the Chevalley-Eilenberg differential sums
+its terms into one map from cached generator differentials, the exterior
+operations and polynomial arithmetic build their results through trusted
+constructors, the rank oracle eliminates integer matrices, the shuffle sign
+of two index tuples comes from one linear merge, a blowup chart pulls forms
+back by rewriting exponents, and the line restriction evaluates monomials
+into buckets.  Each is checked here against an independent path on
+hypothesis-drawn inputs: the term-by-term derivation of d, the validating
+public constructors, sympy's rank of the rational restricted pairing, and
+the substitute-and-wedge bodies the new code replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from blowuplab import (
+    ChartForm,
     GradedForm,
     GradedVector,
     LieAlgebra,
@@ -28,13 +32,16 @@ from blowuplab import (
     abelian,
     ce_differential,
     change_basis,
+    covector_form,
     diagonal_affine,
     heis3,
     height,
+    restrict_to_line,
     sl2,
     so3,
 )
-from blowuplab.exterior import multi_interior
+from blowuplab.charts import BlowupChart
+from blowuplab.exterior import _merge_sign, multi_interior
 from blowuplab.linalg import det, rank, rank_and_membership
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -208,7 +215,9 @@ def test_trusted_constructor_results_are_canonical(data, ring):
     b = data.draw(forms(n, ring))
     w = data.draw(forms(n, ring, cls=GradedVector))
     c = data.draw(coefficients(ring))
+    xi = data.draw(st.lists(rationals | st.integers(-3, 3), min_size=n, max_size=n))
     for result in (
+        covector_form(L, xi, ring),
         a.wedge(b),
         a + b,
         a + (-a),
@@ -248,3 +257,203 @@ def test_integer_and_rational_rank_agree_with_sympy(data):
     member = sympy_rank(matrix + [vector]) == expected
     event(f"member={member}")
     assert rank_and_membership(matrix, vector) == (expected, member)
+
+
+def reference_merge_sign(left, right):
+    """The shuffle sign as first written: two sets, an inversion count over
+    every pair, and a sort."""
+    if not left:
+        return right, 1
+    if not right:
+        return left, 1
+    if set(left) & set(right):
+        return (), 0
+    inversions = sum(1 for a in left for b in right if b < a)
+    return tuple(sorted(left + right)), (-1) ** inversions
+
+
+@st.composite
+def index_pairs(draw):
+    """Two strictly increasing tuples, disjoint unless a shared index is
+    put in on purpose."""
+    pool = sorted(draw(st.sets(st.integers(1, 10), max_size=8)))
+    sides = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    left = [i for i, side in zip(pool, sides) if side]
+    right = [i for i, side in zip(pool, sides) if not side]
+    if left and draw(st.booleans()):
+        right.append(draw(st.sampled_from(left)))
+    return tuple(left), tuple(sorted(right))
+
+
+@SETTINGS
+@given(pair=index_pairs())
+def test_merge_sign_matches_reference(pair):
+    left, right = pair
+    got = _merge_sign(left, right)
+    event(f"sign={got[1]}")
+    assert got == reference_merge_sign(left, right)
+    assert type(got[0]) is tuple
+
+
+@st.composite
+def polynomials(draw, variables, max_terms=4, max_exp=2):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, max_exp)] * len(variables)), rationals, max_size=max_terms
+        )
+    )
+    return Polynomial(variables, terms)
+
+
+@st.composite
+def polynomial_forms(draw, ring):
+    """Mixed-degree forms with polynomial coefficients over `ring`."""
+    dim = len(ring.vars)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        degree = draw(st.integers(0, dim))
+        indices = draw(st.permutations(range(1, dim + 1)))[:degree]
+        terms[tuple(indices)] = draw(polynomials(ring.vars))
+    return GradedForm(dim, ring, terms)
+
+
+@st.composite
+def blowup_setups(draw):
+    """An ambient ring of fibre and base variables, a blown set that may
+    include base variables, and a polynomial form over the ring."""
+    fibre = draw(st.integers(1, 3))
+    base = draw(st.integers(0, 2))
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, fibre + 1)) + ("y1", "y2")[:base])
+    m = fibre + base
+    blown = tuple(sorted(draw(st.sets(st.integers(1, m), min_size=1))))
+    event(f"blown set includes a base variable: {blown[-1] > fibre}")
+    return ring, blown, draw(polynomial_forms(ring))
+
+
+def reference_images(bc: BlowupChart):
+    """The blowdown as images: x_c -> u, x_v -> u x~_v (v blown), base fixed,
+    and the differentials of those images."""
+    m = len(bc.ring.vars)
+    u = bc.chart_ring.variable(bc.chart)
+    images = [
+        u if pos == bc.chart
+        else u * bc.chart_ring.variable(pos) if pos in bc.blown
+        else bc.chart_ring.variable(pos)
+        for pos in range(1, m + 1)
+    ]
+    differentials = [
+        GradedForm(m, bc.chart_ring, {(k,): img.diff(k) for k in range(1, m + 1)})
+        for img in images
+    ]
+    return images, differentials
+
+
+def reference_pull_form(bc: BlowupChart, form: GradedForm) -> GradedForm:
+    """The pullback as first written: substitute into each coefficient and
+    wedge the pulled-back differentials of the form's indices."""
+    images, differentials = reference_images(bc)
+    m = len(bc.ring.vars)
+    result = GradedForm.zero(m, bc.chart_ring)
+    for indices, coeff in form.terms.items():
+        piece = GradedForm(m, bc.chart_ring, {(): coeff.substitute(images)})
+        for j in indices:
+            piece = piece.wedge(differentials[j - 1])
+        result = result + piece
+    return result
+
+
+def _polynomial_canonical(poly: Polynomial):
+    """Sorted exponent keys, no zero coefficient, Fraction coefficients, and
+    the validating constructor reads the terms back unchanged."""
+    keys = list(poly.terms)
+    assert keys == sorted(keys)
+    assert all(len(e) == len(poly.vars) and min(e, default=0) >= 0 for e in keys)
+    assert all(type(c) is Fraction and c for c in poly.terms.values())
+    rebuilt = Polynomial(poly.vars, poly.terms)
+    assert rebuilt == poly and list(rebuilt.terms) == keys
+
+
+def _same_form(got: GradedForm, want: GradedForm, names):
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    for indices, poly in got.terms.items():
+        assert list(poly.terms) == list(want.terms[indices].terms)
+        _polynomial_canonical(poly)
+    assert got.render(names) == want.render(names)
+    _canonical(got)
+
+
+@settings(SETTINGS, max_examples=120)
+@given(setup=blowup_setups())
+def test_pullback_by_exponent_matches_substitute_and_wedge(setup):
+    ring, blown, form = setup
+    for chart in blown:
+        bc = BlowupChart(ring, chart, blown)
+        names = tuple("d" + v for v in bc.chart_ring.vars)
+        _same_form(bc.pull_form(form), reference_pull_form(bc, form), names)
+        images, _ = reference_images(bc)
+        for poly in form.terms.values():
+            got = bc.pull_polynomial(poly)
+            want = poly.substitute(images)
+            assert got == want and list(got.terms) == list(want.terms)
+            assert str(got) == str(want)
+            _polynomial_canonical(got)
+
+
+def reference_restrict_to_line(cf: ChartForm, xi) -> GradedForm:
+    """The line restriction as first written: substitute the constant
+    ratios xi_j / xi_c and t into every coefficient."""
+    m = len(cf.ring.vars)
+    xi = [Fraction(v) for v in xi]
+    c = cf.chart
+    t_ring = PolyRing(("t",))
+    images = [
+        t_ring.variable(1) if pos == c else t_ring.const(xi[pos - 1] / xi[c - 1])
+        for pos in range(1, m + 1)
+    ]
+    return GradedForm(
+        m, t_ring, {indices: poly.substitute(images) for indices, poly in cf.form.terms.items()}
+    )
+
+
+@SETTINGS
+@given(data=st.data(), m=st.integers(1, 4))
+def test_line_restriction_matches_substitution(data, m):
+    ring = PolyRing(tuple(f"x~{i}" for i in range(1, m + 1)))
+    form = data.draw(polynomial_forms(ring))
+    chart = data.draw(st.integers(1, m))
+    xi = data.draw(st.lists(st.just(Fraction(0)) | rationals, min_size=m, max_size=m))
+    xi[chart - 1] = data.draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
+    if data.draw(st.booleans()):
+        xi[chart - 1] = -xi[chart - 1]
+    cf = ChartForm(form, chart, tuple(range(1, m + 1)))
+    _same_form(restrict_to_line(cf, xi), reference_restrict_to_line(cf, xi), ("dt",) * m)
+
+
+@SETTINGS
+@given(data=st.data(), m=st.integers(1, 3))
+def test_trusted_polynomial_results_are_canonical(data, m):
+    variables = tuple(f"y{i}" for i in range(1, m + 1))
+    a = data.draw(polynomials(variables))
+    b = data.draw(polynomials(variables))
+    c = data.draw(rationals | st.integers(-3, 3))
+    position = data.draw(st.integers(1, m))
+    divisible = a * Polynomial.variable(variables, position) ** 2
+    for result in (
+        a + b,
+        a + (-a),
+        a - b,
+        -a,
+        a * b,
+        a * (b - b),
+        (a + b) * (a - b),
+        a * c,
+        c - a,
+        a**2,
+        a.diff(position),
+        divisible.shift_down(position, 2),
+        a.restrict_zero(position),
+    ):
+        _polynomial_canonical(result)
+    assert divisible.shift_down(position, 2) == a
+    assert (a + b) * (a - b) == a**2 - b**2

@@ -1,8 +1,10 @@
 """Output pinned byte for byte.
 
 The files under ``golden/`` hold the machine output of ``analyze``,
-``crosscheck`` and ``spinor`` at seed 1729 with 20 samples, and the machine
-and human output of ``catalog``.  Any change to a verdict, a certificate, a
+``crosscheck`` and ``spinor`` at seed 1729 with 20 samples, the machine and
+human output of ``spinor`` on the ``scaled_so3_bundle`` partial blowup (whose
+charts carry the unblown base variables y1, y2) for two scalings f, and the
+machine and human output of ``catalog``.  Any change to a verdict, a certificate, a
 sampled covector or the JSON layout shows up here as a byte difference.
 """
 
@@ -29,6 +31,21 @@ def test_machine_output_matches_golden(capsys, command, algebra):
     code = main(argv + ["--seed", "1729", "--samples", "20"])
     assert code == 0
     expected = (GOLDEN / f"{command}_{algebra}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+BUNDLE_CASES = [
+    (f, fmt, f"spinor_scaled_so3_bundle_{stem}.{ext}")
+    for f, stem in (("y1^2 - 1", "y1sq_minus_1"), ("y1*y2 + 3/2", "y1y2_plus_3half"))
+    for fmt, ext in (("machine", "json"), ("human", "txt"))
+]
+
+
+@pytest.mark.parametrize(("f", "fmt", "golden"), BUNDLE_CASES)
+def test_bundle_spinor_output_matches_golden(capsys, f, fmt, golden):
+    argv = ["spinor", "--catalog", "scaled_so3_bundle", "--f", f, "--format", fmt]
+    assert main(argv + ["--seed", "1729", "--samples", "20"]) == 0
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
