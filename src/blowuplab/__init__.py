@@ -37,10 +37,8 @@ from .exterior import (
 )
 from .blowup_geometry import (
     DistributionSample,
-    LiftedVectorField,
     OrbitRankReport,
     distribution_at,
-    lift_vector_field,
     orbit_rank_crosscheck,
 )
 from .liealg import (

@@ -1,5 +1,5 @@
-"""Geometric oracle: lifted vector fields, the divisor distribution, and the
-exact identities tying its rank to heights and coadjoint orbits.
+"""Geometric oracle: the divisor distribution spanned by lifted Hamiltonian
+fields, and the exact identities tying its rank to heights and coadjoint orbits.
 
 For a nonzero direction v, the distribution at the divisor point [v] is
 spanned by the lifts of the Hamiltonian fields of constant covectors
@@ -28,56 +28,8 @@ from .liealg import (
     invariant_failures,
 )
 from .poisson_spinor import preferred_chart, shared_linear_poisson
-from .rings import Polynomial, PolyRing
+from .rings import Polynomial
 from .sampling import DEFAULT_SEED, sampled_covectors
-
-
-@dataclass(frozen=True)
-class LiftedVectorField:
-    """A vector field in blowup-chart coordinates, tangent to the divisor."""
-
-    chart: int
-    ring: PolyRing
-    coeffs: tuple[Polynomial, ...]
-
-    def apply(self, poly: Polynomial) -> Polynomial:
-        """Derivation action: sum_j coeff_j * d(poly)/d(x~_j)."""
-        if poly.vars != self.ring.vars:
-            raise StructureError("polynomial does not live in the chart ring")
-        out = Polynomial.zero(self.ring.vars)
-        for j, coeff in enumerate(self.coeffs, start=1):
-            if coeff:
-                out = out + coeff * poly.diff(j)
-        return out
-
-    def evaluate(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(coeff.evaluate(point) for coeff in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def render(self) -> str:
-        pieces = []
-        for name, coeff in zip(self.ring.vars, self.coeffs):
-            if coeff:
-                text = str(coeff)
-                if " " in text:
-                    text = f"({text})"
-                pieces.append(f"{text}*d/d{name}")
-        return " + ".join(pieces) if pieces else "0"
-
-
-def lift_vector_field(
-    ring: PolyRing, coefficients: Sequence[Polynomial], chart: int
-) -> LiftedVectorField:
-    """The unique blowup vector field p-related to sum_j a_j d/dx_j.
-
-    Requires every a_j to vanish at the origin; the result is polynomial and
-    tangent to the divisor, both of which are verified.
-    """
-    bc = BlowupChart(ring, chart)
-    lifted = bc.lift_vector_field(coefficients)
-    return LiftedVectorField(chart, bc.chart_ring, lifted)
 
 
 def _hamiltonian_lifts(L: LieAlgebra, chart: int) -> tuple[tuple[Polynomial, ...], ...]:

@@ -124,7 +124,7 @@ def _resolve_algebra(args) -> LieAlgebra:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from None
     return parse_algebra(text)
 

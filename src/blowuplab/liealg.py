@@ -155,23 +155,34 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[tuple[int, int, int], tuple[Fracti
 
     Returns the nonzero defect vector [[b_i,b_j],b_k] + [[b_j,b_k],b_i]
     + [[b_k,b_i],b_j] for each violating triple; empty means the table is a
-    Lie algebra.
+    Lie algebra.  Each term is read off the stored constants as
+    [[b_a,b_b],b_c] = sum_p c(a,b,p) [b_p,b_c].
     """
-    basis = [
-        [Fraction(int(a == b)) for a in range(L.dim)] for b in range(L.dim)
-    ]
+    nonzero = {
+        key: [(m, v) for m, v in enumerate(vec) if v] for key, vec in L._pairs.items()
+    }
+
+    def components(a: int, b: int):
+        """The nonzero (0-based index, value) pairs of [b_a, b_b], a != b."""
+        if a < b:
+            return nonzero.get((a, b), ())
+        return [(m, -v) for m, v in nonzero.get((b, a), ())]
+
     violations = []
     for i in range(1, L.dim + 1):
         for j in range(i + 1, L.dim + 1):
             for k in range(j + 1, L.dim + 1):
-                defect = [Fraction(0)] * L.dim
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = L.bracket_basis(a, b)
-                    outer = L.bracket(inner, basis[c - 1])
-                    for m in range(L.dim):
-                        defect[m] += outer[m]
-                if any(defect):
-                    violations.append(((i, j, k), tuple(defect)))
+                defect: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for p, x in components(a, b):
+                        if p + 1 != c:
+                            for m, y in components(p + 1, c):
+                                defect[m] = defect.get(m, 0) + x * y
+                if any(defect.values()):
+                    vector = [Fraction(0)] * L.dim
+                    for m, value in defect.items():
+                        vector[m] = value
+                    violations.append(((i, j, k), tuple(vector)))
     return violations
 
 

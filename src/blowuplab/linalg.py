@@ -9,7 +9,7 @@ coefficient blowup at the small dimensions used here.  Basis extraction uses ord
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import InternalError, StructureError
@@ -39,10 +39,11 @@ def _as_int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def _eliminate(m: list[list[int]], n_pivot_rows: int) -> int:
+def _eliminate(m: list[list[int]], n_pivot_rows: int) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination of the integer matrix m in place,
     choosing pivots among its first n_pivot_rows rows only; every row below
-    them is reduced as well.  Returns the number of pivots.
+    them is reduced as well.  Returns the number of pivots and the sign of
+    the row permutation made by the pivot swaps.
 
     By Sylvester's identity each reduced entry is a minor of the original
     matrix, so every division is exact; a reduced row below the pivot rows
@@ -50,15 +51,18 @@ def _eliminate(m: list[list[int]], n_pivot_rows: int) -> int:
     pivot rows, and it is zero exactly when that row lies in their span.
     """
     if not m:
-        return 0
+        return 0, 1
     n_rows, n_cols = len(m), len(m[0])
     r = 0
     prev = 1
+    sign = 1
     for col in range(n_cols):
         pivot_row = next((i for i in range(r, n_pivot_rows) if m[i][col]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         pivot = m[r]
         for i in range(r + 1, n_rows):
             row = m[i]
@@ -73,20 +77,20 @@ def _eliminate(m: list[list[int]], n_pivot_rows: int) -> int:
         r += 1
         if r == n_pivot_rows:
             break
-    return r
+    return r, sign
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank via fraction-free elimination; entries are ints or rationals."""
     m = _as_int_rows(rows)
-    return _eliminate(m, len(m))
+    return _eliminate(m, len(m))[0]
 
 
 def rank_and_membership(rows: Sequence[Sequence], vector: Sequence) -> tuple[int, bool]:
     """(rank of rows, whether vector lies in their row space), from one
     elimination of [rows; vector] that pivots on the given rows only."""
     m = _as_int_rows([*rows, vector])
-    r = _eliminate(m, len(rows))
+    r = _eliminate(m, len(rows))[0]
     return r, not any(m[-1])
 
 
@@ -97,32 +101,13 @@ def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
         raise StructureError("determinant needs a square matrix")
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in matrix:
-        row = [Fraction(x) for x in row]
-        rs = denominator_lcm(row)
-        scale *= rs
-        m.append([int(x * rs) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot_row = next((i for i in range(col, n) if m[i][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                value = m[i][j] * m[col][col] - m[i][col] * m[col][j]
-                quot, rem = divmod(value, prev)
-                if rem:
-                    raise InternalError("fraction-free elimination produced a non-exact division")
-                m[i][j] = quot
-            m[i][col] = 0
-        prev = m[col][col]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    scale = prod(denominator_lcm(row) for row in rows)
+    # after full Bareiss elimination the last pivot is the determinant of
+    # the row-permuted integer matrix
+    m = _as_int_rows(rows)
+    r, sign = _eliminate(m, n)
+    return Fraction(sign * m[-1][-1], scale) if r == n else Fraction(0)
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:

@@ -138,7 +138,10 @@ def parse_document(text: str) -> AlgebraDocument:
 def _parse_int(token: str, lineno: int, what: str) -> int:
     if not re.fullmatch(r"[+-]?\d+", token.strip()):
         raise ParseError(f"{what} must be an integer, got {token!r}", line=lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # longer than int() accepts
+        raise ParseError(f"{what} has too many digits ({len(token)})", line=lineno) from None
 
 
 def parse_algebra(text: str) -> LieAlgebra:
@@ -236,41 +239,26 @@ class CatalogEntry:
     note: str
 
 
-_ABELIAN_RANGE = range(1, 7)
-_DIAGONAL_RANGE = range(1, 6)
-
-_NAME_PATTERNS = [
-    (re.compile(r"abelian(\d+)\Z"), lambda n: abelian(n)),
-    (re.compile(r"diagonal_affine(\d+)\Z"), lambda n: diagonal_affine(n)),
-]
+# Every catalog name, written once: name -> (builder, dimension, members
+# listed, expected verdict, expected height, note).  A fixed entry has no
+# members; a family's builder takes its parameter n, its dimension is
+# n + the given offset, and `catalog` lists the members shown.  The resolver
+# accepts any family member n >= 1 of dimension <= MAX_CATALOG_DIM.
+_CATALOG = {
+    "so3": (so3, 3, None, "lifts_as_dirac_only", 1, "compact simple"),
+    "sl2": (sl2, 3, None, "does_not_lift", None, "split simple"),
+    "heis3": (heis3, 3, None, "does_not_lift", None, "Heisenberg"),
+    "abelian": (abelian, 0, range(1, 7), "lifts_as_poisson", 0, "abelian"),
+    "diagonal_affine": (
+        diagonal_affine, 1, range(1, 6), "lifts_as_poisson", 0, "R acting diagonally on R^n"
+    ),
+}
 
 MAX_CATALOG_DIM = 12
 
 
 def catalog_entries() -> list[CatalogEntry]:
     entries = [
-        CatalogEntry("so3", 3, "algebra", "lifts_as_dirac_only", 1, "compact simple"),
-        CatalogEntry("sl2", 3, "algebra", "does_not_lift", None, "split simple"),
-        CatalogEntry("heis3", 3, "algebra", "does_not_lift", None, "Heisenberg"),
-    ]
-    for n in _ABELIAN_RANGE:
-        entries.append(
-            CatalogEntry(
-                f"abelian{n}", n, "algebra", "lifts_as_poisson", 0, "abelian"
-            )
-        )
-    for n in _DIAGONAL_RANGE:
-        entries.append(
-            CatalogEntry(
-                f"diagonal_affine{n}",
-                n + 1,
-                "algebra",
-                "lifts_as_poisson",
-                0,
-                "R acting diagonally on R^n",
-            )
-        )
-    entries.append(
         CatalogEntry(
             "scaled_so3_bundle",
             5,
@@ -279,29 +267,34 @@ def catalog_entries() -> list[CatalogEntry]:
             None,
             "so(3) fibres scaled by f(y1,y2); use --f",
         )
-    )
+    ]
+    for name, (_, dim, members, verdict, height, note) in _CATALOG.items():
+        for n in members or (None,):
+            label, size = (name, dim) if n is None else (f"{name}{n}", n + dim)
+            entries.append(CatalogEntry(label, size, "algebra", verdict, height, note))
     return sorted(entries, key=lambda e: (e.dim, e.name))
 
 
 def catalog_algebra(name: str) -> LieAlgebra:
     """Resolve a catalog name to a validated algebra; parametrized names
     (abelianN, diagonal_affineN) accept any N with resulting dim <= 12."""
-    fixed = {"so3": so3, "sl2": sl2, "heis3": heis3}
-    if name in fixed:
-        return fixed[name]().validate()
-    for pattern, builder in _NAME_PATTERNS:
-        match = pattern.match(name)
-        if match:
-            n = int(match.group(1))
-            if n < 1:
-                raise DomainError(f"catalog parameter must be positive in {name!r}")
-            algebra = builder(n)
-            if algebra.dim > MAX_CATALOG_DIM:
-                raise DomainError(
-                    f"{name!r} has dimension {algebra.dim} > {MAX_CATALOG_DIM}"
-                )
-            return algebra.validate()
-    raise DomainError(f"unknown catalog name {name!r}")
+    row = _CATALOG.get(name)
+    if row is not None and row[2] is None:
+        return row[0]().validate()
+    match = re.fullmatch(r"([a-z_]+)(\d+)", name)
+    family = _CATALOG.get(match.group(1)) if match else None
+    if family is None or family[2] is None:
+        raise DomainError(f"unknown catalog name {name!r}")
+    build, offset = family[:2]
+    try:
+        n = int(match.group(2))
+    except ValueError:  # longer than int() accepts, far beyond the cap
+        raise DomainError(f"{name!r} has dimension > {MAX_CATALOG_DIM}") from None
+    if n < 1:
+        raise DomainError(f"catalog parameter must be positive in {name!r}")
+    if n + offset > MAX_CATALOG_DIM:
+        raise DomainError(f"{name!r} has dimension {n + offset} > {MAX_CATALOG_DIM}")
+    return build(n).validate()
 
 
 # -- reports ----------------------------------------------------------------------
@@ -385,12 +378,12 @@ def verdict_to_dict(verdict: LiftVerdict) -> dict:
             for chart, cert in sorted(verdict.certificates.items())
         },
         "cross_checks": {
-            "expected_order": verdict.cross_checks["expected_order"],
+            "expected_order": verdict.expected_order,
             "charts": {
-                str(chart): dict(entry)
-                for chart, entry in verdict.cross_checks["charts"].items()
+                str(chart): {"order": cert.order, "status": cert.status}
+                for chart, cert in sorted(verdict.certificates.items())
             },
-            "spinor_agreement": verdict.cross_checks["spinor_agreement"],
+            "spinor_agreement": verdict.spinor_agreement,
         },
     }
     if verdict.witnesses is not None:
@@ -473,7 +466,7 @@ def render_human(result: AnalysisResult) -> str:
         if cert.note:
             entry += f" [{cert.note}]"
         lines.append(entry)
-    lines.append(f"spinor agreement: {verdict.cross_checks['spinor_agreement']}")
+    lines.append(f"spinor agreement: {verdict.spinor_agreement}")
     spectrum = result.spectrum
     spec_text = ", ".join(
         f"{k}: {spectrum.counts[k]} samples" for k in sorted(spectrum.counts)

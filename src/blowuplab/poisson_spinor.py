@@ -105,13 +105,9 @@ def volume_form(ring: PolyRing) -> GradedForm:
     return GradedForm(m, ring, {tuple(range(1, m + 1)): 1})
 
 
-def spinor(pi: PolyBivector, lam: GradedForm | None = None) -> GradedForm:
-    """e^{i_pi} lambda; defaults to the standard volume dx_1 ... dx_m."""
-    if lam is None:
-        lam = volume_form(pi.ring)
-    if lam.ring != pi.ring:
-        raise StructureError("volume form ring does not match the bivector")
-    return exp_interior(pi.as_vector(), lam)
+def spinor(pi: PolyBivector) -> GradedForm:
+    """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m."""
+    return exp_interior(pi.as_vector(), volume_form(pi.ring))
 
 
 @dataclass(frozen=True)
@@ -308,18 +304,22 @@ def preferred_chart(values: Sequence[Fraction]) -> int:
 
 @dataclass(frozen=True)
 class LiftVerdict:
-    """Certified liftability outcome with its cross-check record.
+    """Certified liftability outcome with its cross-check against the spinor.
 
     kind: "lifts_as_poisson" (constant height 0), "lifts_as_dirac_only"
     (constant height k >= 1), or "does_not_lift" (witness covectors of
-    distinct heights attached).
+    distinct heights attached).  expected_order is dim - 1 - k for a constant
+    height k (None otherwise), and spinor_agreement says whether the chart
+    certificates confirm the classification ("confirmed") or leave it open
+    ("unconfirmed").
     """
 
     kind: str
     height: int | None
     classification: ClassificationVerdict
     certificates: dict[int, OrderCertificate]
-    cross_checks: dict
+    expected_order: int | None
+    spinor_agreement: str
     witnesses: tuple[Covector, Covector] | None = None
     witness_heights: tuple[int, int] | None = None
 
@@ -357,8 +357,7 @@ def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) ->
                 f"chart {chart} reports order {cert.order} with status {cert.status}"
             )
         kind = "lifts_as_poisson" if k == 0 else "lifts_as_dirac_only"
-        cross = _cross_record(certificates, expected, spinor_status)
-        return LiftVerdict(kind, k, classification, certificates, cross)
+        return LiftVerdict(kind, k, classification, certificates, expected, spinor_status)
 
     statuses = {cert.status for cert in certificates.values()}
     orders = {cert.order for cert in certificates.values()}
@@ -370,27 +369,17 @@ def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) ->
     spinor_status = (
         "confirmed" if "falsified" in statuses or len(orders) > 1 else "unconfirmed"
     )
-    cross = _cross_record(certificates, None, spinor_status)
     return LiftVerdict(
         "does_not_lift",
         None,
         classification,
         certificates,
-        cross,
+        None,
+        spinor_status,
         witnesses=classification.witnesses,
         witness_heights=classification.witness_heights,
     )
 
-
-def _cross_record(certificates, expected_order, status) -> dict:
-    return {
-        "expected_order": expected_order,
-        "charts": {
-            chart: {"order": cert.order, "status": cert.status}
-            for chart, cert in sorted(certificates.items())
-        },
-        "spinor_agreement": status,
-    }
 
 
 # -- cross-oracle suites ----------------------------------------------------------

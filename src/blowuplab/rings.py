@@ -29,7 +29,12 @@ def parse_rational(text: str) -> Fraction:
     token = text.strip()
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"not an exact rational: {token!r} (float literals are not accepted)")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {token!r}") from None
+    except ValueError:  # longer than int() accepts
+        raise ParseError(f"rational literal of {len(token)} characters is too long") from None
 
 
 def format_rational(value: Rational) -> str:
@@ -457,13 +462,13 @@ class _PolyParser:
             rat = exp_token.group("rat")
             if rat is None or "/" in rat:
                 raise ParseError("exponents must be nonnegative integers")
-            return base ** int(rat)
+            return base ** parse_rational(rat).numerator
         return base
 
     def _base(self) -> Polynomial:
         token = self._next()
         if token.group("rat"):
-            return self.ring.const(Fraction(token.group("rat")))
+            return self.ring.const(parse_rational(token.group("rat")))
         if token.group("name"):
             name = token.group("name")
             if name not in self.ring.vars:

@@ -3,7 +3,7 @@
 All randomized suites draw from these streams so that a fixed seed gives a
 fixed sequence: the deterministic seed portion (dual basis vectors, then
 pairwise sums and differences) comes first, followed by seeded random draws
-with rational components (numerators in [-bound, bound], denominators in
+with rational components (numerators in [-20, 20], denominators in
 {1, 2, 3}; the zero vector is rejected and redrawn).  Strata where the height
 drops are coordinate subspaces in natural bases, so the deterministic seeds
 visit them before luck is needed.
@@ -20,6 +20,7 @@ from .errors import DomainError
 
 DEFAULT_SEED = 1729
 
+_BOUND = 20
 _DENOMINATORS = (1, 2, 3)
 
 
@@ -52,15 +53,13 @@ def random_vector(rng: random.Random, n: int, bound: int) -> tuple[Fraction, ...
             return vec
 
 
-def covector_stream(
-    n: int, seed: int = DEFAULT_SEED, bound: int = 20
-) -> Iterator[tuple[Fraction, ...]]:
+def covector_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:
     """Deterministic seeds first, then an endless seeded random stream."""
     yield from dual_basis(n)
     yield from pairwise_combinations(n)
     rng = random.Random(seed)
     while True:
-        yield random_vector(rng, n, bound)
+        yield random_vector(rng, n, _BOUND)
 
 
 def sampled_covectors(
@@ -73,10 +72,8 @@ def sampled_covectors(
     return itertools.islice(covector_stream(n, seed), samples)
 
 
-def point_stream(
-    n: int, seed: int = DEFAULT_SEED, bound: int = 20
-) -> Iterator[tuple[Fraction, ...]]:
+def point_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:
     """Like covector_stream but starting from the origin (points, not covectors)."""
     yield tuple(Fraction(0) for _ in range(n))
     if n:
-        yield from covector_stream(n, seed, bound)
+        yield from covector_stream(n, seed)

@@ -53,6 +53,15 @@ def random_vector_field(rng, ring: PolyRing, vanish_at_zero=True):
     return coeffs
 
 
+def apply_field(coeffs, poly: Polynomial) -> Polynomial:
+    """The derivation sum_j coeffs[j] * d(poly)/dx_j, for coefficients in
+    the ring of poly (a lifted field acting on a chart polynomial)."""
+    out = Polynomial.zero(poly.vars)
+    for j, coeff in enumerate(coeffs, start=1):
+        out = out + coeff * poly.diff(j)
+    return out
+
+
 def random_polynomial(rng, ring: PolyRing, max_terms=4, max_degree=3):
     poly = ring.zero()
     for _ in range(rng.randint(1, max_terms)):

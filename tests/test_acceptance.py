@@ -29,7 +29,6 @@ from blowuplab import (
     height,
     interior,
     jacobi_check,
-    lift_vector_field,
     lift_verdict,
     linear_poisson,
     orbit_rank_crosscheck,
@@ -47,6 +46,7 @@ from blowuplab.model_io import SCALED_SO3_BLOWN, catalog_entries
 from blowuplab.sampling import covector_stream
 
 from conftest import (
+    apply_field,
     random_form,
     random_homogeneous,
     random_polynomial,
@@ -249,11 +249,9 @@ def test_criterion_7_property_suites():
             coeffs = random_vector_field(rng, ring_m)
             f = random_polynomial(rng, ring_m, max_terms=3, max_degree=2)
             bc = BlowupChart(ring_m, chart)
-            lifted = lift_vector_field(ring_m, coeffs, chart)
-            x_f = ring_m.zero()
-            for j, a in enumerate(coeffs, start=1):
-                x_f = x_f + a * f.diff(j)
-            assert lifted.apply(bc.pull_polynomial(f)) == bc.pull_polynomial(x_f)
+            lifted = bc.lift_vector_field(coeffs)
+            x_f = apply_field(coeffs, f)
+            assert apply_field(lifted, bc.pull_polynomial(f)) == bc.pull_polynomial(x_f)
 
 
 def test_criterion_8_poisson_iff_top_order():

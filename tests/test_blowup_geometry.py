@@ -15,7 +15,6 @@ from blowuplab import (
     distribution_at,
     heis3,
     height,
-    lift_vector_field,
     linear_poisson,
     orbit_rank_crosscheck,
     sl2,
@@ -23,7 +22,7 @@ from blowuplab import (
 )
 from blowuplab.charts import BlowupChart
 
-from conftest import random_polynomial, random_vector_field
+from conftest import apply_field, random_polynomial, random_vector_field
 
 
 def test_lift_of_scaled_coordinate_field():
@@ -31,38 +30,37 @@ def test_lift_of_scaled_coordinate_field():
     # value forced by (lift X)(p* x_j) = p*(X x_j) on every coordinate
     ring = PolyRing(("x1", "x2", "x3"))
     coeffs = [ring.zero(), ring.zero(), ring.parse("x3")]
-    lifted = lift_vector_field(ring, coeffs, 3)
-    assert lifted.coeffs == (
-        lifted.ring.parse("-x~1"),
-        lifted.ring.parse("-x~2"),
-        lifted.ring.parse("x~3"),
+    bc = BlowupChart(ring, 3)
+    lifted = bc.lift_vector_field(coeffs)
+    assert lifted == (
+        bc.chart_ring.parse("-x~1"),
+        bc.chart_ring.parse("-x~2"),
+        bc.chart_ring.parse("x~3"),
     )
 
 
 def test_lift_zero_field():
     ring = PolyRing(("x1", "x2"))
-    lifted = lift_vector_field(ring, [ring.zero(), ring.zero()], 1)
-    assert lifted.is_zero()
+    lifted = BlowupChart(ring, 1).lift_vector_field([ring.zero(), ring.zero()])
+    assert not any(lifted)
 
 
 def test_so3_hamiltonian_lifts_match_displayed_frame():
     pi = linear_poisson(so3())
-    ring = pi.ring
-    lifted = [
-        lift_vector_field(ring, pi.hamiltonian_field(i), 1) for i in (1, 2, 3)
-    ]
-    cr = lifted[0].ring
-    assert lifted[0].coeffs == (
+    bc = BlowupChart(pi.ring, 1)
+    lifted = [bc.lift_vector_field(pi.hamiltonian_field(i)) for i in (1, 2, 3)]
+    cr = bc.chart_ring
+    assert lifted[0] == (
         cr.zero(),
         cr.parse("x~3"),
         cr.parse("-x~2"),
     )
-    assert lifted[1].coeffs == (
+    assert lifted[1] == (
         cr.parse("-x~1*x~3"),
         cr.parse("x~2*x~3"),
         cr.parse("1 + x~3^2"),
     )
-    assert lifted[2].coeffs == (
+    assert lifted[2] == (
         cr.parse("x~1*x~2"),
         cr.parse("-(1 + x~2^2)"),
         cr.parse("-x~2*x~3"),
@@ -72,7 +70,7 @@ def test_so3_hamiltonian_lifts_match_displayed_frame():
 def test_lift_requires_vanishing_at_origin():
     ring = PolyRing(("x1", "x2"))
     with pytest.raises(DomainError):
-        lift_vector_field(ring, [ring.one(), ring.zero()], 1)
+        BlowupChart(ring, 1).lift_vector_field([ring.one(), ring.zero()])
 
 
 def test_lift_defining_property_on_coordinates(rng):
@@ -83,9 +81,9 @@ def test_lift_defining_property_on_coordinates(rng):
         chart = rng.randint(1, m)
         coeffs = random_vector_field(rng, ring)
         bc = BlowupChart(ring, chart)
-        lifted = lift_vector_field(ring, coeffs, chart)
+        lifted = bc.lift_vector_field(coeffs)
         for j in range(1, m + 1):
-            lhs = lifted.apply(bc.pull_polynomial(ring.variable(j)))
+            lhs = apply_field(lifted, bc.pull_polynomial(ring.variable(j)))
             rhs = bc.pull_polynomial(coeffs[j - 1])
             assert lhs == rhs
 
@@ -99,11 +97,9 @@ def test_lift_defining_property_on_random_functions(rng):
         coeffs = random_vector_field(rng, ring)
         f = random_polynomial(rng, ring, max_terms=3, max_degree=2)
         bc = BlowupChart(ring, chart)
-        lifted = lift_vector_field(ring, coeffs, chart)
-        x_f = ring.zero()
-        for j, a in enumerate(coeffs, start=1):
-            x_f = x_f + a * f.diff(j)
-        assert lifted.apply(bc.pull_polynomial(f)) == bc.pull_polynomial(x_f)
+        lifted = bc.lift_vector_field(coeffs)
+        x_f = apply_field(coeffs, f)
+        assert apply_field(lifted, bc.pull_polynomial(f)) == bc.pull_polynomial(x_f)
         checked += 1
 
 
@@ -112,9 +108,9 @@ def test_lifts_are_divisor_tangent(rng):
         m = rng.randint(1, 4)
         ring = PolyRing(tuple(f"x{i}" for i in range(1, m + 1)))
         chart = rng.randint(1, m)
-        lifted = lift_vector_field(ring, random_vector_field(rng, ring), chart)
-        divisor_coeff = lifted.coeffs[chart - 1]
-        assert divisor_coeff.restrict_zero(chart) == lifted.ring.zero()
+        bc = BlowupChart(ring, chart)
+        lifted = bc.lift_vector_field(random_vector_field(rng, ring))
+        assert lifted[chart - 1].restrict_zero(chart) == bc.chart_ring.zero()
 
 
 # -- distribution ----------------------------------------------------------------------

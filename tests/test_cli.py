@@ -86,6 +86,54 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def _assert_parse_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err and not out
+
+
+@pytest.mark.parametrize(
+    "line", ["bracket: 1 2 1 1/0", "bracket: 1 2 1 -3/00"], ids=["1/0", "-3/00"]
+)
+def test_zero_denominator_in_document_is_a_parse_error(tmp_path, capsys, line):
+    path = tmp_path / "zero.alg"
+    path.write_text(f"schema_version: 1\ndimension: 2\n{line}\n")
+    _assert_parse_error(capsys, "analyze", "--input", str(path))
+
+
+def test_zero_denominator_in_bundle_scaling_is_a_parse_error(capsys):
+    _assert_parse_error(capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", "1/0")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "dimension: " + "9" * 5000,
+        "dimension: 2\nbracket: 1 2 1 " + "7" * 5000,
+        "dimension: 2\nbracket: 1 2 1 1/" + "3" * 5000,
+    ],
+    ids=["dimension", "numerator", "denominator"],
+)
+def test_overlong_literal_is_a_parse_error(tmp_path, capsys, body):
+    # longer than the 4,300 digits that int() accepts from a string
+    path = tmp_path / "long.alg"
+    path.write_text(f"schema_version: 1\n{body}\n")
+    _assert_parse_error(capsys, "analyze", "--input", str(path))
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes("schema_version: 1\nname: café\ndimension: 1\n".encode("latin-1"))
+    _assert_parse_error(capsys, "analyze", "--input", str(path))
+
+
+def test_overlong_catalog_parameter_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "analyze", "--catalog", "abelian" + "9" * 5000)
+    assert code == 64
+    assert "has dimension > 12" in err
+
+
 def test_jacobi_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.alg"
     path.write_text(

@@ -5,11 +5,12 @@ its terms into one map from cached generator differentials, the exterior
 operations and polynomial arithmetic build their results through trusted
 constructors, the rank oracle eliminates integer matrices, the shuffle sign
 of two index tuples comes from one linear merge, a blowup chart pulls forms
-back by rewriting exponents, and the line restriction evaluates monomials
-into buckets.  Each is checked here against an independent path on
+back by rewriting exponents, the line restriction evaluates monomials into
+buckets, and the Jacobi check reads its double brackets off the stored
+constants.  Each is checked here against an independent path on
 hypothesis-drawn inputs: the term-by-term derivation of d, the validating
 public constructors, sympy's rank of the rational restricted pairing, and
-the substitute-and-wedge bodies the new code replaced.
+the substitute-and-wedge and general-bracket bodies the new code replaced.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from blowuplab import (
     diagonal_affine,
     heis3,
     height,
+    jacobi_check,
     restrict_to_line,
     sl2,
     so3,
@@ -63,6 +65,9 @@ def so4() -> LieAlgebra:
 CATALOG = [so3(), sl2(), heis3(), abelian(3), diagonal_affine(2), so4()]
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+nonzero_rationals = st.builds(
+    Fraction, st.integers(1, 12) | st.integers(-12, -1), st.integers(1, 6)
+)
 
 
 @st.composite
@@ -457,3 +462,45 @@ def test_trusted_polynomial_results_are_canonical(data, m):
         _polynomial_canonical(result)
     assert divisible.shift_down(position, 2) == a
     assert (a + b) * (a - b) == a**2 - b**2
+
+
+def reference_jacobi_check(L: LieAlgebra):
+    """The Jacobi check as it was first written: every cyclic term through
+    the general bracket, with a unit vector as its second argument."""
+    basis = [[Fraction(int(a == b)) for a in range(L.dim)] for b in range(L.dim)]
+    violations = []
+    for i in range(1, L.dim + 1):
+        for j in range(i + 1, L.dim + 1):
+            for k in range(j + 1, L.dim + 1):
+                defect = [Fraction(0)] * L.dim
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    outer = L.bracket(L.bracket_basis(a, b), basis[c - 1])
+                    for m in range(L.dim):
+                        defect[m] += outer[m]
+                if any(defect):
+                    violations.append(((i, j, k), tuple(defect)))
+    return violations
+
+
+@st.composite
+def bracket_tables(draw):
+    """A random sparse i < j table (rarely a Lie algebra) or a conjugate of
+    a catalog algebra (always one)."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(conjugates(CATALOG))
+    n = draw(st.integers(3, 6))
+    keys = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    table = {}
+    for key in draw(st.lists(st.sampled_from(keys), min_size=2, max_size=8)):
+        targets = draw(st.lists(st.integers(1, n), min_size=1, max_size=2))
+        table[key] = {k: draw(nonzero_rationals) for k in targets}
+    return LieAlgebra(n, table)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(L=bracket_tables())
+def test_jacobi_check_matches_general_bracket_reference(L):
+    got = jacobi_check(L)
+    event("violated" if got else "Lie algebra")
+    assert got == reference_jacobi_check(L)
+    assert all(type(v) is Fraction for _, defect in got for v in defect)

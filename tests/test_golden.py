@@ -1,7 +1,8 @@
 """Output pinned byte for byte.
 
 The files under ``golden/`` hold the machine output of ``analyze``,
-``crosscheck`` and ``spinor`` at seed 1729 with 20 samples, the machine and
+``crosscheck`` and ``spinor`` at seed 1729 with 20 samples (and of
+``analyze`` on the dimension-10 ``diagonal_affine9``), the machine and
 human output of ``spinor`` on the ``scaled_so3_bundle`` partial blowup (whose
 charts carry the unblown base variables y1, y2) for two scalings f, and the
 machine and human output of ``catalog``.  Any change to a verdict, a certificate, a
@@ -22,6 +23,10 @@ CASES = [
     (command, algebra)
     for command in ("analyze", "crosscheck", "spinor")
     for algebra in ("so3", "sl2", "heis3", "diagonal_affine2")
+] + [
+    # dim 10: the only case whose chart keys sort as text ("1", "10", "2",
+    # ...), in both verdict.charts and verdict.cross_checks.charts
+    ("analyze", "diagonal_affine9"),
 ]
 
 

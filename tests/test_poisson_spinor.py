@@ -371,13 +371,13 @@ def test_top_component_order_is_codim_minus_one():
 def test_lift_verdicts_catalog():
     verdict = lift_verdict(so3())
     assert (verdict.kind, verdict.height) == ("lifts_as_dirac_only", 1)
-    assert verdict.cross_checks["spinor_agreement"] == "confirmed"
-    assert verdict.cross_checks["expected_order"] == 1
+    assert verdict.spinor_agreement == "confirmed"
+    assert verdict.expected_order == 1
 
     for L, param in ((diagonal_affine(2), 2), (abelian(4), None)):
         verdict = lift_verdict(L)
         assert (verdict.kind, verdict.height) == ("lifts_as_poisson", 0)
-        assert verdict.cross_checks["expected_order"] == L.dim - 1
+        assert verdict.expected_order == L.dim - 1
 
     for L in (sl2(), heis3()):
         verdict = lift_verdict(L)
@@ -385,7 +385,7 @@ def test_lift_verdicts_catalog():
         assert verdict.witnesses is not None
         h1, h2 = verdict.witness_heights
         assert h1 != h2
-        assert verdict.cross_checks["spinor_agreement"] == "confirmed"
+        assert verdict.spinor_agreement == "confirmed"
 
 
 def test_poisson_iff_order_is_codim_minus_one():

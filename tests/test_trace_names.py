@@ -33,3 +33,23 @@ def test_traced_names_resolve(monkeypatch):
     for name in tracing.SELF_TIME_MODULES:
         if name != "fractions":
             importlib.import_module(f"blowuplab.{name}")
+
+
+def test_traced_run_fills_every_stage_and_counter(monkeypatch, tmp_path, capsys):
+    # a stage that stops going through its patched attribute reads 0 here
+    tracing = _load_tracing(monkeypatch)
+    from blowuplab import serialize_algebra, sl2
+    from blowuplab.cli import main
+
+    path = tmp_path / "sl2.alg"
+    path.write_text(serialize_algebra(sl2()), encoding="utf-8")
+
+    def run_pass():
+        options = ["--input", str(path), "--samples", "5", "--format", "machine"]
+        return [main([command, *options]) for command in ("analyze", "spinor")]
+
+    codes, metrics, _ = tracing.traced(run_pass)
+    capsys.readouterr()
+    assert codes == [0, 0]
+    names = list(tracing.SPAN_METRICS) + list(tracing.CALL_COUNTS)
+    assert {name: metrics[name] for name in names if not metrics[name]} == {}
