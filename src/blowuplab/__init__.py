@@ -82,9 +82,9 @@ from .poisson_spinor import (
     LineOrderReport,
     OrderCertificate,
     PerturbationReport,
-    PolyBivector,
     blowup_pullback,
     check_line_orders,
+    hamiltonian_field,
     lift_verdict,
     linear_poisson,
     perturbation_invariance_check,

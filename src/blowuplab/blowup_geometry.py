@@ -27,7 +27,7 @@ from .liealg import (
     covector_invariants,
     invariant_failures,
 )
-from .poisson_spinor import preferred_chart, shared_linear_poisson
+from .poisson_spinor import hamiltonian_field, preferred_chart, shared_linear_poisson
 from .rings import Polynomial
 from .sampling import DEFAULT_SEED, sampled_covectors
 
@@ -40,7 +40,7 @@ def _hamiltonian_lifts(L: LieAlgebra, chart: int) -> tuple[tuple[Polynomial, ...
         pi = shared_linear_poisson(L)
         bc = BlowupChart(pi.ring, chart)
         return tuple(
-            bc.lift_vector_field(pi.hamiltonian_field(i)) for i in range(1, L.dim + 1)
+            bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)
         )
 
     return L.memo(("lifts", chart), build)

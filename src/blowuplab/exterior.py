@@ -17,7 +17,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .errors import DomainError, StructureError
-from .rings import CoeffRing, RATIONALS
+from .rings import CoeffRing, RATIONALS, join_signed
 
 IndexTuple = tuple[int, ...]
 
@@ -96,7 +96,7 @@ class _Alternating:
                     coeff = -coeff
                 if sorted_idx in clean:
                     coeff = clean[sorted_idx] + coeff
-                if ring.is_zero(coeff):
+                if not coeff:
                     clean.pop(sorted_idx, None)
                 else:
                     clean[sorted_idx] = coeff
@@ -160,11 +160,10 @@ class _Alternating:
     def __add__(self, other):
         self._require_compatible(other)
         merged = dict(self.terms)
-        is_zero = self.ring.is_zero
         for indices, coeff in other.terms.items():
             if indices in merged:
                 coeff = merged[indices] + coeff
-                if is_zero(coeff):
+                if not coeff:
                     del merged[indices]
                     continue
             merged[indices] = coeff
@@ -178,7 +177,7 @@ class _Alternating:
 
     def scale(self, value):
         factor = self.ring.coerce(value)
-        if self.ring.is_zero(factor):
+        if not factor:
             return self._trusted(self.dim, self.ring, {})
         # a product of nonzero elements of an integral domain is nonzero
         return self._trusted(
@@ -212,7 +211,7 @@ class _Alternating:
                     coeff = -coeff
                 if merged in out:
                     coeff = out[merged] + coeff
-                if self.ring.is_zero(coeff):
+                if not coeff:
                     out.pop(merged, None)
                 else:
                     out[merged] = coeff
@@ -223,13 +222,11 @@ class _Alternating:
     def render(self, names: Sequence[str]) -> str:
         if len(names) != self.dim:
             raise StructureError("need one basis name per dimension")
-        if not self.terms:
-            return "0"
         pieces = []
         one = self.ring.one()
         for indices, coeff in self.terms.items():
             body = "∧".join(names[i - 1] for i in indices)
-            text = self.ring.render(coeff)
+            text = str(coeff)
             if not indices:
                 pieces.append(text)
             elif coeff == one:
@@ -240,17 +237,11 @@ class _Alternating:
                 if " " in text:  # multi-term polynomial coefficient
                     text = f"({text})"
                 pieces.append(f"{text}*{body}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return join_signed(pieces)
 
     def __repr__(self):
         kind = type(self).__name__
-        return f"{kind}(dim={self.dim}, terms={{{', '.join(f'{i}: {self.ring.render(c)}' for i, c in self.terms.items())}}})"
+        return f"{kind}(dim={self.dim}, terms={{{', '.join(f'{i}: {c}' for i, c in self.terms.items())}}})"
 
 
 class GradedForm(_Alternating):
@@ -265,7 +256,7 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     return a.wedge(b)
 
 
-def _insert_single(index: int, terms: dict, ring) -> dict:
+def _insert_single(index: int, terms: dict) -> dict:
     """Insertion of the basis vector e_index into a term map (degree -1)."""
     out: dict[IndexTuple, object] = {}
     for indices, coeff in terms.items():
@@ -276,7 +267,7 @@ def _insert_single(index: int, terms: dict, ring) -> dict:
         value = coeff if pos % 2 == 0 else -coeff
         if remaining in out:
             value = out[remaining] + value
-        if ring.is_zero(value):
+        if not value:
             out.pop(remaining, None)
         else:
             out[remaining] = value
@@ -305,14 +296,14 @@ def multi_interior(w: GradedVector, a: GradedForm) -> GradedForm:
     for indices, wc in w.terms.items():
         current = a.terms
         for index in indices:  # ascending order realises i_{k_p} ... i_{k_1}
-            current = _insert_single(index, current, a.ring)
+            current = _insert_single(index, current)
             if not current:
                 break
         for idx, coeff in current.items():
             value = wc * coeff
             if idx in total:
                 value = total[idx] + value
-            if a.ring.is_zero(value):
+            if not value:
                 total.pop(idx, None)
             else:
                 total[idx] = value

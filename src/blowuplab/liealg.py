@@ -35,13 +35,14 @@ def as_covector(values: Sequence[Rational]) -> Covector:
 class LieAlgebra:
     """A finite-dimensional Lie algebra over the rationals.
 
-    Structure constants follow [b_i, b_j] = sum_k c(i,j,k) b_k, stored
-    sparsely for i < j only; the i > j half is implied by antisymmetry, which
-    makes antisymmetry hold by construction (conflicting duplicate entries
-    are rejected eagerly).  The Jacobi identity is *not* required at
-    construction time: `jacobi_violations()` computes and caches the defect
-    list, and operations whose meaning depends on it call `validate()`.
-    Instances are immutable after construction; the caches are write-once.
+    Structure constants follow [b_i, b_j] = sum_k c(i,j,k) b_k, given as
+    {(i, j): {k: c(i,j,k)}} and stored sparsely for i < j only; the i > j
+    half is implied by antisymmetry, which makes antisymmetry hold by
+    construction (conflicting duplicate entries are rejected eagerly).  The
+    Jacobi identity is *not* required at construction time:
+    `jacobi_violations()` computes and caches the defect list, and
+    operations whose meaning depends on it call `validate()`.  Instances
+    are immutable after construction; the caches are write-once.
     """
 
     __slots__ = ("dim", "name", "_pairs", "_jacobi", "_memo")
@@ -55,16 +56,15 @@ class LieAlgebra:
         for (i, j), components in brackets.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise StructureError(f"bracket indices ({i},{j}) out of range 1..{dim}")
-            if isinstance(components, Mapping):
-                vector = [Fraction(0)] * dim
-                for k, value in components.items():
-                    if not 1 <= k <= dim:
-                        raise StructureError(f"bracket target index {k} out of range")
-                    vector[k - 1] = Fraction(value)
-            else:
-                vector = [Fraction(v) for v in components]
-                if len(vector) != dim:
-                    raise StructureError("bracket value vector has wrong length")
+            if not isinstance(components, Mapping):
+                raise StructureError(
+                    f"bracket ({i},{j}) must map target indices to values, got {components!r}"
+                )
+            vector = [Fraction(0)] * dim
+            for k, value in components.items():
+                if not 1 <= k <= dim:
+                    raise StructureError(f"bracket target index {k} out of range")
+                vector[k - 1] = Fraction(value)
             if i == j:
                 if any(vector):
                     raise StructureError(f"[b_{i}, b_{i}] must vanish")
@@ -198,7 +198,7 @@ def change_basis(L: LieAlgebra, matrix: Sequence[Sequence[Rational]]) -> LieAlge
             w = L.bracket(cols[i - 1], cols[j - 1])
             new = linalg.mat_vec(inv, w)
             if any(new):
-                brackets[(i, j)] = new
+                brackets[(i, j)] = {k: v for k, v in enumerate(new, start=1) if v}
     return LieAlgebra(L.dim, brackets, name=f"{L.name or 'algebra'}~conj")
 
 
@@ -210,7 +210,7 @@ def covector_form(L: LieAlgebra, xi: Sequence, ring: CoeffRing = RATIONALS) -> G
     terms = {}
     for i in range(L.dim):
         value = ring.coerce(xi[i])
-        if not ring.is_zero(value):
+        if value:
             terms[(i + 1,)] = value
     return GradedForm._trusted(L.dim, ring, terms)
 
@@ -260,10 +260,7 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
                 if merged in out:
                     value = out[merged] + value
                 out[merged] = value
-    is_zero = ring.is_zero
-    return GradedForm._trusted(
-        L.dim, ring, {i: c for i, c in out.items() if not is_zero(c)}
-    )
+    return GradedForm._trusted(L.dim, ring, {i: c for i, c in out.items() if c})
 
 
 # -- heights, types, orbits ----------------------------------------------------

@@ -28,13 +28,13 @@ from typing import Mapping
 from .blowup_geometry import OrbitRankRecord, OrbitRankReport
 from .classify import ClassificationVerdict, HeightSpectrum
 from .errors import DomainError, ParseError
+from .exterior import GradedVector
 from .liealg import Covector, LieAlgebra
 from .poisson_spinor import (
     ChartForm,
     LineOrderReport,
     LiftVerdict,
     OrderCertificate,
-    PolyBivector,
     coordinate_ring,
 )
 from .rings import Polynomial, PolyRing, format_rational, parse_rational
@@ -207,7 +207,7 @@ SCALED_SO3_RING = coordinate_ring(3, base=("y1", "y2"))
 SCALED_SO3_BLOWN = (1, 2, 3)
 
 
-def scaled_so3_bundle(f: Polynomial | str) -> PolyBivector:
+def scaled_so3_bundle(f: Polynomial | str) -> GradedVector:
     """Bundle fixture: fibres scaled by a polynomial f(y1, y2).
 
     The bracket [e_i, e_j] = f * sum_k eps_ijk e_k induces on the dual the
@@ -223,7 +223,8 @@ def scaled_so3_bundle(f: Polynomial | str) -> PolyBivector:
     else:
         lift = ring.coerce(f)
     x1, x2, x3 = (ring.variable(i) for i in (1, 2, 3))
-    return PolyBivector(
+    return GradedVector(
+        len(ring.vars),
         ring,
         {(1, 2): lift * x3, (2, 3): lift * x1, (1, 3): -(lift * x2)},
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
@@ -26,60 +26,13 @@ from .rings import Polynomial, PolyRing, Rational
 from .sampling import DEFAULT_SEED, point_stream, sampled_covectors
 
 
-@dataclass(frozen=True)
-class PolyBivector:
-    """Antisymmetric bivector field with polynomial coefficients; i<j stored."""
-
-    ring: PolyRing
-    entries: Mapping[tuple[int, int], Polynomial]
-
-    def __post_init__(self):
-        m = self.dim
-        clean = {}
-        for (i, j), poly in self.entries.items():
-            if not (1 <= i < j <= m):
-                raise StructureError(f"bivector entry ({i},{j}) must satisfy i < j")
-            poly = self.ring.coerce(poly)
-            if poly:
-                clean[(i, j)] = poly
-        object.__setattr__(self, "entries", dict(sorted(clean.items())))
-
-    @property
-    def dim(self) -> int:
-        return len(self.ring.vars)
-
-    def component(self, i: int, j: int) -> Polynomial:
-        if i == j:
-            return self.ring.zero()
-        if i < j:
-            return self.entries.get((i, j), self.ring.zero())
-        return -self.entries.get((j, i), self.ring.zero())
-
-    def as_vector(self) -> GradedVector:
-        return GradedVector(self.dim, self.ring, dict(self.entries))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "PolyBivector") -> "PolyBivector":
-        if self.ring != other.ring:
-            raise StructureError("bivector ring mismatch")
-        merged = dict(self.entries)
-        for key, poly in other.entries.items():
-            merged[key] = merged.get(key, self.ring.zero()) + poly
-        return PolyBivector(self.ring, merged)
-
-    def hamiltonian_field(self, i: int) -> tuple[Polynomial, ...]:
-        """pi^sharp dx_i, the field with j-component pi_{ij}."""
-        return tuple(self.component(i, j) for j in range(1, self.dim + 1))
-
-
 def coordinate_ring(n: int, base: Sequence[str] = ()) -> PolyRing:
     return PolyRing(tuple(f"x{i}" for i in range(1, n + 1)) + tuple(base))
 
 
-def linear_poisson(L: LieAlgebra) -> PolyBivector:
-    """The fibrewise-linear Poisson bivector on the dual: pi_ij = sum_k c_ijk x_k.
+def linear_poisson(L: LieAlgebra) -> GradedVector:
+    """The fibrewise-linear Poisson bivector on the dual: pi_ij = sum_k c_ijk x_k,
+    a degree-2 `GradedVector` over the coordinate ring.
 
     Its bracket on coordinate functions reproduces the Lie bracket:
     {x_i, x_j} = sum_k c_ijk x_k.
@@ -92,10 +45,10 @@ def linear_poisson(L: LieAlgebra) -> PolyBivector:
             if value:
                 poly = poly + ring.variable(k) * value
         entries[(i, j)] = poly
-    return PolyBivector(ring, entries)
+    return GradedVector(L.dim, ring, entries)
 
 
-def shared_linear_poisson(L: LieAlgebra) -> PolyBivector:
+def shared_linear_poisson(L: LieAlgebra) -> GradedVector:
     """`linear_poisson(L)`, built once per algebra."""
     return L.memo("linear_poisson", lambda: linear_poisson(L))
 
@@ -105,9 +58,14 @@ def volume_form(ring: PolyRing) -> GradedForm:
     return GradedForm(m, ring, {tuple(range(1, m + 1)): 1})
 
 
-def spinor(pi: PolyBivector) -> GradedForm:
+def spinor(pi: GradedVector) -> GradedForm:
     """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m."""
-    return exp_interior(pi.as_vector(), volume_form(pi.ring))
+    return exp_interior(pi, volume_form(pi.ring))
+
+
+def hamiltonian_field(pi: GradedVector, i: int) -> tuple[Polynomial, ...]:
+    """pi^sharp dx_i, the field with j-component pi_{ij}."""
+    return tuple(pi.coefficient((i, j)) for j in range(1, pi.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -440,7 +398,7 @@ class PerturbationReport:
 
 def perturbation_invariance_check(
     L: LieAlgebra,
-    w: PolyBivector,
+    w: GradedVector,
     chart: int,
     samples: int = 50,
     seed: int = DEFAULT_SEED,
@@ -453,10 +411,10 @@ def perturbation_invariance_check(
     if w.ring != pi.ring:
         raise StructureError("perturbation ring does not match the linear bivector")
     blown = tuple(range(1, w.dim + 1))
-    for (i, j), poly in w.entries.items():
+    for indices, poly in w.terms.items():
         if poly.min_degree_in(blown) < 2:
             raise DomainError(
-                f"perturbation entry ({i},{j}) does not vanish to second order at 0"
+                f"perturbation entry {indices} does not vanish to second order at 0"
             )
     cf_base = shared_pullback(L, chart)
     order_base, lead_base = _leading_form(cf_base)

@@ -44,6 +44,17 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def join_signed(pieces: Sequence[str]) -> str:
+    """Join rendered terms into a sum, writing a term's leading "-" as " - ";
+    no terms render as "0"."""
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    return out
+
+
 def _display_key(exponents):
     # graded order: total degree first, then lexicographic with earlier
     # variables dominating (so "1 + x2^2 + x3^2" renders in that order)
@@ -82,27 +93,6 @@ class Polynomial:
         self.terms = dict(sorted(terms.items()))
         return self
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "Polynomial":
-        return cls(variables)
-
-    @classmethod
-    def const(cls, variables: Sequence[str], value: Rational) -> "Polynomial":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], position: int) -> "Polynomial":
-        """The monomial v_position (1-based position)."""
-        variables = tuple(variables)
-        if not 1 <= position <= len(variables):
-            raise StructureError(f"variable position {position} out of range")
-        exps = [0] * len(variables)
-        exps[position - 1] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
-
     # -- predicates and accessors ------------------------------------------
 
     def __bool__(self) -> bool:
@@ -135,7 +125,7 @@ class Polynomial:
                 raise StructureError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.const(self.vars, other)
+            return Polynomial(self.vars, {(0,) * len(self.vars): other})
         return NotImplemented
 
     def __add__(self, other):
@@ -182,7 +172,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise StructureError("polynomial powers must be nonnegative integers")
-        result = Polynomial.const(self.vars, 1)
+        result = Polynomial._trusted(self.vars, {(0,) * len(self.vars): Fraction(1)})
         for _ in range(exponent):
             result = result * self
         return result
@@ -220,10 +210,10 @@ class Polynomial:
         for img in images:
             if img.vars != target:
                 raise StructureError("substitution images live over different variables")
-        result = Polynomial.zero(target)
+        result = Polynomial._trusted(target, {})
         power_cache: dict[tuple[int, int], Polynomial] = {}
         for exps, coeff in self.terms.items():
-            term = Polynomial.const(target, coeff)
+            term = Polynomial._trusted(target, {(0,) * len(target): coeff})
             for pos, e in enumerate(exps):
                 if not e:
                     continue
@@ -237,13 +227,17 @@ class Polynomial:
     def evaluate(self, values: Sequence[Rational]) -> Fraction:
         if len(values) != len(self.vars):
             raise StructureError("evaluation needs one value per variable")
-        vals = [Fraction(v) for v in values]
+        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
+        powers: dict[tuple[int, int], Fraction] = {}
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             prod = coeff
-            for v, e in zip(vals, exps):
+            for pos, e in enumerate(exps):
                 if e:
-                    prod *= v**e
+                    key = (pos, e)
+                    if key not in powers:
+                        powers[key] = vals[pos] ** e
+                    prod *= powers[key]
             total += prod
         return total
 
@@ -273,8 +267,6 @@ class Polynomial:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         rendered = []
         for exps in sorted(self.terms, key=_display_key):
             coeff = self.terms[exps]
@@ -291,13 +283,7 @@ class Polynomial:
                 rendered.append("-" + "*".join(factors))
             else:
                 rendered.append("*".join([format_rational(coeff)] + factors))
-        out = rendered[0]
-        for term in rendered[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return join_signed(rendered)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -320,12 +306,6 @@ class Rationals:
             return Fraction(value)
         raise StructureError(f"cannot coerce {value!r} into the rational ring")
 
-    def is_zero(self, element) -> bool:
-        return element == 0
-
-    def render(self, element) -> str:
-        return format_rational(element)
-
 
 @dataclass(frozen=True)
 class PolyRing:
@@ -338,16 +318,21 @@ class PolyRing:
             raise StructureError(f"duplicate variable names: {self.vars}")
 
     def zero(self) -> Polynomial:
-        return Polynomial.zero(self.vars)
+        return Polynomial(self.vars)
 
     def one(self) -> Polynomial:
-        return Polynomial.const(self.vars, 1)
+        return self.const(1)
 
     def const(self, value: Rational) -> Polynomial:
-        return Polynomial.const(self.vars, value)
+        return Polynomial(self.vars, {(0,) * len(self.vars): value})
 
     def variable(self, position: int) -> Polynomial:
-        return Polynomial.variable(self.vars, position)
+        """The monomial v_position (1-based position)."""
+        if not 1 <= position <= len(self.vars):
+            raise StructureError(f"variable position {position} out of range")
+        exps = [0] * len(self.vars)
+        exps[position - 1] = 1
+        return Polynomial(self.vars, {tuple(exps): 1})
 
     def named(self, name: str) -> Polynomial:
         if name not in self.vars:
@@ -365,12 +350,6 @@ class PolyRing:
             return self.const(value)
         raise StructureError(f"cannot coerce {value!r} into {self}")
 
-    def is_zero(self, element) -> bool:
-        return not self.coerce(element)
-
-    def render(self, element) -> str:
-        return str(element)
-
     def parse(self, text: str) -> Polynomial:
         return parse_polynomial(text, self)
 
@@ -381,6 +360,11 @@ RATIONALS = Rationals()
 
 
 # -- polynomial expression parser ---------------------------------------------
+
+# Largest exponent, and largest total degree of a power's result, that the
+# parser builds.  A power costs work in its exponent's value, not in the few
+# characters that write it, so an uncapped "y1^3000000" runs without bound.
+MAX_POWER_DEGREE = 64
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9~_]*)|(?P<op>[-+*^()]))"
@@ -462,7 +446,14 @@ class _PolyParser:
             rat = exp_token.group("rat")
             if rat is None or "/" in rat:
                 raise ParseError("exponents must be nonnegative integers")
-            return base ** parse_rational(rat).numerator
+            exponent = parse_rational(rat).numerator
+            degree = max((sum(exps) for exps in base.terms), default=0)
+            if exponent > MAX_POWER_DEGREE or degree * exponent > MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"power {exponent} of a degree-{degree} polynomial exceeds the "
+                    f"limit of {MAX_POWER_DEGREE} on exponents and total degrees"
+                )
+            return base**exponent
         return base
 
     def _base(self) -> Polynomial:

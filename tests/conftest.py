@@ -56,7 +56,7 @@ def random_vector_field(rng, ring: PolyRing, vanish_at_zero=True):
 def apply_field(coeffs, poly: Polynomial) -> Polynomial:
     """The derivation sum_j coeffs[j] * d(poly)/dx_j, for coefficients in
     the ring of poly (a lifted field acting on a chart polynomial)."""
-    out = Polynomial.zero(poly.vars)
+    out = PolyRing(poly.vars).zero()
     for j, coeff in enumerate(coeffs, start=1):
         out = out + coeff * poly.diff(j)
     return out

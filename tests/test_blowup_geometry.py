@@ -13,6 +13,7 @@ from blowuplab import (
     abelian,
     diagonal_affine,
     distribution_at,
+    hamiltonian_field,
     heis3,
     height,
     linear_poisson,
@@ -48,7 +49,7 @@ def test_lift_zero_field():
 def test_so3_hamiltonian_lifts_match_displayed_frame():
     pi = linear_poisson(so3())
     bc = BlowupChart(pi.ring, 1)
-    lifted = [bc.lift_vector_field(pi.hamiltonian_field(i)) for i in (1, 2, 3)]
+    lifted = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in (1, 2, 3)]
     cr = bc.chart_ring
     assert lifted[0] == (
         cr.zero(),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -104,6 +105,22 @@ def test_zero_denominator_in_document_is_a_parse_error(tmp_path, capsys, line):
 
 def test_zero_denominator_in_bundle_scaling_is_a_parse_error(capsys):
     _assert_parse_error(capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", "1/0")
+
+
+@pytest.mark.parametrize("f", ["y1^3000000", "(y1^40)^40"])
+def test_bundle_scaling_power_cap_is_a_parse_error(capsys, f):
+    start = time.perf_counter()
+    _assert_parse_error(capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", f)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bundle_scaling_power_within_cap(capsys):
+    code, out, _ = run(
+        capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", "(y1+y2+1)^8",
+        "--chart", "1", "--format", "machine",
+    )
+    assert code == 0
+    assert json.loads(out)["charts"]["1"]["certificate"]["order"] == 1
 
 
 @pytest.mark.parametrize(

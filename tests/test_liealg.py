@@ -52,6 +52,9 @@ def test_antisymmetry_enforced_eagerly():
         LieAlgebra(2, {(1, 1): {2: 1}})
     with pytest.raises(StructureError):
         LieAlgebra(3, {(1, 2): {3: 1}, (2, 1): {3: 1}})
+    # a bracket value must be a {target: value} mapping
+    with pytest.raises(StructureError):
+        LieAlgebra(3, {(1, 2): [0, 0, 1]})
     # consistent duplicate halves are accepted
     L = LieAlgebra(3, {(1, 2): {3: 1}, (2, 1): {3: -1}})
     assert L.structure_constant(2, 1, 3) == -1

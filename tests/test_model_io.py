@@ -142,8 +142,8 @@ def test_catalog_algebra_resolution():
 def test_scaled_bundle_parses_f():
     pi = scaled_so3_bundle("y1^2 - 1")
     ring = pi.ring
-    assert pi.component(1, 2) == ring.parse("(y1^2 - 1)*x3")
-    assert pi.component(3, 1) == ring.parse("(y1^2 - 1)*x2")
+    assert pi.coefficient((1, 2)) == ring.parse("(y1^2 - 1)*x3")
+    assert pi.coefficient((3, 1)) == ring.parse("(y1^2 - 1)*x2")
 
 
 def _analysis(L, samples=20, seed=1729):

@@ -10,7 +10,7 @@ import pytest
 from blowuplab import (
     DomainError,
     GradedForm,
-    PolyBivector,
+    GradedVector,
     PolyRing,
     abelian,
     blowup_pullback,
@@ -47,18 +47,19 @@ def test_linear_poisson_fixtures():
 
     pi = linear_poisson(so3())
     ring = pi.ring
-    assert pi.component(1, 2) == ring.parse("x3")
-    assert pi.component(2, 3) == ring.parse("x1")
-    assert pi.component(3, 1) == ring.parse("x2")
+    assert isinstance(pi, GradedVector) and pi.degrees() == (2,)
+    assert pi.coefficient((1, 2)) == ring.parse("x3")
+    assert pi.coefficient((2, 3)) == ring.parse("x1")
+    assert pi.coefficient((3, 1)) == ring.parse("x2")
 
     pi_h = linear_poisson(heis3())
-    assert pi_h.entries == {(1, 2): pi_h.ring.parse("x3")}
+    assert pi_h.terms == {(1, 2): pi_h.ring.parse("x3")}
 
 
-def _poisson_bracket(pi: PolyBivector, f, g):
+def _poisson_bracket(pi: GradedVector, f, g):
     """{f, g} = sum_{i<j} pi_ij (d_i f d_j g - d_j f d_i g): independent oracle."""
     out = pi.ring.zero()
-    for (i, j), coeff in pi.entries.items():
+    for (i, j), coeff in pi.terms.items():
         out = out + coeff * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
     return out
 
@@ -105,6 +106,13 @@ def test_spinor_fixtures():
     assert phi_h == GradedForm(
         3, pi_h.ring, {(1, 2, 3): 1, (3,): pi_h.ring.parse("x3")}
     )
+
+
+def test_spinor_rejects_non_bivector():
+    ring = linear_poisson(so3()).ring
+    mixed = GradedVector(3, ring, {(1, 2): ring.parse("x3"), (1,): ring.parse("x1")})
+    with pytest.raises(DomainError):
+        spinor(mixed)
 
 
 # -- blowup pullback ------------------------------------------------------------------
@@ -430,18 +438,18 @@ def test_order_invariant_under_unimodular_basis_change(rng):
 def test_perturbation_trivial_and_fixtures():
     L = so3()
     ring = linear_poisson(L).ring
-    zero = PolyBivector(ring, {})
+    zero = GradedVector(3, ring)
     report = perturbation_invariance_check(L, zero, 1, samples=20)
     assert report.agree and report.order_base == report.order_perturbed == 1
 
-    w = PolyBivector(ring, {(2, 3): ring.parse("x1^2")})
+    w = GradedVector(3, ring, {(2, 3): ring.parse("x1^2")})
     report = perturbation_invariance_check(L, w, 1, samples=40)
     assert report.agree
     assert (report.order_base, report.order_perturbed) == (1, 1)
 
     h = heis3()
     ring_h = linear_poisson(h).ring
-    w_h = PolyBivector(ring_h, {(1, 2): ring_h.parse("x3^2")})
+    w_h = GradedVector(3, ring_h, {(1, 2): ring_h.parse("x3^2")})
     for chart in (1, 2, 3):
         report = perturbation_invariance_check(h, w_h, chart, samples=40)
         assert report.agree
@@ -450,9 +458,12 @@ def test_perturbation_trivial_and_fixtures():
 def test_perturbation_rejects_low_order():
     L = so3()
     ring = linear_poisson(L).ring
-    w = PolyBivector(ring, {(1, 2): ring.parse("x1")})
+    w = GradedVector(3, ring, {(1, 2): ring.parse("x1")})
     with pytest.raises(DomainError):
         perturbation_invariance_check(L, w, 1)
-    w_const = PolyBivector(ring, {(1, 2): ring.parse("1 + x1^2")})
+    w_const = GradedVector(3, ring, {(1, 2): ring.parse("1 + x1^2")})
     with pytest.raises(DomainError):
         perturbation_invariance_check(L, w_const, 1)
+    w_vector = GradedVector(3, ring, {(1,): ring.parse("x1^2")})
+    with pytest.raises(DomainError):
+        perturbation_invariance_check(L, w_vector, 1)

@@ -1,0 +1,39 @@
+"""The package imports nothing outside the standard library."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import blowuplab
+
+SRC = Path(blowuplab.__file__).resolve().parent.parent
+
+# Interpreter start-up may load site hooks from outside the standard library,
+# so only the modules that importing the package adds are judged.
+PROBE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import blowuplab
+for info in pkgutil.iter_modules(blowuplab.__path__):
+    importlib.import_module("blowuplab." + info.name)
+print(json.dumps(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_every_module_imports_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env,
+        check=True, timeout=60,
+    )
+    added = json.loads(proc.stdout)
+    assert "blowuplab" in added
+    outside = [
+        name for name in added
+        if name != "blowuplab" and name not in sys.stdlib_module_names
+    ]
+    assert outside == []
