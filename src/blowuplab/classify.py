@@ -1,30 +1,49 @@
-"""Exact decision of constant height, with a sampling falsifier.
+"""Exact decision of constant height, with constructed height witnesses.
 
 "Every nonzero covector has the same height" is decided structurally: the
 only algebras with that property are the abelian ones (height 0), the
 semidirect products R x| R^n with the one-dimensional factor acting as the
 identity (height 0), and the compact simple three-dimensional algebra
 (height 1).  Membership in each family is an exact test on the structure
-constants; when all three fail, a deterministic escalating search produces
-two covectors of different heights as a witness, and failing to find one
-within the cap is reported loudly rather than treated as constant.
+constants.  When all three fail, two covectors of different heights back
+the verdict.  They come from structural candidates, then from lines in
+Cartan slices, where an exact real root of a polynomial in Q[t] marks a
+height drop (the lower witness may be irrational), then from a sampled
+fallback whose exhaustion is reported loudly, never read as constant height.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .errors import WitnessSearchError
-from .liealg import Covector, LieAlgebra, covector_invariants, derived_algebra, height, killing_form
+from . import linalg, realroots
+from .errors import DisagreementError, WitnessSearchError
+from .liealg import Covector, LieAlgebra, as_covector, ce_differential, covector_form
+from .liealg import covector_invariants, derived_algebra, height, killing_form, _primitive
+from .rings import PolyRing
 from .sampling import DEFAULT_SEED, dual_basis, pairwise_combinations, random_vector, sampled_covectors
 
 WITNESS_CAP = 10_000
 ESCALATE_EVERY = 2_000
 _SHELL_BUDGET = 6_000
+_SLICE_LINES = 8
+_T = PolyRing(("t",))
+
+
+@dataclass(frozen=True)
+class RealRootWitness:
+    """The covector base + alpha*direction, of exact height `height`, at the
+    one real root alpha of the monic polynomial g(t) in the interval (lo, hi]."""
+
+    base: Covector
+    direction: Covector
+    g: realroots.Poly
+    interval: tuple[Fraction, Fraction]
+    height: int
 
 
 @dataclass(frozen=True)
@@ -34,13 +53,14 @@ class ClassificationVerdict:
     kind is one of "abelian", "diagonal_affine", "so3",
     "not_constant_height".  For the first two, param records the family
     parameter (dim g and dim g - 1 respectively).  Witnesses are present
-    exactly for "not_constant_height" and re-verify to distinct heights.
+    exactly for "not_constant_height" and re-verify to distinct heights;
+    the lower one is a RealRootWitness when no rational one was found.
     """
 
     kind: str
     constant_height: int | None
     param: int | None = None
-    witnesses: tuple[Covector, Covector] | None = None
+    witnesses: tuple[Covector | RealRootWitness, Covector] | None = None
     witness_heights: tuple[int, int] | None = None
 
 
@@ -56,59 +76,34 @@ def is_diagonal_affine(L: LieAlgebra):
     ideal = derived_algebra(L)
     if len(ideal) != n - 1 or n < 2:
         return None
-    for u in ideal:
-        for v in ideal:
-            if any(L.bracket(u, v)):
-                return None
-    # pick a standard basis vector outside the ideal
-    candidate = None
-    for i in range(n):
-        unit = [Fraction(int(j == i)) for j in range(n)]
-        if not linalg.in_row_space(ideal, unit):
-            candidate = unit
-            break
-    if candidate is None:
+    if any(any(L.bracket(u, v)) for u in ideal for v in ideal):
         return None
-    scalar = None
-    for h in ideal:
-        image = L.bracket(candidate, h)
-        # image must equal scalar * h with one shared scalar
-        pivot = next((idx for idx, v in enumerate(h) if v), None)
-        if pivot is None:
-            return None
-        ratio = image[pivot] / h[pivot]
-        if [ratio * v for v in h] != image:
-            return None
-        if scalar is None:
-            scalar = ratio
-        elif scalar != ratio:
-            return None
-    if not scalar:
+    # a standard basis vector outside the (n-1)-dimensional ideal must act on
+    # it as one nonzero scalar
+    candidate = next(e for e in dual_basis(n) if not linalg.in_row_space(ideal, e))
+    images = [L.bracket(candidate, h) for h in ideal]
+    pivot = next(i for i, v in enumerate(ideal[0]) if v)
+    scalar = images[0][pivot] / ideal[0][pivot]
+    if not scalar or any(image != [scalar * v for v in h] for h, image in zip(ideal, images)):
         return None
-    generator = [v / scalar for v in candidate]
-    return generator, ideal
+    return [v / scalar for v in candidate], ideal
 
 
-def _witness_candidates(L: LieAlgebra, seed: int):
-    """Deterministic witness stream: dual-basis seeds, structure-derived
-    covectors, then small-integer shells interleaved with random draws.
-
-    Covectors annihilating the derived algebra are killed by the
-    differential, so they have height 0 in any basis.  Small integer points
-    of a height-drop locus do not survive a rational change of basis: the
-    locus of a conjugated table may have only rational points of large
-    height, out of reach of both the shells and the random draws.  Random
-    rational conjugates of sl2 (entries p/q with |p|, q <= 30) typically
-    exhaust WITNESS_CAP, and the search then raises WitnessSearchError.
-    """
+def _structural_candidates(L: LieAlgebra) -> list[Covector]:
+    """Dual-basis seeds, their pairwise sums and differences, then covectors
+    annihilating the derived algebra (height 0, since d kills them)."""
     n = L.dim
-    yield from dual_basis(n)
-    yield from pairwise_combinations(n)
+    out = dual_basis(n) + pairwise_combinations(n)
     derived_rows = derived_algebra(L)
     if derived_rows:
-        for vec in linalg.null_space(derived_rows, n):
-            if any(vec):
-                yield tuple(vec)
+        out += [tuple(vec) for vec in linalg.null_space(derived_rows, n) if any(vec)]
+    return out
+
+
+def _sampled_candidates(L: LieAlgebra, seed: int):
+    """Small-integer shells interleaved with random draws: the fallback, as a
+    drop locus may have no small rational point, or none at all."""
+    n = L.dim
     rng = random.Random(seed)
     bound = 1
     random_bound = 20
@@ -126,17 +121,101 @@ def _witness_candidates(L: LieAlgebra, seed: int):
         bound += 1
 
 
+def _line_chain(L: LieAlgebra, base: Covector, direction: Covector, top: int):
+    """For xi(t) = base + t*direction, the coefficients of xi ^ (d xi)^j over
+    Q[t] as realroots polynomials, one list for each j = 0..top."""
+    t = _T.variable(1)
+    level = covector_form(L, [b + d * t for b, d in zip(base, direction)], _T)
+    omega, levels = ce_differential(L, level), [level]
+    for _ in range(top):
+        levels.append(levels[-1].wedge(omega))
+    return [
+        [realroots.trim(c.terms.get((e,), 0) for e in range(max(c.terms)[0] + 1))
+         for c in level.terms.values()]
+        for level in levels
+    ]
+
+
+def _vanishes_at(coeffs, g, interval) -> bool:
+    """Whether all coeffs vanish at the one root of g in the interval."""
+    return realroots.count_roots(functools.reduce(realroots.gcd, coeffs, g), *interval) == 1
+
+
+def verify_real_root_witness(L: LieAlgebra, w: RealRootWitness, top: int) -> bool:
+    """Re-check w against a partner of height top, from L and w alone: g has one
+    root alpha in the interval and divides every coefficient of xi ^ (d xi)^top,
+    and xi(alpha) has height w.height < top (so it is nonzero)."""
+    if not 0 <= w.height < top or realroots.count_roots(w.g, *w.interval) != 1:
+        return False
+    levels = _line_chain(L, w.base, w.direction, top)
+    return (
+        not any(realroots.divide(c, w.g)[1] for c in levels[top])
+        and not _vanishes_at(levels[w.height], w.g, w.interval)
+        and (w.height + 1 == top or _vanishes_at(levels[w.height + 1], w.g, w.interval))
+    )
+
+
+def _slice_witness(L: LieAlgebra, top: int, seed: int):
+    """A covector of height below top on a Cartan slice, or None.
+
+    A rational x gives h = ker ad_x, a Cartan subalgebra when x is regular,
+    the line y(t) = h1 + t*h2 in it and xi(t) = B(y(t), .), B the Killing
+    form.  A real root of the gcd g of the coefficients of xi ^ (d xi)^top is
+    a height drop: returns xi there if rational (xi(0) if g = 0), else a
+    RealRootWitness."""
+    n = L.dim
+    rng = random.Random(seed)
+    killing = killing_form(L)
+    value = lambda y: sum(a * b for a, b in zip(y, linalg.mat_vec(killing, y)))  # noqa: E731
+    for _ in range(_SLICE_LINES):
+        x = random_vector(rng, n, 20)
+        h = linalg.null_space(list(zip(*(L.bracket(x, e) for e in dual_basis(n)))), n)
+        if len(h) == 1:
+            # h = R x: on sl2's forms ad_x flips the Killing sign on its image, so r = [x, z]
+            # or [x, r] has the sign opposite to x's and the line crosses the isotropic cone
+            h.append(L.bracket(x, random_vector(rng, n, 20)))
+            if value(x) * value(h[1]) >= 0:
+                h[1] = L.bracket(x, h[1])
+        base, direction = (linalg.mat_vec(killing, y) for y in h[:2])
+        if linalg.rank([base, direction]) < 2:
+            continue
+        # positive rescalings keep every height and shrink the coefficients
+        base, direction = (as_covector(_primitive(v)) for v in (base, direction))
+        levels = _line_chain(L, base, direction, top)
+        if not levels[top]:
+            return base
+        g = functools.reduce(realroots.gcd, levels[top], ())
+        intervals = realroots.isolating_intervals(g)
+        for interval in intervals:
+            root = realroots.rational_root(g, *interval)
+            if root is not None:
+                return tuple(b + root * d for b, d in zip(base, direction))
+        if intervals:
+            lows = (j for j in reversed(range(top)) if not _vanishes_at(levels[j], g, intervals[0]))
+            return RealRootWitness(base, direction, g, intervals[0], next(lows))
+    return None
+
+
 def _find_height_witnesses(L: LieAlgebra, seed: int):
+    """Two covectors of different heights: structural candidates, then the
+    slice phase, then the sampled fallback, WITNESS_CAP candidates in all."""
     seen: dict[int, Covector] = {}
-    for count, xi in enumerate(_witness_candidates(L, seed)):
-        if count >= WITNESS_CAP:
-            break
-        k = height(L, xi)
-        if k not in seen:
-            seen[k] = xi
-            if len(seen) == 2:
-                (k1, x1), (k2, x2) = sorted(seen.items())
-                return (x1, x2), (k1, k2)
+    structural = _structural_candidates(L)
+    sampled = itertools.islice(_sampled_candidates(L, seed), max(WITNESS_CAP - len(structural), 0))
+    for xi in itertools.chain(structural, [None], sampled):
+        if xi is None:  # the slice phase, once every structural height is one top
+            top = max(seen)
+            xi = _slice_witness(L, top, seed) if top else None
+            if isinstance(xi, RealRootWitness):
+                if not verify_real_root_witness(L, xi, top):
+                    raise DisagreementError(f"real-root witness fails its re-check: {xi}")
+                return (xi, seen[top]), (xi.height, top)
+            if xi is None:
+                continue
+        seen.setdefault(height(L, xi), xi)
+        if len(seen) == 2:
+            (k1, x1), (k2, x2) = sorted(seen.items())
+            return (x1, x2), (k1, k2)
     raise WitnessSearchError(
         f"no height witness pair found within {WITNESS_CAP} samples; "
         "refusing to report constant height without a structural proof"

@@ -215,13 +215,9 @@ def covector_form(L: LieAlgebra, xi: Sequence, ring: CoeffRing = RATIONALS) -> G
     return GradedForm._trusted(L.dim, ring, terms)
 
 
-def _generator_differential(L: LieAlgebra, k: int, ring: CoeffRing) -> GradedForm:
-    terms = {}
-    for (i, j), vec in L._pairs.items():
-        value = vec[k - 1]
-        if value:
-            terms[(i, j)] = -value
-    return GradedForm(L.dim, ring, terms)
+def _generator_differential(L: LieAlgebra, k: int) -> dict[tuple[int, int], Fraction]:
+    """The terms of d theta_k, with rational coefficients."""
+    return {key: -vec[k - 1] for key, vec in L._pairs.items() if vec[k - 1]}
 
 
 def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
@@ -229,19 +225,15 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
 
     Each term c theta_I contributes (-1)^t c theta_{I<t} ^ d theta_{I_t} ^
     theta_{I>t} for every position t, summed into one term map.
-    Ring-generic: coefficients may be rationals or polynomials (the structure
-    constants act by scalars).  d o d = 0 precisely when the Jacobi identity
-    holds, which the property suite checks in both directions.
+    Ring-generic: coefficients may be rationals or polynomials (the rational
+    structure constants act by scalars).  d o d = 0 precisely when the Jacobi
+    identity holds, which the property suite checks in both directions.
     """
     if form.dim != L.dim:
         raise StructureError("form dimension does not match the algebra")
-    ring = form.ring
-    # the terms of d theta_1, ..., d theta_dim, built once per algebra and ring
+    # the terms of d theta_1, ..., d theta_dim, built once per algebra
     d_theta = L.memo(
-        ("d_theta", ring),
-        lambda: tuple(
-            _generator_differential(L, k, ring).terms for k in range(1, L.dim + 1)
-        ),
+        "d_theta", lambda: tuple(_generator_differential(L, k) for k in range(1, L.dim + 1))
     )
     out: dict = {}
     for indices, coeff in form.terms.items():
@@ -260,7 +252,7 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
                 if merged in out:
                     value = out[merged] + value
                 out[merged] = value
-    return GradedForm._trusted(L.dim, ring, {i: c for i, c in out.items() if c})
+    return GradedForm._trusted(L.dim, form.ring, {i: c for i, c in out.items() if c})
 
 
 # -- heights, types, orbits ----------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .blowup_geometry import OrbitRankRecord, OrbitRankReport
-from .classify import ClassificationVerdict, HeightSpectrum
+from .classify import ClassificationVerdict, HeightSpectrum, RealRootWitness
 from .errors import DomainError, ParseError
 from .exterior import GradedVector
 from .liealg import Covector, LieAlgebra
@@ -342,12 +342,32 @@ def _covector_json(xi: Covector) -> list[str]:
     return [format_rational(v) for v in xi]
 
 
+def _witness_json(w) -> list[str] | dict:
+    if not isinstance(w, RealRootWitness):
+        return _covector_json(w)
+    return {
+        "kind": "real_root",
+        "line": [_covector_json(w.base), _covector_json(w.direction)],
+        "polynomial": str(Polynomial(("t",), {(e,): c for e, c in enumerate(w.g)})),
+        "interval": _covector_json(w.interval),
+    }
+
+
+def _render_witness(w) -> str:
+    if not isinstance(w, RealRootWitness):
+        return _render_covector(w)
+    out = _witness_json(w)
+    return "{} + t*{} at the root of {} in ({}, {}]".format(
+        _render_covector(w.base), _render_covector(w.direction), out["polynomial"], *out["interval"]
+    )
+
+
 def classification_to_dict(c: ClassificationVerdict) -> dict:
     out: dict = {"kind": c.kind, "constant_height": c.constant_height}
     if c.param is not None:
         out["param"] = c.param
     if c.witnesses is not None:
-        out["witnesses"] = [_covector_json(w) for w in c.witnesses]
+        out["witnesses"] = [_witness_json(w) for w in c.witnesses]
         out["witness_heights"] = list(c.witness_heights)
     return out
 
@@ -388,7 +408,7 @@ def verdict_to_dict(verdict: LiftVerdict) -> dict:
         },
     }
     if verdict.witnesses is not None:
-        out["witnesses"] = [_covector_json(w) for w in verdict.witnesses]
+        out["witnesses"] = [_witness_json(w) for w in verdict.witnesses]
         out["witness_heights"] = list(verdict.witness_heights)
     return out
 
@@ -454,8 +474,8 @@ def render_human(result: AnalysisResult) -> str:
         w1, w2 = verdict.witnesses
         h1, h2 = verdict.witness_heights
         lines.append(
-            f"witnesses: {_render_covector(w1)} has height {h1}; "
-            f"{_render_covector(w2)} has height {h2}"
+            f"witnesses: {_render_witness(w1)} has height {h1}; "
+            f"{_render_witness(w2)} has height {h2}"
         )
     lines.append("spinor vanishing orders along the divisor:")
     for chart, cert in sorted(verdict.certificates.items()):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charts import BlowupChart
-from .classify import ClassificationVerdict, classify_constant_height
+from .classify import ClassificationVerdict, RealRootWitness, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
 from .exterior import GradedForm, GradedVector, exp_interior
 from .liealg import Covector, LieAlgebra, as_covector, covector_invariants
@@ -278,7 +278,7 @@ class LiftVerdict:
     certificates: dict[int, OrderCertificate]
     expected_order: int | None
     spinor_agreement: str
-    witnesses: tuple[Covector, Covector] | None = None
+    witnesses: tuple[Covector | RealRootWitness, Covector] | None = None
     witness_heights: tuple[int, int] | None = None
 
 

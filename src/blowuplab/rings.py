@@ -361,10 +361,32 @@ RATIONALS = Rationals()
 
 # -- polynomial expression parser ---------------------------------------------
 
-# Largest exponent, and largest total degree of a power's result, that the
-# parser builds.  A power costs work in its exponent's value, not in the few
-# characters that write it, so an uncapped "y1^3000000" runs without bound.
+# Largest exponent, and largest total degree of a power or a product, that
+# the parser builds.  A power costs work in its exponent's value, not in the
+# few characters that write it, so an uncapped "y1^3000000" runs without bound.
 MAX_POWER_DEGREE = 64
+
+
+class _Degree(int):
+    """A subexpression's total degree as written, for a parser pass that
+    builds no polynomial: a sum takes the larger degree, a product adds."""
+
+    __add__ = __sub__ = lambda a, b: _Degree(max(a, b))  # noqa: E731
+    __mul__ = lambda a, b: _Degree(int(a) + int(b))  # noqa: E731
+    __pow__ = lambda a, exponent: _Degree(int(a) * exponent)  # noqa: E731
+    __neg__ = lambda a: a  # noqa: E731
+
+
+class _DegreeRing(PolyRing):
+    const = lambda self, value: _Degree(0)  # noqa: E731
+    named = lambda self, name: _Degree(1)  # noqa: E731
+
+
+def _total_degree(value) -> int:
+    if isinstance(value, int):
+        return int(value)
+    return max((sum(exps) for exps in value.terms), default=0)
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9~_]*)|(?P<op>[-+*^()]))"
@@ -419,7 +441,9 @@ class _PolyParser:
             sign = -1
         elif token is not None and token.group("op") == "+":
             self._next()
-        value = self._term() * sign
+        value = self._term()
+        if sign < 0:
+            value = -value
         while True:
             token = self._peek()
             if token is None or token.group("op") not in ("+", "-"):
@@ -436,6 +460,8 @@ class _PolyParser:
                 return value
             self._next()
             value = value * self._factor()
+            if (degree := _total_degree(value)) > MAX_POWER_DEGREE:
+                raise ParseError(f"a product of total degree {degree} exceeds {MAX_POWER_DEGREE}")
 
     def _factor(self) -> Polynomial:
         base = self._base()
@@ -447,7 +473,7 @@ class _PolyParser:
             if rat is None or "/" in rat:
                 raise ParseError("exponents must be nonnegative integers")
             exponent = parse_rational(rat).numerator
-            degree = max((sum(exps) for exps in base.terms), default=0)
+            degree = _total_degree(base)
             if exponent > MAX_POWER_DEGREE or degree * exponent > MAX_POWER_DEGREE:
                 raise ParseError(
                     f"power {exponent} of a degree-{degree} polynomial exceeds the "
@@ -481,4 +507,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse an expression like ``y1^2*y2 - 3/2`` into the given ring."""
     if not text.strip():
         raise ParseError("empty polynomial expression")
+    # a first pass on degrees as written rejects an over-large power or
+    # product before any polynomial is built
+    _PolyParser(text, _DegreeRing(ring.vars)).parse()
     return _PolyParser(text, ring).parse()

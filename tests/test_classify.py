@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,10 +22,28 @@ from blowuplab import (
     is_diagonal_affine,
     killing_form,
     sample_height_spectrum,
+    lift_verdict,
+    realroots,
     sl2,
     so3,
 )
+from blowuplab.classify import RealRootWitness, verify_real_root_witness
 from blowuplab.linalg import det, is_negative_definite, leading_principal_minors
+from conftest import seeded_conjugate
+
+# the real form of sl2 whose height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has
+# real points but no rational ones
+ANISOTROPIC_SL2 = LieAlgebra(3, {(1, 2): {3: -3}, (2, 3): {1: 1}, (1, 3): {2: -1}})
+# a rational conjugate of sl2 whose nearest rational drop point is (-2, 5, -8)
+# in the dual basis, far down a small-integer sweep
+LATE_SL2 = change_basis(
+    sl2(),
+    [
+        [Fraction(-5, 6), Fraction(1, 3), Fraction(4, 5)],
+        [Fraction(1, 3), Fraction(-5, 6), Fraction(4, 3)],
+        [Fraction(-5, 4), Fraction(2), Fraction(-1, 2)],
+    ],
+)
 
 
 def test_structural_verdicts():
@@ -47,16 +67,73 @@ def test_structural_verdicts():
 
 
 def test_not_constant_height_witnesses_reverify():
-    for L in (sl2(), heis3()):
+    for L in (sl2(), heis3(), ANISOTROPIC_SL2):
         verdict = classify_constant_height(L)
         assert verdict.kind == "not_constant_height"
         assert verdict.constant_height is None
         w1, w2 = verdict.witnesses
         h1, h2 = verdict.witness_heights
-        assert height(L, w1) == h1
+        if isinstance(w1, RealRootWitness):
+            assert L is ANISOTROPIC_SL2
+            assert w1.height == h1
+            assert verify_real_root_witness(L, w1, h2)
+        else:
+            assert height(L, w1) == h1
         assert height(L, w2) == h2
         assert h1 != h2
     assert set(classify_constant_height(sl2()).witness_heights) == {0, 1}
+
+
+def _real_root_certificate(L):
+    verdict = classify_constant_height(L)
+    low, high = verdict.witnesses
+    assert isinstance(low, RealRootWitness)
+    assert verdict.witness_heights == (0, 1) and height(L, high) == 1
+    return low
+
+
+@pytest.mark.parametrize("L", [ANISOTROPIC_SL2, seeded_conjugate(sl2(), 3)])
+def test_real_root_certificates_verify_and_tampering_is_rejected(L):
+    w = _real_root_certificate(L)
+    assert verify_real_root_witness(L, w, 1)
+    # the drop point really lies on the isotropic cone of the dual Killing
+    # form: g divides the chain coefficient, a quadratic in t
+    assert len(realroots.squarefree(w.g)) >= 2
+    lo, hi = w.interval
+    bumped = (w.g[0] + 1,) + w.g[1:]
+    tampered = [
+        replace(w, g=bumped),
+        replace(w, g=realroots.trim([-hi, 1])),  # t - hi: one root, but no divisor
+        replace(w, interval=(hi + 10**6, hi + 2 * 10**6)),  # no root
+        replace(w, interval=(lo - 10**6, hi + 10**6)),  # both roots
+        replace(w, base=(w.base[0] + 1,) + w.base[1:]),
+        replace(w, direction=w.base),
+        replace(w, height=1),
+    ]
+    for bad in tampered:
+        assert not verify_real_root_witness(L, bad, 1), bad
+
+
+def test_every_form_of_sl2_drops_on_the_first_slice_line(monkeypatch):
+    # the direction of opposite Killing sign makes the first line cross the
+    # isotropic cone, even where nearly every rational vector has one sign
+    # (the negative cone of this conjugate's Killing form is very thin)
+    import blowuplab.classify as classify_mod
+
+    monkeypatch.setattr(classify_mod, "_SLICE_LINES", 1)
+    thin = change_basis(sl2(), [[1, 0, Fraction(1, 2)], [0, 1, Fraction(1, 2)], [0, 0, Fraction(1, 40)]])
+    for L in [ANISOTROPIC_SL2, LATE_SL2, thin] + [seeded_conjugate(sl2(), s) for s in range(20)]:
+        assert classify_mod._slice_witness(L, 1, 1729) is not None
+
+
+def test_forms_of_sl2_do_not_lift_with_witness_heights_0_and_1():
+    conjugates = [seeded_conjugate(sl2(), seed) for seed in range(20)]
+    for L in [ANISOTROPIC_SL2, LATE_SL2] + conjugates:
+        start = time.perf_counter()
+        verdict = lift_verdict(L, samples=10)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.kind == "does_not_lift"
+        assert set(verdict.witness_heights) == {0, 1}
 
 
 def test_sl2_witness_lies_on_a_half_cone():

@@ -107,7 +107,15 @@ def test_zero_denominator_in_bundle_scaling_is_a_parse_error(capsys):
     _assert_parse_error(capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", "1/0")
 
 
-@pytest.mark.parametrize("f", ["y1^3000000", "(y1^40)^40"])
+@pytest.mark.parametrize(
+    "f",
+    [
+        "y1^3000000",
+        "(y1^40)^40",
+        # each factor is within the cap; the product of total degree 256 is not
+        "(y1+y2+1)^64*(y1+y2+1)^64*(y1+y2+1)^64*(y1+y2+1)^64",
+    ],
+)
 def test_bundle_scaling_power_cap_is_a_parse_error(capsys, f):
     start = time.perf_counter()
     _assert_parse_error(capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", f)
@@ -270,20 +278,45 @@ def test_internal_disagreement_exits_3(capsys, monkeypatch):
     assert "internal disagreement" in err
 
 
+# height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has real points but no rational ones
+ANISOTROPIC_SL2 = (
+    "schema_version: 1\nname: aniso\ndimension: 3\n"
+    "bracket: 1 2 3 -3\nbracket: 2 3 1 1\nbracket: 1 3 2 -1\n"
+)
+
+
 def test_witness_search_cap_exits_3(tmp_path, capsys, monkeypatch):
     import blowuplab.classify as classify_mod
 
-    # height-drop locus xi1^2 + xi2^2 = 3 xi3^2 has no rational points, so the
-    # witness search must end in the loud diagnostic rather than a verdict
+    # with the slice phase off, only the sampled fallback is left, which
+    # finds no rational drop point and must end in the loud diagnostic
+    monkeypatch.setattr(classify_mod, "_slice_witness", lambda L, top, seed: None)
     monkeypatch.setattr(classify_mod, "WITNESS_CAP", 60)
     path = tmp_path / "aniso.alg"
-    path.write_text(
-        "schema_version: 1\nname: aniso\ndimension: 3\n"
-        "bracket: 1 2 3 -3\nbracket: 2 3 1 1\nbracket: 1 3 2 -1\n"
-    )
+    path.write_text(ANISOTROPIC_SL2)
     code, _, err = run(capsys, "analyze", "--input", str(path), "--samples", "5")
     assert code == 3
     assert "witness" in err
+
+
+def test_anisotropic_sl2_gets_a_real_root_witness(tmp_path, capsys):
+    path = tmp_path / "aniso.alg"
+    path.write_text(ANISOTROPIC_SL2)
+    code, out, _ = run(
+        capsys, "analyze", "--input", str(path), "--samples", "5", "--format", "machine"
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["kind"] == "does_not_lift"
+    assert verdict["witness_heights"] == [0, 1]
+    low, high = verdict["witnesses"]
+    assert low["kind"] == "real_root"
+    assert set(low) == {"kind", "line", "polynomial", "interval"}
+    assert [len(v) for v in low["line"]] == [3, 3] and len(low["interval"]) == 2
+    assert "t" in low["polynomial"] and len(high) == 3
+    code, out, _ = run(capsys, "analyze", "--input", str(path), "--samples", "5")
+    assert code == 0
+    assert "at the root of" in out and "has height 0" in out
 
 
 def test_env_seed_override(capsys, monkeypatch):

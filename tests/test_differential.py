@@ -11,6 +11,9 @@ constants.  Each is checked here against an independent path on
 hypothesis-drawn inputs: the term-by-term derivation of d, the validating
 public constructors, sympy's rank of the rational restricted pairing, and
 the substitute-and-wedge and general-bracket bodies the new code replaced.
+The real-root kernel behind the constructed height witnesses (gcd,
+square-free part, Sturm counts, isolating intervals, the rational-root test)
+is checked against sympy's polynomial arithmetic and real roots.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from blowuplab import (
     sl2,
     so3,
 )
+from blowuplab import realroots
 from blowuplab.charts import BlowupChart
 from blowuplab.exterior import _merge_sign, multi_interior
 from blowuplab.linalg import det, rank, rank_and_membership
@@ -504,3 +508,109 @@ def test_jacobi_check_matches_general_bracket_reference(L):
     event("violated" if got else "Lie algebra")
     assert got == reference_jacobi_check(L)
     assert all(type(v) is Fraction for _, defect in got for v in defect)
+
+
+# -- the real-root kernel against sympy -----------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p) -> sympy.Poly:
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)]
+    return sympy.Poly(coeffs or [0], X, domain=sympy.QQ)
+
+
+def from_sympy(poly: sympy.Poly):
+    return realroots.trim(
+        Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())
+    )
+
+
+def monic_sympy(poly: sympy.Poly):
+    return from_sympy(poly.monic()) if not poly.is_zero else ()
+
+
+@st.composite
+def products(draw, max_factors=4):
+    """A nonzero polynomial built as a product of small random factors of
+    degree 1 to 3, with repeats, so gcds, multiple roots, rational and
+    irrational roots and root-free factors all occur."""
+    p = sympy.Poly(draw(nonzero_rationals), X, domain=sympy.QQ)
+    for _ in range(draw(st.integers(0, max_factors))):
+        degree = draw(st.integers(1, 3))
+        coeffs = [draw(nonzero_rationals)] + [draw(rationals) for _ in range(degree)]
+        p *= sympy.Poly(coeffs, X, domain=sympy.QQ) ** draw(st.integers(1, 2))
+    return p
+
+
+def sympy_count(poly: sympy.Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots in (lo, hi]: sympy counts on the closed interval."""
+    sqf = poly.sqf_part()
+    low = sympy.Rational(lo.numerator, lo.denominator)
+    closed = sqf.count_roots(low, sympy.Rational(hi.numerator, hi.denominator))
+    return closed - (sqf.eval(low) == 0)
+
+
+@SETTINGS
+@given(a=products(), b=products(), common=products(max_factors=2))
+def test_realroots_gcd_and_squarefree_match_sympy(a, b, common):
+    p, q = from_sympy(a * common), from_sympy(b * common)
+    assert realroots.gcd(p, q) == monic_sympy(sympy.gcd(a * common, b * common))
+    assert realroots.squarefree(p) == monic_sympy((a * common).sqf_part())
+    quot, rem = realroots.divide(p, q)
+    expected_quot, expected_rem = (a * common).div(b * common)
+    assert (quot, rem) == (from_sympy(expected_quot), from_sympy(expected_rem))
+
+
+@SETTINGS
+@given(data=st.data(), poly=products())
+def test_sturm_root_counts_match_sympy(data, poly):
+    # ends are drawn among the rational roots too, which the half-open count
+    # must handle
+    rational_roots = [Fraction(int(r.p), int(r.q)) for r in poly.real_roots() if r.is_rational]
+    ends = st.sampled_from(rational_roots) | rationals if rational_roots else rationals
+    lo, hi = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    p = from_sympy(poly)
+    event("an end is a root" if not poly.eval(lo) or not poly.eval(hi) else "no end is a root")
+    assert realroots.count_roots(p, lo, hi) == sympy_count(poly, lo, hi)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(poly=products(max_factors=5))
+def test_isolating_intervals_hold_exactly_one_root_each(poly):
+    p = from_sympy(poly)
+    intervals = realroots.isolating_intervals(p)
+    assert len(intervals) == len(set(poly.real_roots()))
+    assert intervals == sorted(intervals)
+    for (lo, hi), following in zip(intervals, intervals[1:] + [None]):
+        assert lo < hi and (following is None or hi <= following[0])
+        assert realroots.count_roots(p, lo, hi) == 1
+        assert sympy_count(poly, lo, hi) == 1
+
+
+big = st.integers(1, 10**12)
+
+
+@SETTINGS
+@given(
+    roots=st.lists(st.builds(Fraction, st.integers(-(10**12), 10**12), big), max_size=3),
+    extra=st.lists(nonzero_rationals, min_size=3, max_size=3),
+    lead=nonzero_rationals,
+)
+def test_rational_root_finds_exactly_sympy_rational_roots(roots, extra, lead):
+    """Non-monic products of (b x - a) with large a and b and of a quadratic
+    whose real roots, when it has any, are usually irrational."""
+    poly = sympy.Poly(sympy.Rational(lead.numerator, lead.denominator), X, domain=sympy.QQ)
+    for r in roots:
+        poly *= sympy.Poly([r.denominator, -r.numerator], X, domain=sympy.QQ)
+    poly *= sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in extra], X)
+    p = from_sympy(poly)
+    found = {
+        root
+        for interval in realroots.isolating_intervals(p)
+        if (root := realroots.rational_root(p, *interval)) is not None
+    }
+    expected = {Fraction(int(r.p), int(r.q)) for r in poly.real_roots() if r.is_rational}
+    event("has a rational root" if expected else "no rational root")
+    event("has an irrational root" if len(set(poly.real_roots())) > len(expected) else "all rational")
+    assert found == expected

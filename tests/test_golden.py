@@ -4,8 +4,9 @@ The files under ``golden/`` hold the machine output of ``analyze``,
 ``crosscheck`` and ``spinor`` at seed 1729 with 20 samples (and of
 ``analyze`` on the dimension-10 ``diagonal_affine9``), the machine and
 human output of ``spinor`` on the ``scaled_so3_bundle`` partial blowup (whose
-charts carry the unblown base variables y1, y2) for two scalings f, and the
-machine and human output of ``catalog``.  Any change to a verdict, a certificate, a
+charts carry the unblown base variables y1, y2) for two scalings f, the
+machine and human output of ``catalog``, and the machine and human output of
+``analyze`` on the anisotropic sl2, whose lower witness is a real root.  Any change to a verdict, a certificate, a
 sampled covector or the JSON layout shows up here as a byte difference.
 """
 
@@ -64,5 +65,23 @@ CATALOG_CASES = [
 @pytest.mark.parametrize(("argv", "golden"), CATALOG_CASES)
 def test_catalog_output_matches_golden(capsys, argv, golden):
     assert main(argv) == 0
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+ANISOTROPIC_SL2 = (
+    "schema_version: 1\nname: aniso_sl2\ndimension: 3\n"
+    "bracket: 1 2 3 -3\nbracket: 2 3 1 1\nbracket: 1 3 2 -1\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("fmt", "golden"), [("machine", "analyze_aniso_sl2.json"), ("human", "analyze_aniso_sl2.txt")]
+)
+def test_real_root_witness_output_matches_golden(tmp_path, capsys, fmt, golden):
+    path = tmp_path / "aniso_sl2.alg"
+    path.write_text(ANISOTROPIC_SL2, encoding="utf-8")
+    argv = ["analyze", "--input", str(path), "--format", fmt]
+    assert main(argv + ["--seed", "1729", "--samples", "20"]) == 0
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

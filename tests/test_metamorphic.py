@@ -1,0 +1,49 @@
+"""Metamorphic checks: a verdict is a property of the algebra, not of its basis.
+
+Each algebra is rewritten in seeded rational bases (entries p/q with
+|p|, q <= 30) and must keep its classification (kind and constant height)
+and its lift verdict; a non-constant verdict must come with witnesses of two
+different heights.  For sl2 and sl3 these bases move the height-drop locus
+off every small rational point, so the verdict rests on real-root witnesses.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import replace
+
+import pytest
+
+from blowuplab import classify_constant_height, diagonal_affine, heis3, lift_verdict, sl2, so3
+from blowuplab.classify import RealRootWitness, verify_real_root_witness
+from conftest import seeded_conjugate, sl3
+
+
+def _summary(verdict):
+    if verdict.kind == "not_constant_height":
+        low, high = verdict.witness_heights
+        assert low < high
+    return verdict.kind, verdict.constant_height
+
+
+@pytest.mark.parametrize("build", [so3, sl2, heis3, lambda: diagonal_affine(3)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verdict_is_invariant_under_rational_change_of_basis(build, seed):
+    L = build()
+    conjugate = seeded_conjugate(L, seed)
+    assert _summary(classify_constant_height(conjugate)) == _summary(classify_constant_height(L))
+    assert lift_verdict(conjugate, samples=5).kind == lift_verdict(L, samples=5).kind
+
+
+def test_sl3_verdict_is_invariant_under_rational_change_of_basis():
+    L = seeded_conjugate(sl3(), 1)
+    start = time.perf_counter()
+    verdict = classify_constant_height(L)
+    assert time.perf_counter() - start < 5.0
+    assert _summary(verdict) == _summary(classify_constant_height(sl3()))
+    # a generic covector of sl3 has height 3; the drop on a Cartan slice is
+    # to a non-regular element, of height 2, and no other height passes
+    low = verdict.witnesses[0]
+    assert isinstance(low, RealRootWitness) and verdict.witness_heights == (2, 3)
+    assert verify_real_root_witness(L, low, 3)
+    assert not verify_real_root_witness(L, replace(low, height=1), 3)

@@ -17,11 +17,12 @@ import pstats
 from fractions import Fraction
 
 import blowuplab.classify as classify_mod
-from blowuplab import LieAlgebra, change_basis, charts, liealg, poisson_spinor, sl2
+from blowuplab import change_basis, charts, liealg, poisson_spinor, sl2
 from blowuplab.cli import main
 from blowuplab.exterior import GradedForm
 from blowuplab.model_io import serialize_algebra
 from blowuplab.rings import Polynomial
+from conftest import sl3
 
 SAMPLES = 30
 DIM = 3  # sl2
@@ -89,40 +90,6 @@ def test_height_kernel_tables_are_built_once_per_algebra(capsys, tmp_path):
     assert _calls(profile, liealg.ce_differential) > DIM
     assert _calls(profile, liealg._generator_differential) <= DIM
     assert _calls(profile, liealg._integer_constants) == 1
-
-
-def sl3() -> LieAlgebra:
-    """sl(3) on the basis E_ij (i != j), E_11 - E_22, E_22 - E_33, with the
-    brackets read off the matrix commutators."""
-    units = [(i, j) for i in range(3) for j in range(3) if i != j]
-
-    def matrix(k):
-        out = [[0] * 3 for _ in range(3)]
-        if k < len(units):
-            i, j = units[k]
-            out[i][j] = 1
-        else:
-            h = k - len(units)
-            out[h][h], out[h + 1][h + 1] = 1, -1
-        return out
-
-    def coordinates(m):
-        # diag(a, b, c) with a + b + c = 0 is a (E_11 - E_22) - c (E_22 - E_33)
-        return [m[i][j] for i, j in units] + [m[0][0], -m[2][2]]
-
-    def bracket(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
-    brackets = {}
-    for p in range(8):
-        for q in range(p + 1, 8):
-            coords = coordinates(bracket(matrix(p), matrix(q)))
-            if any(coords):
-                brackets[(p + 1, q + 1)] = {k + 1: v for k, v in enumerate(coords) if v}
-    return LieAlgebra(8, brackets, name="sl3")
 
 
 def _profiled(fn):
