@@ -6,10 +6,12 @@ semidirect products R x| R^n with the one-dimensional factor acting as the
 identity (height 0), and the compact simple three-dimensional algebra
 (height 1).  Membership in each family is an exact test on the structure
 constants.  When all three fail, two covectors of different heights back
-the verdict.  They come from structural candidates, then from lines in
-Cartan slices, where an exact real root of a polynomial in Q[t] marks a
-height drop (the lower witness may be irrational), then from a sampled
-fallback whose exhaustion is reported loudly, never read as constant height.
+the verdict.  The search runs three phases in order: structural candidates
+(dual-basis seeds, their pairwise sums and differences, and annihilators of
+ideals); lines in Cartan slices, where an exact real root of a polynomial in
+Q[t] marks a height drop (the lower witness may be irrational); then the
+seeded random draws of the sampling stream, whose exhaustion is reported
+loudly, never read as constant height.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from .errors import DisagreementError, WitnessSearchError
 from .liealg import Covector, LieAlgebra, as_covector, ce_differential, covector_form
 from .liealg import covector_invariants, derived_algebra, height, killing_form, _primitive
 from .rings import PolyRing
-from .sampling import DEFAULT_SEED, dual_basis, pairwise_combinations, random_vector, sampled_covectors
+from .sampling import DEFAULT_SEED, dual_basis, pairwise_combinations, random_covectors
+from .sampling import random_vector, sampled_covectors
 
 WITNESS_CAP = 10_000
-ESCALATE_EVERY = 2_000
-_SHELL_BUDGET = 6_000
 _SLICE_LINES = 8
 _T = PolyRing(("t",))
 
@@ -89,36 +90,17 @@ def is_diagonal_affine(L: LieAlgebra):
     return [v / scalar for v in candidate], ideal
 
 
-def _structural_candidates(L: LieAlgebra) -> list[Covector]:
+def _structural_candidates(L: LieAlgebra):
     """Dual-basis seeds, their pairwise sums and differences, then covectors
-    annihilating the derived algebra (height 0, since d kills them)."""
+    annihilating an ideal I, whose heights are those of g/I: first the
+    derived algebra (height 0, since d kills them), then the kernel of the
+    Killing form, built only when the earlier candidates are used up."""
     n = L.dim
-    out = dual_basis(n) + pairwise_combinations(n)
-    derived_rows = derived_algebra(L)
-    if derived_rows:
-        out += [tuple(vec) for vec in linalg.null_space(derived_rows, n) if any(vec)]
-    return out
-
-
-def _sampled_candidates(L: LieAlgebra, seed: int):
-    """Small-integer shells interleaved with random draws: the fallback, as a
-    drop locus may have no small rational point, or none at all."""
-    n = L.dim
-    rng = random.Random(seed)
-    bound = 1
-    random_bound = 20
-    drawn = 0
-    while True:
-        if (2 * bound + 1) ** n <= _SHELL_BUDGET:
-            for point in itertools.product(range(-bound, bound + 1), repeat=n):
-                if max(abs(x) for x in point) == bound:
-                    yield tuple(Fraction(x) for x in point)
-        for _ in range(500):
-            yield random_vector(rng, n, random_bound)
-            drawn += 1
-            if drawn % ESCALATE_EVERY == 0:
-                random_bound *= 2
-        bound += 1
+    yield from dual_basis(n) + pairwise_combinations(n)
+    for ideal in (derived_algebra, lambda L: linalg.null_space(killing_form(L), L.dim)):
+        rows = ideal(L)
+        if rows:
+            yield from (tuple(vec) for vec in linalg.null_space(rows, n) if any(vec))
 
 
 def _line_chain(L: LieAlgebra, base: Covector, direction: Covector, top: int):
@@ -196,30 +178,42 @@ def _slice_witness(L: LieAlgebra, top: int, seed: int):
     return None
 
 
-def _find_height_witnesses(L: LieAlgebra, seed: int):
-    """Two covectors of different heights: structural candidates, then the
-    slice phase, then the sampled fallback, WITNESS_CAP candidates in all."""
-    seen: dict[int, Covector] = {}
-    structural = _structural_candidates(L)
-    sampled = itertools.islice(_sampled_candidates(L, seed), max(WITNESS_CAP - len(structural), 0))
-    for xi in itertools.chain(structural, [None], sampled):
-        if xi is None:  # the slice phase, once every structural height is one top
-            top = max(seen)
-            xi = _slice_witness(L, top, seed) if top else None
-            if isinstance(xi, RealRootWitness):
-                if not verify_real_root_witness(L, xi, top):
-                    raise DisagreementError(f"real-root witness fails its re-check: {xi}")
-                return (xi, seen[top]), (xi.height, top)
-            if xi is None:
-                continue
+def _first_two_heights(L: LieAlgebra, candidates, seen: dict[int, Covector]) -> int:
+    """Record the first candidate of each height in seen, stopping once two
+    heights are seen; returns the number of candidates tried."""
+    tried = 0
+    for tried, xi in enumerate(candidates, start=1):
         seen.setdefault(height(L, xi), xi)
         if len(seen) == 2:
-            (k1, x1), (k2, x2) = sorted(seen.items())
-            return (x1, x2), (k1, k2)
-    raise WitnessSearchError(
-        f"no height witness pair found within {WITNESS_CAP} samples; "
-        "refusing to report constant height without a structural proof"
-    )
+            break
+    return tried
+
+
+def _find_height_witnesses(L: LieAlgebra, seed: int):
+    """Two covectors of different heights: the structural candidates, then
+    the slice phase, then seeded random draws, WITNESS_CAP candidates in all
+    outside the slice phase."""
+    seen: dict[int, Covector] = {}
+    tried = _first_two_heights(L, _structural_candidates(L), seen)
+    top = max(seen)
+    if len(seen) == 1 and top:
+        found = _slice_witness(L, top, seed)
+        if isinstance(found, RealRootWitness):
+            if not verify_real_root_witness(L, found, top):
+                raise DisagreementError(f"real-root witness fails its re-check: {found}")
+            return (found, seen[top]), (found.height, top)
+        if found is not None:
+            _first_two_heights(L, [found], seen)
+    if len(seen) == 1:
+        draws = itertools.islice(random_covectors(L.dim, seed), max(WITNESS_CAP - tried, 0))
+        _first_two_heights(L, draws, seen)
+    if len(seen) == 1:
+        raise WitnessSearchError(
+            f"no height witness pair found within {WITNESS_CAP} samples; "
+            "refusing to report constant height without a structural proof"
+        )
+    (k1, x1), (k2, x2) = sorted(seen.items())
+    return (x1, x2), (k1, k2)
 
 
 def classify_constant_height(
@@ -234,12 +228,7 @@ def classify_constant_height(
     if L.dim == 3 and linalg.is_negative_definite(killing_form(L)):
         return ClassificationVerdict("so3", 1)
     witnesses, heights = _find_height_witnesses(L, seed)
-    return ClassificationVerdict(
-        "not_constant_height",
-        None,
-        witnesses=witnesses,
-        witness_heights=heights,
-    )
+    return ClassificationVerdict("not_constant_height", None, None, witnesses, heights)
 
 
 @dataclass(frozen=True)

@@ -345,12 +345,21 @@ def _height_by_rank(pairing: list[list[int]], x: tuple[int, ...]) -> int:
     return r // 2
 
 
-def _checked_height(by_wedge: int, by_rank: int, xi: Covector) -> int:
+def _checked_height(L: LieAlgebra, xi: Covector):
+    """The height of xi by iterated wedging, cross-checked against the rank of
+    the skew pairing on ker xi (a mismatch raises, since the two must agree),
+    with d xi, the primitive integer vector x of xi and its pairing matrix."""
+    form = covector_form(L, xi)
+    omega = ce_differential(L, form)
+    by_wedge = _wedge_chain(form, omega)
+    x = _primitive(xi)
+    pairing = _pairing_matrix(L, x)
+    by_rank = _height_by_rank(pairing, x)
     if by_wedge != by_rank:
         raise DisagreementError(
             f"height oracles disagree on {xi}: wedge {by_wedge}, rank {by_rank}"
         )
-    return by_wedge
+    return by_wedge, omega, x, pairing
 
 
 def height(L: LieAlgebra, xi: Sequence) -> int:
@@ -361,26 +370,21 @@ def height(L: LieAlgebra, xi: Sequence) -> int:
     Nothing is stored, so a search over many candidates stays flat in memory;
     `covector_invariants` gives the full, once-per-algebra record.
     """
-    xi = _require_nonzero(L, xi)
-    form = covector_form(L, xi)
-    by_wedge = _wedge_chain(form, ce_differential(L, form))
-    x = _primitive(xi)
-    return _checked_height(by_wedge, _height_by_rank(_pairing_matrix(L, x), x), xi)
+    return _checked_height(L, _require_nonzero(L, xi))[0]
 
 
 @dataclass(frozen=True)
 class HeightReport:
     """Every per-covector invariant, each from its own computation.
 
-    height (the wedge oracle) and rank_height must agree; element_type and
-    cartan_class come from the powers of d xi, orbit_dim is the rank of the
-    pairing matrix and radial_in_orbit whether xi lies in its row space.  No
-    field is derived from another, so the identities checked by
-    `invariant_failures` compare independently computed numbers.
+    height is checked by two oracles (wedge chain and pairing rank);
+    element_type and cartan_class come from the powers of d xi, orbit_dim is
+    the rank of the pairing matrix and radial_in_orbit whether xi lies in its
+    row space.  No field is derived from another, so the identities checked
+    by `invariant_failures` compare independently computed numbers.
     """
 
     height: int
-    rank_height: int
     element_type: ElementType
     cartan_class: int
     orbit_dim: int
@@ -388,13 +392,7 @@ class HeightReport:
 
 
 def _build_invariants(L: LieAlgebra, xi: Covector) -> HeightReport:
-    form = covector_form(L, xi)
-    omega = ce_differential(L, form)
-    by_wedge = _wedge_chain(form, omega)
-    x = _primitive(xi)
-    pairing = _pairing_matrix(L, x)
-    by_rank = _height_by_rank(pairing, x)
-    k = _checked_height(by_wedge, by_rank, xi)
+    k, omega, x, pairing = _checked_height(L, xi)
     # r is the largest power with (d xi)^r != 0: type ONE iff (d xi)^{k+1} = 0,
     # and the class is 2k+1 when r equals k, else 2k+2
     r = _wedge_chain(GradedForm(L.dim, RATIONALS, {(): 1}), omega)
@@ -405,7 +403,7 @@ def _build_invariants(L: LieAlgebra, xi: Covector) -> HeightReport:
     orbit, radial = linalg.rank_and_membership(pairing, x)
     if orbit % 2:
         raise DisagreementError("coadjoint orbit dimension came out odd")
-    return HeightReport(by_wedge, by_rank, etype, cls, orbit, radial)
+    return HeightReport(k, etype, cls, orbit, radial)
 
 
 def covector_invariants(L: LieAlgebra, xi: Sequence) -> HeightReport:
@@ -463,20 +461,16 @@ def radial_in_orbit(L: LieAlgebra, xi: Sequence) -> bool:
 
 
 def killing_form(L: LieAlgebra) -> list[list[Fraction]]:
-    """B_ij = trace(ad_{b_i} ad_{b_j}), an exact symmetric matrix."""
-    ads = [L.ad_matrix(i) for i in range(1, L.dim + 1)]
-    n = L.dim
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            trace = Fraction(0)
-            for a in range(n):
-                for b in range(n):
-                    trace += ads[i][a][b] * ads[j][b][a]
-            row.append(trace)
-        out.append(row)
-    return out
+    """B_ij = trace(ad_{b_i} ad_{b_j}), an exact symmetric matrix, built once
+    per algebra and shared: callers read it and never modify it."""
+
+    def build():
+        ads = [L.ad_matrix(i) for i in range(1, L.dim + 1)]
+        n = range(L.dim)
+        return [[sum((x[a][b] * y[b][a] for a in n for b in n), Fraction(0)) for y in ads]
+                for x in ads]
+
+    return L.memo("killing_form", build)
 
 
 def derived_algebra(L: LieAlgebra) -> list[list[Fraction]]:

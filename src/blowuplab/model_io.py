@@ -390,10 +390,11 @@ def certificate_to_dict(cert: OrderCertificate, ring: PolyRing) -> dict:
 
 
 def verdict_to_dict(verdict: LiftVerdict) -> dict:
+    classification = verdict.classification
     out: dict = {
         "kind": verdict.kind,
-        "constant_height": verdict.height,
-        "classification": classification_to_dict(verdict.classification),
+        "constant_height": classification.constant_height,
+        "classification": classification_to_dict(classification),
         "charts": {
             str(chart): certificate_to_dict(cert, cert.leading.ring)
             for chart, cert in sorted(verdict.certificates.items())
@@ -407,9 +408,9 @@ def verdict_to_dict(verdict: LiftVerdict) -> dict:
             "spinor_agreement": verdict.spinor_agreement,
         },
     }
-    if verdict.witnesses is not None:
-        out["witnesses"] = [_witness_json(w) for w in verdict.witnesses]
-        out["witness_heights"] = list(verdict.witness_heights)
+    if classification.witnesses is not None:
+        out["witnesses"] = [_witness_json(w) for w in classification.witnesses]
+        out["witness_heights"] = list(classification.witness_heights)
     return out
 
 
@@ -458,21 +459,17 @@ _VERDICT_TEXT = {
 
 def render_human(result: AnalysisResult) -> str:
     verdict = result.verdict
+    c = verdict.classification
+    k = c.constant_height
     lines = [
         f"algebra: {result.name} (dim {result.dim})",
         f"seed: {result.seed}   samples: {result.samples}",
-        f"classification: {verdict.classification.kind}"
-        + (
-            f" (constant height {verdict.classification.constant_height})"
-            if verdict.classification.constant_height is not None
-            else ""
-        ),
-        f"verdict: {_VERDICT_TEXT[verdict.kind]}"
-        + (f" [k = {verdict.height}]" if verdict.height is not None else ""),
+        f"classification: {c.kind}" + (f" (constant height {k})" if k is not None else ""),
+        f"verdict: {_VERDICT_TEXT[verdict.kind]}" + (f" [k = {k}]" if k is not None else ""),
     ]
-    if verdict.witnesses is not None:
-        w1, w2 = verdict.witnesses
-        h1, h2 = verdict.witness_heights
+    if c.witnesses is not None:
+        w1, w2 = c.witnesses
+        h1, h2 = c.witness_heights
         lines.append(
             f"witnesses: {_render_witness(w1)} has height {h1}; "
             f"{_render_witness(w2)} has height {h2}"

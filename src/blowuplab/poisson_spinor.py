@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charts import BlowupChart
-from .classify import ClassificationVerdict, RealRootWitness, classify_constant_height
+from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
 from .exterior import GradedForm, GradedVector, exp_interior
 from .liealg import Covector, LieAlgebra, as_covector, covector_invariants
@@ -265,21 +265,18 @@ class LiftVerdict:
     """Certified liftability outcome with its cross-check against the spinor.
 
     kind: "lifts_as_poisson" (constant height 0), "lifts_as_dirac_only"
-    (constant height k >= 1), or "does_not_lift" (witness covectors of
-    distinct heights attached).  expected_order is dim - 1 - k for a constant
-    height k (None otherwise), and spinor_agreement says whether the chart
-    certificates confirm the classification ("confirmed") or leave it open
-    ("unconfirmed").
+    (constant height k >= 1), or "does_not_lift" (the classification carries
+    witness covectors of distinct heights).  expected_order is dim - 1 - k
+    for a constant height k (None otherwise), and spinor_agreement says
+    whether the chart certificates confirm the classification ("confirmed")
+    or leave it open ("unconfirmed").
     """
 
     kind: str
-    height: int | None
     classification: ClassificationVerdict
     certificates: dict[int, OrderCertificate]
     expected_order: int | None
     spinor_agreement: str
-    witnesses: tuple[Covector | RealRootWitness, Covector] | None = None
-    witness_heights: tuple[int, int] | None = None
 
 
 def spinor_chart_certificates(
@@ -315,7 +312,7 @@ def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) ->
                 f"chart {chart} reports order {cert.order} with status {cert.status}"
             )
         kind = "lifts_as_poisson" if k == 0 else "lifts_as_dirac_only"
-        return LiftVerdict(kind, k, classification, certificates, expected, spinor_status)
+        return LiftVerdict(kind, classification, certificates, expected, spinor_status)
 
     statuses = {cert.status for cert in certificates.values()}
     orders = {cert.order for cert in certificates.values()}
@@ -327,16 +324,7 @@ def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) ->
     spinor_status = (
         "confirmed" if "falsified" in statuses or len(orders) > 1 else "unconfirmed"
     )
-    return LiftVerdict(
-        "does_not_lift",
-        None,
-        classification,
-        certificates,
-        None,
-        spinor_status,
-        witnesses=classification.witnesses,
-        witness_heights=classification.witness_heights,
-    )
+    return LiftVerdict("does_not_lift", classification, certificates, None, spinor_status)
 
 
 

@@ -365,6 +365,9 @@ RATIONALS = Rationals()
 # the parser builds.  A power costs work in its exponent's value, not in the
 # few characters that write it, so an uncapped "y1^3000000" runs without bound.
 MAX_POWER_DEGREE = 64
+# Deepest nesting of parentheses and unary signs.  The parser recurses once per
+# level, so this bound keeps 1,000 leading "-" a parse error, not a RecursionError.
+MAX_NESTING = 100
 
 
 class _Degree(int):
@@ -413,6 +416,7 @@ class _PolyParser:
     def __init__(self, text: str, ring: PolyRing):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.ring = ring
 
     def _peek(self):
@@ -492,15 +496,19 @@ class _PolyParser:
                 raise ParseError(f"unknown variable {name!r}; ring has {self.ring.vars}")
             return self.ring.named(name)
         op = token.group("op")
-        if op == "(":
-            value = self._expr()
-            closing = self._next()
-            if closing.group("op") != ")":
-                raise ParseError("expected ')' in polynomial")
-            return value
+        if op not in ("(", "-"):
+            raise ParseError(f"unexpected token {token.group()!r} in polynomial")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and signs nest deeper than {MAX_NESTING}")
         if op == "-":
-            return -self._base()
-        raise ParseError(f"unexpected token {token.group()!r} in polynomial")
+            value = -self._base()
+        else:
+            value = self._expr()
+            if self._next().group("op") != ")":
+                raise ParseError("expected ')' in polynomial")
+        self.depth -= 1
+        return value
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

@@ -53,13 +53,18 @@ def random_vector(rng: random.Random, n: int, bound: int) -> tuple[Fraction, ...
             return vec
 
 
+def random_covectors(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:
+    """The endless seeded random draws that follow the deterministic seeds."""
+    rng = random.Random(seed)
+    while True:
+        yield random_vector(rng, n, _BOUND)
+
+
 def covector_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:
     """Deterministic seeds first, then an endless seeded random stream."""
     yield from dual_basis(n)
     yield from pairwise_combinations(n)
-    rng = random.Random(seed)
-    while True:
-        yield random_vector(rng, n, _BOUND)
+    yield from random_covectors(n, seed)
 
 
 def sampled_covectors(

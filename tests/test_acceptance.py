@@ -81,7 +81,7 @@ def test_criterion_1_so3_pipeline(capsys):
         assert payload["verdict"]["kind"] == "lifts_as_dirac_only"
         assert payload["verdict"]["constant_height"] == 1
         verdict = lift_verdict(so3())
-        assert verdict.height == 1
+        assert verdict.classification.constant_height == 1
         for chart, cert in verdict.certificates.items():
             assert cert.order == 1
             assert cert.status == "certified"
@@ -100,8 +100,10 @@ def test_criterion_2_sl2():
         L = sl2()
         verdict = lift_verdict(L)
         assert verdict.kind == "does_not_lift"
-        assert set(verdict.witness_heights) == {0, 1}
-        for xi, k in zip(verdict.witnesses, verdict.witness_heights):
+        assert set(verdict.classification.witness_heights) == {0, 1}
+        for xi, k in zip(
+            verdict.classification.witnesses, verdict.classification.witness_heights
+        ):
             assert height(L, xi) == k
         ring = PolyRing(("xi1", "xi2", "xi3"))
         xi = covector_form(L, [ring.variable(i) for i in (1, 2, 3)], ring)

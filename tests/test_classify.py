@@ -133,7 +133,7 @@ def test_forms_of_sl2_do_not_lift_with_witness_heights_0_and_1():
         verdict = lift_verdict(L, samples=10)
         assert time.perf_counter() - start < 1.0
         assert verdict.kind == "does_not_lift"
-        assert set(verdict.witness_heights) == {0, 1}
+        assert set(verdict.classification.witness_heights) == {0, 1}
 
 
 def test_sl2_witness_lies_on_a_half_cone():

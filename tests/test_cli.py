@@ -122,6 +122,17 @@ def test_bundle_scaling_power_cap_is_a_parse_error(capsys, f):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--f", "(" * 250 + "y1" + ")" * 250], ["--f=" + "-" * 1000 + "y1"]],
+    ids=["250 parentheses", "1000 signs"],
+)
+def test_deep_nesting_in_bundle_scaling_is_a_parse_error(capsys, argv):
+    start = time.perf_counter()
+    _assert_parse_error(capsys, "spinor", "--catalog", "scaled_so3_bundle", *argv)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bundle_scaling_power_within_cap(capsys):
     code, out, _ = run(
         capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", "(y1+y2+1)^8",

@@ -5,6 +5,8 @@ Each algebra is rewritten in seeded rational bases (entries p/q with
 and its lift verdict; a non-constant verdict must come with witnesses of two
 different heights.  For sl2 and sl3 these bases move the height-drop locus
 off every small rational point, so the verdict rests on real-root witnesses.
+For e(3) and sl2 x| sl2_ab they hide it from every seed; the drop lies on
+the annihilator of the Killing form's kernel, a rational subspace.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 from blowuplab import classify_constant_height, diagonal_affine, heis3, lift_verdict, sl2, so3
 from blowuplab.classify import RealRootWitness, verify_real_root_witness
-from conftest import seeded_conjugate, sl3
+from conftest import adjoint_extension, seeded_conjugate, sl3
 
 
 def _summary(verdict):
@@ -47,3 +49,15 @@ def test_sl3_verdict_is_invariant_under_rational_change_of_basis():
     assert isinstance(low, RealRootWitness) and verdict.witness_heights == (2, 3)
     assert verify_real_root_witness(L, low, 3)
     assert not verify_real_root_witness(L, replace(low, height=1), 3)
+
+
+@pytest.mark.parametrize("base", [so3, sl2], ids=["e3", "sl2_x_sl2_ab"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_semidirect_verdict_is_invariant_under_rational_change_of_basis(base, seed):
+    L = adjoint_extension(base())
+    conjugate = seeded_conjugate(L, seed)
+    start = time.perf_counter()
+    verdict = classify_constant_height(conjugate)
+    assert time.perf_counter() - start < 2.0
+    assert _summary(verdict) == _summary(classify_constant_height(L))
+    assert verdict.witness_heights == (1, 2)

@@ -378,20 +378,20 @@ def test_top_component_order_is_codim_minus_one():
 
 def test_lift_verdicts_catalog():
     verdict = lift_verdict(so3())
-    assert (verdict.kind, verdict.height) == ("lifts_as_dirac_only", 1)
+    assert (verdict.kind, verdict.classification.constant_height) == ("lifts_as_dirac_only", 1)
     assert verdict.spinor_agreement == "confirmed"
     assert verdict.expected_order == 1
 
     for L, param in ((diagonal_affine(2), 2), (abelian(4), None)):
         verdict = lift_verdict(L)
-        assert (verdict.kind, verdict.height) == ("lifts_as_poisson", 0)
+        assert (verdict.kind, verdict.classification.constant_height) == ("lifts_as_poisson", 0)
         assert verdict.expected_order == L.dim - 1
 
     for L in (sl2(), heis3()):
         verdict = lift_verdict(L)
         assert verdict.kind == "does_not_lift"
-        assert verdict.witnesses is not None
-        h1, h2 = verdict.witness_heights
+        assert verdict.classification.witnesses is not None
+        h1, h2 = verdict.classification.witness_heights
         assert h1 != h2
         assert verdict.spinor_agreement == "confirmed"
 

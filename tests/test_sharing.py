@@ -4,7 +4,8 @@
 covectors.  The linear Poisson bivector, its spinor and chart pullbacks, the
 lifted Hamiltonian fields and each covector's invariant record are built once
 per algebra and read by every suite; the witness search alone calls the plain
-height oracle, one call per candidate.  A chart pullback rewrites exponents
+height oracle, one call per candidate, and it leaves its random draws to the
+inputs that need them.  A chart pullback rewrites exponents
 and a line restriction evaluates monomials, so neither substitutes, wedges
 or multiplies polynomials.  Call counts come from cProfile, so they count
 every call whatever name it goes through.
@@ -17,12 +18,13 @@ import pstats
 from fractions import Fraction
 
 import blowuplab.classify as classify_mod
-from blowuplab import change_basis, charts, liealg, poisson_spinor, sl2
+from blowuplab import change_basis, charts, heis3, liealg, poisson_spinor, sl2, so3
 from blowuplab.cli import main
 from blowuplab.exterior import GradedForm
 from blowuplab.model_io import serialize_algebra
 from blowuplab.rings import Polynomial
-from conftest import sl3
+from blowuplab.sampling import dual_basis, pairwise_combinations
+from conftest import adjoint_extension, filiform, gl, heis, seeded_conjugate, sl3, so
 
 SAMPLES = 30
 DIM = 3  # sl2
@@ -63,6 +65,26 @@ def test_analyze_shares_every_per_algebra_quantity(capsys, monkeypatch):
     assert _calls(profile, charts.BlowupChart.lift_vector_field) <= DIM * DIM
     assert _calls(profile, liealg.height) == len(candidates)
     assert _calls(profile, liealg.ce_differential) <= SAMPLES + len(candidates)
+
+
+def test_witness_search_decides_without_random_draws(monkeypatch):
+    """Structural candidates and the slice phase decide the ladder and these
+    conjugates; the random draws are left for a generic height above every
+    seed's (so5 in its standard basis: every seed has height 3, a generic
+    covector height 4)."""
+
+    def no_draws(n, seed):
+        raise AssertionError("the witness search reached its random draws")
+
+    monkeypatch.setattr(classify_mod, "random_covectors", no_draws)
+    algebras = [sl2(), heis3(), heis(2), filiform(5), sl3(), so(4), gl(3)]
+    for build in (heis3, sl2, lambda: so(4), lambda: adjoint_extension(so3())):
+        algebras += [seeded_conjugate(build(), seed) for seed in (1, 2)]
+    for L in algebras:
+        low, high = classify_mod.classify_constant_height(L).witness_heights
+        assert low < high, L.name
+        seeds = dual_basis(L.dim) + pairwise_combinations(L.dim)
+        assert max(liealg.height(L, xi) for xi in seeds) >= 1, L.name
 
 
 def test_height_kernel_tables_are_built_once_per_algebra(capsys, tmp_path):
