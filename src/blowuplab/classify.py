@@ -192,9 +192,14 @@ def _first_two_heights(L: LieAlgebra, candidates, seen: dict[int, Covector]) -> 
 def _find_height_witnesses(L: LieAlgebra, seed: int):
     """Two covectors of different heights: the structural candidates, then
     the slice phase, then seeded random draws, WITNESS_CAP candidates in all
-    outside the slice phase."""
+    outside the slice phase.  The first random draw comes before the slice:
+    when every structural candidate sits below the generic height (so(5)'s
+    standard basis), it decides at once and the slice is never searched."""
     seen: dict[int, Covector] = {}
     tried = _first_two_heights(L, _structural_candidates(L), seen)
+    draws = random_covectors(L.dim, seed)
+    if len(seen) == 1:
+        tried += _first_two_heights(L, itertools.islice(draws, 1), seen)
     top = max(seen)
     if len(seen) == 1 and top:
         found = _slice_witness(L, top, seed)
@@ -205,8 +210,7 @@ def _find_height_witnesses(L: LieAlgebra, seed: int):
         if found is not None:
             _first_two_heights(L, [found], seen)
     if len(seen) == 1:
-        draws = itertools.islice(random_covectors(L.dim, seed), max(WITNESS_CAP - tried, 0))
-        _first_two_heights(L, draws, seen)
+        _first_two_heights(L, itertools.islice(draws, max(WITNESS_CAP - tried, 0)), seen)
     if len(seen) == 1:
         raise WitnessSearchError(
             f"no height witness pair found within {WITNESS_CAP} samples; "

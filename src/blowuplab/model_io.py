@@ -40,6 +40,9 @@ from .poisson_spinor import (
 from .rings import Polynomial, PolyRing, format_rational, parse_rational
 
 SCHEMA_VERSION = 1
+# The work budget, the largest dimension of a document or catalog algebra: the
+# spinor has 2^(dim-1) coefficients, and a larger dimension is refused up front.
+MAX_DIM = 12
 
 _METADATA_KEYS = ("expected_verdict", "expected_height", "note")
 
@@ -85,6 +88,10 @@ def parse_document(text: str) -> AlgebraDocument:
             dim = _parse_int(value, lineno, "dimension")
             if dim < 1:
                 raise ParseError("dimension must be positive", line=lineno)
+            if dim > MAX_DIM:
+                raise DomainError(
+                    f"dimension {dim} on line {lineno} exceeds the limit of {MAX_DIM}"
+                )
         elif key == "bracket":
             fields = value.split()
             if len(fields) != 4:
@@ -244,7 +251,7 @@ class CatalogEntry:
 # listed, expected verdict, expected height, note).  A fixed entry has no
 # members; a family's builder takes its parameter n, its dimension is
 # n + the given offset, and `catalog` lists the members shown.  The resolver
-# accepts any family member n >= 1 of dimension <= MAX_CATALOG_DIM.
+# accepts any family member n >= 1 of dimension <= MAX_DIM.
 _CATALOG = {
     "so3": (so3, 3, None, "lifts_as_dirac_only", 1, "compact simple"),
     "sl2": (sl2, 3, None, "does_not_lift", None, "split simple"),
@@ -254,8 +261,6 @@ _CATALOG = {
         diagonal_affine, 1, range(1, 6), "lifts_as_poisson", 0, "R acting diagonally on R^n"
     ),
 }
-
-MAX_CATALOG_DIM = 12
 
 
 def catalog_entries() -> list[CatalogEntry]:
@@ -278,7 +283,7 @@ def catalog_entries() -> list[CatalogEntry]:
 
 def catalog_algebra(name: str) -> LieAlgebra:
     """Resolve a catalog name to a validated algebra; parametrized names
-    (abelianN, diagonal_affineN) accept any N with resulting dim <= 12."""
+    (abelianN, diagonal_affineN) accept any N with resulting dim <= MAX_DIM."""
     row = _CATALOG.get(name)
     if row is not None and row[2] is None:
         return row[0]().validate()
@@ -290,11 +295,11 @@ def catalog_algebra(name: str) -> LieAlgebra:
     try:
         n = int(match.group(2))
     except ValueError:  # longer than int() accepts, far beyond the cap
-        raise DomainError(f"{name!r} has dimension > {MAX_CATALOG_DIM}") from None
+        raise DomainError(f"{name!r} has dimension > {MAX_DIM}") from None
     if n < 1:
         raise DomainError(f"catalog parameter must be positive in {name!r}")
-    if n + offset > MAX_CATALOG_DIM:
-        raise DomainError(f"{name!r} has dimension {n + offset} > {MAX_CATALOG_DIM}")
+    if n + offset > MAX_DIM:
+        raise DomainError(f"{name!r} has dimension {n + offset} > {MAX_DIM}")
     return build(n).validate()
 
 

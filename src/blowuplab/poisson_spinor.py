@@ -13,14 +13,17 @@ rational divisor point, or reported as undetermined, never guessed.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
-from .exterior import GradedForm, GradedVector, exp_interior
+from .exterior import GradedForm, GradedVector, _check_insertion
 from .liealg import Covector, LieAlgebra, as_covector, covector_invariants
 from .rings import Polynomial, PolyRing, Rational
 from .sampling import DEFAULT_SEED, point_stream, sampled_covectors
@@ -59,8 +62,42 @@ def volume_form(ring: PolyRing) -> GradedForm:
 
 
 def spinor(pi: GradedVector) -> GradedForm:
-    """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m."""
-    return exp_interior(pi, volume_form(pi.ring))
+    """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m, from the
+    principal Pfaffians of pi: for J of even size 2k with complement I, the
+    coefficient of dx_I is sign(J I) Pf(pi_JJ), the sign of the permutation
+    sorting J followed by I.  Each Pfaffian is expanded along min J over the
+    nonzero smaller ones, in integers for D pi (D the lcm of the coefficient
+    denominators); Pf(D pi_JJ) = D^k Pf(pi_JJ) is divided by D^k at the end."""
+    lam = volume_form(pi.ring)
+    _check_insertion("spinor", pi, lam, degree=2)
+    scale = lcm(*(c.denominator for p in pi.terms.values() for c in p.terms.values()))
+    entries = [
+        (a, b, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()])
+        for (a, b), p in pi.terms.items()
+    ]
+    level = pfaffians = {(): {(0,) * len(pi.ring.vars): 1}}
+    while level:
+        grown: dict[tuple[int, ...], dict] = {}
+        for rest, pf in level.items():
+            for a, b, entry in entries:
+                if rest and a >= rest[0] or b in rest:
+                    continue
+                below = bisect_left(rest, b)  # b sits at position 2 + below in J
+                acc = grown.setdefault((a,) + rest[:below] + (b,) + rest[below:], {})
+                for e1, c1 in entry:
+                    c1 = -c1 if below & 1 else c1
+                    for e2, c2 in pf.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        level = {J: pf for J, acc in grown.items() if (pf := {e: c for e, c in acc.items() if c})}
+        pfaffians.update(level)
+    terms = {}
+    for J, pf in pfaffians.items():
+        I = tuple(i for i in range(1, lam.dim + 1) if i not in J)
+        sign, den = (-1) ** sum(i < j for j in J for i in I), scale ** (len(J) // 2)
+        coeffs = {e: Fraction(sign * c, den) for e, c in pf.items()}
+        terms[I] = Polynomial._trusted(pi.ring.vars, coeffs)
+    return GradedForm._trusted(lam.dim, pi.ring, terms)
 
 
 def hamiltonian_field(pi: GradedVector, i: int) -> tuple[Polynomial, ...]:
@@ -171,6 +208,30 @@ def _divisor_points(cf: ChartForm, seed: int, samples: int):
         yield tuple(point)
 
 
+def _integer_terms(poly: Polynomial) -> list[tuple[int, tuple[int, ...], int]]:
+    """(c, e, pad) for each term of a positive integer multiple of poly padded
+    to its total degree: poly(p/q) = 0 exactly when sum c * p^e * q^pad = 0."""
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    top = max(map(sum, poly.terms))
+    return [(c.numerator * (den // c.denominator), e, top - sum(e)) for e, c in poly.terms.items()]
+
+
+def _all_vanish(compiled, point: tuple[Fraction, ...]) -> bool:
+    """Whether every compiled polynomial is zero at the point, in integers."""
+    q = lcm(*(v.denominator for v in point))
+    nums = [v.numerator * (q // v.denominator) for v in point]
+    for terms in compiled:
+        total = 0
+        for c, exps, pad in terms:
+            for n, e in zip(nums, exps):
+                if e:
+                    c *= n**e
+            total += c * q**pad
+        if total:
+            return False
+    return True
+
+
 def vanishing_order(
     cf: ChartForm, seed: int = DEFAULT_SEED, samples: int = 200
 ) -> OrderCertificate:
@@ -195,8 +256,9 @@ def vanishing_order(
                 certificate=f"coefficient of {where}: {reason}",
             )
 
+    compiled = [_integer_terms(poly) for poly in leading.terms.values()]
     for point in _divisor_points(cf, seed, samples):
-        if all(poly.evaluate(point) == 0 for poly in leading.terms.values()):
+        if _all_vanish(compiled, point):
             return replace(undetermined, status="falsified", witness_point=point)
     return undetermined
 
@@ -407,12 +469,9 @@ def perturbation_invariance_check(
     cf_base = shared_pullback(L, chart)
     order_base, lead_base = _leading_form(cf_base)
     order_pert, lead_pert = _leading_form(blowup_pullback(spinor(pi + w), chart))
+    base, pert = ([_integer_terms(p) for p in f.terms.values()] for f in (lead_base, lead_pert))
     points = tuple(
-        (
-            point,
-            any(p.evaluate(point) != 0 for p in lead_base.terms.values()),
-            any(p.evaluate(point) != 0 for p in lead_pert.terms.values()),
-        )
+        (point, not _all_vanish(base, point), not _all_vanish(pert, point))
         for point in _divisor_points(cf_base, seed, samples)
     )
     return PerturbationReport(chart, order_base, order_pert, points)

@@ -104,14 +104,26 @@ def isolating_intervals(p: Poly) -> list[tuple[Fraction, Fraction]]:
     return sorted(out)
 
 
+_PRETEST_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+
+
+def _has_root_mod(q: tuple[int, ...], prime: int) -> bool:
+    reduced = [c % prime for c in q]
+    return any(sum(c * x**i for i, c in enumerate(reduced)) % prime == 0 for x in range(prime))
+
+
 def rational_root(p: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
     """The root of p in its isolating interval (lo, hi] if it is rational,
     without factoring: a root a/b of the primitive integer square-free part
     q has b | lc(q), and such fractions lie at least 1/lc^2 apart.  So once
     the interval is bisected below width 1/lc^2, steered by the sign of q
     (the root is simple), the only candidate is the fraction of denominator
-    at most lc closest to its midpoint."""
+    at most lc closest to its midpoint.  First a modular pre-test: that
+    root a/b would give the root a/b mod p of q mod p for every prime p not
+    dividing lc(q), since p does not divide b either."""
     q = tuple(int(c) for c in _primitive(squarefree(p)))
+    if any(q[-1] % prime and not _has_root_mod(q, prime) for prime in _PRETEST_PRIMES):
+        return None
     at_hi = _scaled_value(q, hi)
     while at_hi and hi - lo >= Fraction(1, q[-1] ** 2):
         mid = (lo + hi) / 2

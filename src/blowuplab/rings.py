@@ -38,7 +38,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Rational) -> str:
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -53,12 +52,6 @@ def join_signed(pieces: Sequence[str]) -> str:
     for piece in pieces[1:]:
         out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
     return out
-
-
-def _display_key(exponents):
-    # graded order: total degree first, then lexicographic with earlier
-    # variables dominating (so "1 + x2^2 + x3^2" renders in that order)
-    return (sum(exponents), tuple(-e for e in exponents))
 
 
 class Polynomial:
@@ -267,8 +260,12 @@ class Polynomial:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
+        # graded order: total degree first, then lexicographic with earlier
+        # variables dominating (so "1 + x2^2 + x3^2" renders in that order);
+        # the stored keys ascend lexicographically, so a stable sort of their
+        # reverse on degree alone gives it
         rendered = []
-        for exps in sorted(self.terms, key=_display_key):
+        for exps in sorted(reversed(self.terms), key=sum):
             coeff = self.terms[exps]
             factors = [
                 self.vars[i] if e == 1 else f"{self.vars[i]}^{e}"

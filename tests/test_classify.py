@@ -29,7 +29,7 @@ from blowuplab import (
 )
 from blowuplab.classify import RealRootWitness, verify_real_root_witness
 from blowuplab.linalg import det, is_negative_definite, leading_principal_minors
-from conftest import seeded_conjugate
+from conftest import seeded_conjugate, so
 
 # the real form of sl2 whose height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has
 # real points but no rational ones
@@ -134,6 +134,37 @@ def test_forms_of_sl2_do_not_lift_with_witness_heights_0_and_1():
         assert time.perf_counter() - start < 1.0
         assert verdict.kind == "does_not_lift"
         assert set(verdict.classification.witness_heights) == {0, 1}
+
+
+def test_so5_is_decided_by_the_first_draw_without_the_slice(monkeypatch):
+    # every structural candidate of so(5) has height 3, below the generic 4,
+    # so a slice search for a drop below 3 finds nothing; the first seeded
+    # draw, taken before the slice, already gives the pair (3, 4)
+    import blowuplab.classify as classify_mod
+
+    def fail(*args):
+        raise AssertionError("the slice phase ran")
+
+    monkeypatch.setattr(classify_mod, "_slice_witness", fail)
+    verdict = classify_constant_height(so(5))
+    assert verdict.kind == "not_constant_height"
+    assert verdict.witness_heights == (3, 4)
+
+
+def test_rational_root_rejects_a_root_free_residue_without_bisecting(monkeypatch):
+    # 7^60 t^2 - 2 has two irrational roots 1/7^30 apart around +-sqrt(2)/7^30;
+    # bisecting to width 1/lc^2 would take some 340 evaluations, but mod 3 it
+    # is t^2 + 1, which has no root
+    p = (Fraction(-2), Fraction(0), Fraction(7**60))
+    intervals = realroots.isolating_intervals(p)
+    assert len(intervals) == 2
+    calls = []
+    scaled_value = realroots._scaled_value
+    monkeypatch.setattr(
+        realroots, "_scaled_value", lambda q, x: calls.append(x) or scaled_value(q, x)
+    )
+    assert [realroots.rational_root(p, *interval) for interval in intervals] == [None, None]
+    assert len(calls) <= 2
 
 
 def test_sl2_witness_lies_on_a_half_cone():

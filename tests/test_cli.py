@@ -170,6 +170,17 @@ def test_overlong_catalog_parameter_is_a_usage_error(capsys):
     assert "has dimension > 12" in err
 
 
+@pytest.mark.parametrize("dim", [13, 9999])
+def test_document_over_the_dimension_budget_is_a_usage_error(tmp_path, capsys, dim):
+    path = tmp_path / "big.alg"
+    path.write_text(f"schema_version: 1\ndimension: {dim}\nbracket: 1 2 3 1\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 64
+    assert f"dimension {dim}" in err and "limit of 12" in err
+
+
 def test_jacobi_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.alg"
     path.write_text(

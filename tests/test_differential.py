@@ -6,11 +6,13 @@ operations and polynomial arithmetic build their results through trusted
 constructors, the rank oracle eliminates integer matrices, the shuffle sign
 of two index tuples comes from one linear merge, a blowup chart pulls forms
 back by rewriting exponents, the line restriction evaluates monomials into
-buckets, and the Jacobi check reads its double brackets off the stored
-constants.  Each is checked here against an independent path on
+buckets, the Jacobi check reads its double brackets off the stored
+constants, and the spinor e^{i_pi} lambda is read off integer principal
+Pfaffians.  Each is checked here against an independent path on
 hypothesis-drawn inputs: the term-by-term derivation of d, the validating
-public constructors, sympy's rank of the rational restricted pairing, and
-the substitute-and-wedge and general-bracket bodies the new code replaced.
+public constructors, sympy's rank of the rational restricted pairing, the
+substitute-and-wedge and general-bracket bodies the new code replaced, and
+the series of insertions `exp_interior`.
 The real-root kernel behind the constructed height witnesses (gcd,
 square-free part, Sturm counts, isolating intervals, the rational-root test)
 is checked against sympy's polynomial arithmetic and real roots.
@@ -44,10 +46,12 @@ from blowuplab import (
     restrict_to_line,
     sl2,
     so3,
+    spinor,
+    volume_form,
 )
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart
-from blowuplab.exterior import _merge_sign, multi_interior
+from blowuplab.exterior import _merge_sign, exp_interior, multi_interior
 from blowuplab.linalg import det, rank, rank_and_membership
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -324,6 +328,28 @@ def polynomial_forms(draw, ring):
         indices = draw(st.permutations(range(1, dim + 1)))[:degree]
         terms[tuple(indices)] = draw(polynomials(ring.vars))
     return GradedForm(dim, ring, terms)
+
+
+@st.composite
+def skew_bivectors(draw):
+    """A bivector of dimension 0-7 over a ring of fibre and base variables,
+    with rational polynomial entries, most pairs left zero."""
+    m = draw(st.integers(0, 7))
+    base = draw(st.integers(0, min(m, 2)))
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, m - base + 1)) + ("y1", "y2")[:base])
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    entries = pairs and draw(
+        st.dictionaries(st.sampled_from(pairs), polynomials(ring.vars, max_terms=3), max_size=10)
+    )
+    return GradedVector(m, ring, entries)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(pi=skew_bivectors())
+def test_pfaffian_spinor_matches_exp_interior(pi):
+    event(f"dimension {pi.dim}")
+    names = tuple("d" + v for v in pi.ring.vars)
+    _same_form(spinor(pi), exp_interior(pi, volume_form(pi.ring)), names)
 
 
 @st.composite

@@ -6,7 +6,11 @@ The files under ``golden/`` hold the machine output of ``analyze``,
 human output of ``spinor`` on the ``scaled_so3_bundle`` partial blowup (whose
 charts carry the unblown base variables y1, y2) for two scalings f, the
 machine and human output of ``catalog``, and the machine and human output of
-``analyze`` on the anisotropic sl2, whose lower witness is a real root.  Any change to a verdict, a certificate, a
+``analyze`` on the anisotropic sl2, whose lower witness is a real root, and
+the machine output of ``spinor`` on two checked-in documents: so(4) in its
+standard basis (dimension 6, spinor terms up to degree 6) and a rational
+conjugate of so(3), whose denominators exercise the spinor's division by
+powers of the common denominator.  Any change to a verdict, a certificate, a
 sampled covector or the JSON layout shows up here as a byte difference.
 """
 
@@ -84,4 +88,12 @@ def test_real_root_witness_output_matches_golden(tmp_path, capsys, fmt, golden):
     argv = ["analyze", "--input", str(path), "--format", fmt]
     assert main(argv + ["--seed", "1729", "--samples", "20"]) == 0
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("stem", ["so4", "so3_conjugate"])
+def test_document_spinor_output_matches_golden(capsys, stem):
+    argv = ["spinor", "--input", str(GOLDEN / f"{stem}.alg"), "--format", "machine"]
+    assert main(argv + ["--seed", "1729", "--samples", "20"]) == 0
+    expected = (GOLDEN / f"spinor_{stem}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

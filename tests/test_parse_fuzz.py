@@ -1,5 +1,7 @@
 """Fuzzing of the document parser: any text either parses to an
-AlgebraDocument or is rejected with a ParseError, never another exception.
+AlgebraDocument or is rejected with a ParseError, never another exception,
+except that a declared dimension over the work budget MAX_DIM is refused
+with a DomainError (a usage error at the command line).
 
 Two sources of input: arbitrary text, and documents shaped like the grammar
 whose literals are drawn from valid, malformed, zero-denominator and
@@ -11,7 +13,8 @@ from __future__ import annotations
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from blowuplab import AlgebraDocument, ParseError, parse_document
+from blowuplab import AlgebraDocument, DomainError, ParseError, parse_document
+from blowuplab.model_io import MAX_DIM
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -21,6 +24,10 @@ def _parses_or_rejects(text: str) -> None:
         doc = parse_document(text)
     except ParseError:
         event("ParseError")
+        return
+    except DomainError as exc:
+        assert f"exceeds the limit of {MAX_DIM}" in str(exc)
+        event("over the dimension budget")
         return
     event("parsed")
     assert isinstance(doc, AlgebraDocument)

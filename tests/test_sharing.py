@@ -4,11 +4,11 @@
 covectors.  The linear Poisson bivector, its spinor and chart pullbacks, the
 lifted Hamiltonian fields and each covector's invariant record are built once
 per algebra and read by every suite; the witness search alone calls the plain
-height oracle, one call per candidate, and it leaves its random draws to the
-inputs that need them.  A chart pullback rewrites exponents
-and a line restriction evaluates monomials, so neither substitutes, wedges
-or multiplies polynomials.  Call counts come from cProfile, so they count
-every call whatever name it goes through.
+height oracle, one call per candidate, and past its first draw it leaves its
+random draws to the inputs that need them.  A chart pullback rewrites
+exponents and a line restriction evaluates monomials, so neither
+substitutes, wedges or multiplies polynomials.  Call counts come from
+cProfile, so they count every call whatever name it goes through.
 """
 
 from __future__ import annotations
@@ -69,20 +69,27 @@ def test_analyze_shares_every_per_algebra_quantity(capsys, monkeypatch):
 
 def test_witness_search_decides_without_random_draws(monkeypatch):
     """Structural candidates and the slice phase decide the ladder and these
-    conjugates; the random draws are left for a generic height above every
-    seed's (so5 in its standard basis: every seed has height 3, a generic
-    covector height 4)."""
+    conjugates.  The first random draw, taken before the slice, is a witness
+    only for a generic height above every seed's (so5 in its standard basis:
+    every seed has height 3, a generic covector height 4); here it is none,
+    and no later draw is taken."""
+    first_draws = []
+    random_covectors = classify_mod.random_covectors
 
-    def no_draws(n, seed):
-        raise AssertionError("the witness search reached its random draws")
+    def one_draw(n, seed):
+        first_draws.append(next(random_covectors(n, seed)))
+        yield first_draws[-1]
+        raise AssertionError("the witness search drew past its first random covector")
 
-    monkeypatch.setattr(classify_mod, "random_covectors", no_draws)
+    monkeypatch.setattr(classify_mod, "random_covectors", one_draw)
     algebras = [sl2(), heis3(), heis(2), filiform(5), sl3(), so(4), gl(3)]
     for build in (heis3, sl2, lambda: so(4), lambda: adjoint_extension(so3())):
         algebras += [seeded_conjugate(build(), seed) for seed in (1, 2)]
     for L in algebras:
-        low, high = classify_mod.classify_constant_height(L).witness_heights
+        verdict = classify_mod.classify_constant_height(L)
+        low, high = verdict.witness_heights
         assert low < high, L.name
+        assert not set(verdict.witnesses) & set(first_draws), L.name
         seeds = dual_basis(L.dim) + pairwise_combinations(L.dim)
         assert max(liealg.height(L, xi) for xi in seeds) >= 1, L.name
 
