@@ -102,17 +102,17 @@ class BlowupChart:
         col = self.chart - 1
         out: dict[tuple, dict[tuple, Fraction]] = {}
         for indices, poly in form.terms.items():
-            pulled = [(self._pull_exponents(e), coeff) for e, coeff in poly.terms.items()]
+            signed = {1: [(self._pull_exponents(e), coeff) for e, coeff in poly.terms.items()]}
             for target, sign, shift, raised in self._pull_basis_form(indices):
+                if sign not in signed:  # each coefficient is negated once per form term
+                    signed[sign] = [(exps, -coeff) for exps, coeff in signed[1]]
                 bucket = out.setdefault(target, {})
-                for exps, coeff in pulled:
+                for exps, coeff in signed[sign]:
                     exps = exps.copy()
                     exps[col] += shift
                     if raised is not None:
                         exps[raised - 1] += 1
                     key = tuple(exps)
-                    if sign < 0:
-                        coeff = -coeff
                     if key in bucket:
                         coeff = bucket[key] + coeff
                     bucket[key] = coeff

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import linalg, realroots
 from .errors import DisagreementError, WitnessSearchError
 from .liealg import Covector, LieAlgebra, as_covector, ce_differential, covector_form
-from .liealg import covector_invariants, derived_algebra, height, killing_form, _primitive
+from .liealg import covector_invariants, derived_algebra, height, killing_form
 from .rings import PolyRing
 from .sampling import DEFAULT_SEED, dual_basis, pairwise_combinations, random_covectors
 from .sampling import random_vector, sampled_covectors
@@ -100,7 +100,7 @@ def _structural_candidates(L: LieAlgebra):
     for ideal in (derived_algebra, lambda L: linalg.null_space(killing_form(L), L.dim)):
         rows = ideal(L)
         if rows:
-            yield from (tuple(vec) for vec in linalg.null_space(rows, n) if any(vec))
+            yield from (as_covector(vec) for vec in linalg.null_space(rows, n) if any(vec))
 
 
 def _line_chain(L: LieAlgebra, base: Covector, direction: Covector, top: int):
@@ -150,19 +150,19 @@ def _slice_witness(L: LieAlgebra, top: int, seed: int):
     killing = killing_form(L)
     value = lambda y: sum(a * b for a, b in zip(y, linalg.mat_vec(killing, y)))  # noqa: E731
     for _ in range(_SLICE_LINES):
-        x = random_vector(rng, n, 20)
+        x = random_vector(rng, n)
         h = linalg.null_space(list(zip(*(L.bracket(x, e) for e in dual_basis(n)))), n)
         if len(h) == 1:
             # h = R x: on sl2's forms ad_x flips the Killing sign on its image, so r = [x, z]
             # or [x, r] has the sign opposite to x's and the line crosses the isotropic cone
-            h.append(L.bracket(x, random_vector(rng, n, 20)))
+            h.append(L.bracket(x, random_vector(rng, n)))
             if value(x) * value(h[1]) >= 0:
                 h[1] = L.bracket(x, h[1])
         base, direction = (linalg.mat_vec(killing, y) for y in h[:2])
         if linalg.rank([base, direction]) < 2:
             continue
         # positive rescalings keep every height and shrink the coefficients
-        base, direction = (as_covector(_primitive(v)) for v in (base, direction))
+        base, direction = (as_covector(linalg.primitive(v)) for v in (base, direction))
         levels = _line_chain(L, base, direction, top)
         if not levels[top]:
             return base

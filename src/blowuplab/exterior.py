@@ -224,6 +224,7 @@ class _Alternating:
             raise StructureError("need one basis name per dimension")
         pieces = []
         one = self.ring.one()
+        minus_one = -one
         for indices, coeff in self.terms.items():
             body = "∧".join(names[i - 1] for i in indices)
             text = str(coeff)
@@ -231,7 +232,7 @@ class _Alternating:
                 pieces.append(text)
             elif coeff == one:
                 pieces.append(body)
-            elif coeff == -one:
+            elif coeff == minus_one:
                 pieces.append("-" + body)
             else:
                 if " " in text:  # multi-term polynomial coefficient

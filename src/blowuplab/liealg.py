@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from math import gcd
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -282,22 +281,10 @@ def _wedge_chain(form: GradedForm, omega: GradedForm) -> int:
         j += 1
 
 
-def _primitive(xi: Covector) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of xi: xi times the lcm of its
-    denominators, divided by the gcd of the resulting integers."""
-    scale = linalg.denominator_lcm(xi)
-    ints = [v.numerator * (scale // v.denominator) for v in xi]
-    content = gcd(*ints)
-    return tuple(v // content for v in ints)
-
-
 def _integer_constants(L: LieAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
     """The stored i < j structure constants times their common denominator, as ints."""
-    scale = linalg.denominator_lcm([v for vec in L._pairs.values() for v in vec])
-    return {
-        key: tuple(v.numerator * (scale // v.denominator) for v in vec)
-        for key, vec in L._pairs.items()
-    }
+    ints = iter(linalg.integer_multiple(v for vec in L._pairs.values() for v in vec)[1])
+    return {key: tuple(next(ints) for _ in vec) for key, vec in L._pairs.items()}
 
 
 def _pairing_matrix(L: LieAlgebra, x: tuple[int, ...]) -> list[list[int]]:
@@ -352,7 +339,7 @@ def _checked_height(L: LieAlgebra, xi: Covector):
     form = covector_form(L, xi)
     omega = ce_differential(L, form)
     by_wedge = _wedge_chain(form, omega)
-    x = _primitive(xi)
+    x = linalg.primitive(xi)
     pairing = _pairing_matrix(L, x)
     by_rank = _height_by_rank(pairing, x)
     if by_wedge != by_rank:

@@ -1,16 +1,17 @@
-"""Exact linear algebra over the rationals.
-
-Rank and determinant use fraction-free (Bareiss) elimination on integer
-matrices obtained by clearing denominators row by row (rows of ints are
-used as they are); this keeps all intermediate values integral and avoids
-coefficient blowup at the small dimensions used here.  Basis extraction uses ordinary rational Gauss-Jordan.
+"""Exact linear algebra over the rationals, and the one place where rational
+vectors become integer ones: `integer_multiple` (D times the vector, D the
+lcm of its denominators) and `primitive` (that multiple over the gcd of its
+entries) feed every integer kernel.  Rank and determinant use fraction-free
+(Bareiss) elimination on rows so cleared (rows of ints are used as they
+are), which keeps intermediate values integral; basis extraction uses
+rational Gauss-Jordan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
-from typing import Sequence
+from math import gcd, lcm, prod
+from typing import Iterable, Sequence
 
 from .errors import InternalError, StructureError
 
@@ -18,25 +19,27 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def denominator_lcm(row: Sequence[Fraction]) -> int:
-    scale = 1
-    for x in row:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    return scale
+def integer_multiple(values: Iterable) -> tuple[int, list[int]]:
+    """(D, D * values) for ints and rationals, D the lcm of their denominators."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def primitive(values: Iterable) -> tuple[int, ...]:
+    """The positive multiple of a nonzero vector with coprime integer entries."""
+    ints = integer_multiple(values)[1]
+    content = gcd(*ints)
+    return tuple(v // content for v in ints)
 
 
 def _as_int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank-preserving); rows
     of ints are copied as they are."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        row = [Fraction(x) for x in row]
-        scale = denominator_lcm(row)
-        out.append([int(x * scale) for x in row])
-    return out
+    return [
+        list(row) if all(type(x) is int for x in row) else integer_multiple(row)[1]
+        for row in rows
+    ]
 
 
 def _eliminate(m: list[list[int]], n_pivot_rows: int) -> tuple[int, int]:
@@ -101,13 +104,12 @@ def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
         raise StructureError("determinant needs a square matrix")
     if n == 0:
         return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    scale = prod(denominator_lcm(row) for row in rows)
+    scales, rows = zip(*map(integer_multiple, matrix))
     # after full Bareiss elimination the last pivot is the determinant of
     # the row-permuted integer matrix
-    m = _as_int_rows(rows)
+    m = list(rows)
     r, sign = _eliminate(m, n)
-    return Fraction(sign * m[-1][-1], scale) if r == n else Fraction(0)
+    return Fraction(sign * m[-1][-1], prod(scales)) if r == n else Fraction(0)
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -151,7 +153,7 @@ def in_row_space(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction])
     return rank_and_membership(rows, vector)[1]
 
 
-def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[Vector]:
+def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[list[int]]:
     """Basis of {x : rows . x = 0}, denominators cleared to integer vectors."""
     echelon = rref_basis(rows)
     pivots = []
@@ -160,12 +162,11 @@ def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[Vector]:
     free = [i for i in range(n_cols) if i not in pivots]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
+        vec = [0] * n_cols
+        vec[f] = 1
         for row, p in zip(echelon, pivots):
             vec[p] = -row[f]
-        scale = denominator_lcm(vec)
-        basis.append([x * scale for x in vec])
+        basis.append(integer_multiple(vec)[1])
     return basis
 
 

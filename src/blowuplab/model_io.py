@@ -214,7 +214,7 @@ SCALED_SO3_RING = coordinate_ring(3, base=("y1", "y2"))
 SCALED_SO3_BLOWN = (1, 2, 3)
 
 
-def scaled_so3_bundle(f: Polynomial | str) -> GradedVector:
+def scaled_so3_bundle(f: str) -> GradedVector:
     """Bundle fixture: fibres scaled by a polynomial f(y1, y2).
 
     The bracket [e_i, e_j] = f * sum_k eps_ijk e_k induces on the dual the
@@ -222,13 +222,7 @@ def scaled_so3_bundle(f: Polynomial | str) -> GradedVector:
     base variables (y1, y2) which every fibre chart leaves fixed.
     """
     ring = SCALED_SO3_RING
-    if isinstance(f, str):
-        base_ring = PolyRing(("y1", "y2"))
-        f = base_ring.parse(f)
-    if f.vars == ("y1", "y2"):
-        lift = f.substitute([ring.named("y1"), ring.named("y2")])
-    else:
-        lift = ring.coerce(f)
+    lift = PolyRing(("y1", "y2")).parse(f).substitute([ring.named("y1"), ring.named("y2")])
     x1, x2, x3 = (ring.variable(i) for i in (1, 2, 3))
     return GradedVector(
         len(ring.vars),
@@ -377,8 +371,8 @@ def classification_to_dict(c: ClassificationVerdict) -> dict:
     return out
 
 
-def certificate_to_dict(cert: OrderCertificate, ring: PolyRing) -> dict:
-    names = tuple("d" + v for v in ring.vars)
+def certificate_to_dict(cert: OrderCertificate) -> dict:
+    names = tuple("d" + v for v in cert.leading.ring.vars)
     out: dict = {
         "chart": cert.chart,
         "order": cert.order,
@@ -395,13 +389,13 @@ def certificate_to_dict(cert: OrderCertificate, ring: PolyRing) -> dict:
 
 
 def verdict_to_dict(verdict: LiftVerdict) -> dict:
-    classification = verdict.classification
+    classification = classification_to_dict(verdict.classification)
     out: dict = {
         "kind": verdict.kind,
-        "constant_height": classification.constant_height,
-        "classification": classification_to_dict(classification),
+        "constant_height": classification["constant_height"],
+        "classification": classification,
         "charts": {
-            str(chart): certificate_to_dict(cert, cert.leading.ring)
+            str(chart): certificate_to_dict(cert)
             for chart, cert in sorted(verdict.certificates.items())
         },
         "cross_checks": {
@@ -413,9 +407,9 @@ def verdict_to_dict(verdict: LiftVerdict) -> dict:
             "spinor_agreement": verdict.spinor_agreement,
         },
     }
-    if classification.witnesses is not None:
-        out["witnesses"] = [_witness_json(w) for w in classification.witnesses]
-        out["witness_heights"] = list(classification.witness_heights)
+    for key in ("witnesses", "witness_heights"):
+        if key in classification:
+            out[key] = classification[key]
     return out
 
 
@@ -520,7 +514,7 @@ def spinor_to_dict(result: SpinorResult) -> dict:
         "charts": {
             str(cf.chart): {
                 "pullback": cf.render(),
-                "certificate": certificate_to_dict(cert, cf.ring),
+                "certificate": certificate_to_dict(cert),
             }
             for cf, cert in result.charts
         },

@@ -16,7 +16,6 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
 from .exterior import GradedForm, GradedVector, _check_insertion
 from .liealg import Covector, LieAlgebra, as_covector, covector_invariants
+from .linalg import integer_multiple
 from .rings import Polynomial, PolyRing, Rational
 from .sampling import DEFAULT_SEED, point_stream, sampled_covectors
 
@@ -70,11 +70,9 @@ def spinor(pi: GradedVector) -> GradedForm:
     denominators); Pf(D pi_JJ) = D^k Pf(pi_JJ) is divided by D^k at the end."""
     lam = volume_form(pi.ring)
     _check_insertion("spinor", pi, lam, degree=2)
-    scale = lcm(*(c.denominator for p in pi.terms.values() for c in p.terms.values()))
-    entries = [
-        (a, b, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()])
-        for (a, b), p in pi.terms.items()
-    ]
+    scale, ints = integer_multiple(c for p in pi.terms.values() for c in p.terms.values())
+    ints = iter(ints)
+    entries = [(a, b, [(e, next(ints)) for e in p.terms]) for (a, b), p in pi.terms.items()]
     level = pfaffians = {(): {(0,) * len(pi.ring.vars): 1}}
     while level:
         grown: dict[tuple[int, ...], dict] = {}
@@ -211,15 +209,14 @@ def _divisor_points(cf: ChartForm, seed: int, samples: int):
 def _integer_terms(poly: Polynomial) -> list[tuple[int, tuple[int, ...], int]]:
     """(c, e, pad) for each term of a positive integer multiple of poly padded
     to its total degree: poly(p/q) = 0 exactly when sum c * p^e * q^pad = 0."""
-    den = lcm(*(c.denominator for c in poly.terms.values()))
     top = max(map(sum, poly.terms))
-    return [(c.numerator * (den // c.denominator), e, top - sum(e)) for e, c in poly.terms.items()]
+    ints = integer_multiple(poly.terms.values())[1]
+    return [(c, e, top - sum(e)) for c, e in zip(ints, poly.terms)]
 
 
 def _all_vanish(compiled, point: tuple[Fraction, ...]) -> bool:
     """Whether every compiled polynomial is zero at the point, in integers."""
-    q = lcm(*(v.denominator for v in point))
-    nums = [v.numerator * (q // v.denominator) for v in point]
+    q, nums = integer_multiple(point)
     for terms in compiled:
         total = 0
         for c, exps, pad in terms:

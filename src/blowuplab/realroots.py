@@ -7,7 +7,8 @@ zeros; ``()`` is zero."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd, lcm
+
+from .linalg import primitive
 
 Poly = tuple[Fraction, ...]
 
@@ -20,10 +21,10 @@ def trim(coeffs) -> Poly:
 
 
 def divide(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by a nonzero b."""
+    """Quotient and remainder of a by a nonzero b, exact for int coefficients too."""
     rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     for i in reversed(range(len(quot))):
-        c = quot[i] = rem[i + len(b) - 1] / b[-1]
+        c = quot[i] = Fraction(rem[i + len(b) - 1], b[-1])
         for j, bc in enumerate(b):
             rem[i + j] -= c * bc
     return trim(quot), trim(rem[: len(b) - 1])
@@ -33,7 +34,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd, so gcd(p, ()) is p made monic; gcd((), ()) is ()."""
     while b:
         a, b = b, divide(a, b)[1]
-    return tuple(c / a[-1] for c in a)
+    return tuple(Fraction(c, a[-1]) for c in a)
 
 
 def squarefree(p: Poly) -> Poly:
@@ -45,22 +46,14 @@ def _derivative(p: Poly) -> Poly:
     return tuple(i * c for i, c in enumerate(p))[1:]
 
 
-def _primitive(p: Poly) -> Poly:
-    """A positive multiple of p with coprime integer coefficients."""
-    scale = lcm(*(c.denominator for c in p))
-    ints = [int(c * scale) for c in p]
-    content = igcd(*ints)
-    return tuple(Fraction(v // content) for v in ints)
-
-
 def sturm_sequence(p: Poly) -> list[tuple[int, ...]]:
     """The Sturm sequence of the square-free part of a nonconstant p, each
     member an integer polynomial rescaled by a positive factor."""
-    seq = [_primitive(squarefree(p))]
-    seq.append(_primitive(_derivative(seq[0])))
+    seq = [primitive(squarefree(p))]
+    seq.append(primitive(_derivative(seq[0])))
     while len(seq[-1]) > 1:
-        seq.append(_primitive(tuple(-c for c in divide(seq[-2], seq[-1])[1])))
-    return [tuple(int(c) for c in q) for q in seq]
+        seq.append(primitive(-c for c in divide(seq[-2], seq[-1])[1]))
+    return seq
 
 
 def _scaled_value(q: tuple[int, ...], x: Fraction) -> int:
@@ -121,7 +114,7 @@ def rational_root(p: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
     at most lc closest to its midpoint.  First a modular pre-test: that
     root a/b would give the root a/b mod p of q mod p for every prime p not
     dividing lc(q), since p does not divide b either."""
-    q = tuple(int(c) for c in _primitive(squarefree(p)))
+    q = primitive(squarefree(p))
     if any(q[-1] % prime and not _has_root_mod(q, prime) for prime in _PRETEST_PRIMES):
         return None
     at_hi = _scaled_value(q, hi)

@@ -43,10 +43,10 @@ def pairwise_combinations(n: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def random_vector(rng: random.Random, n: int, bound: int) -> tuple[Fraction, ...]:
+def random_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     while True:
         vec = tuple(
-            Fraction(rng.randint(-bound, bound), rng.choice(_DENOMINATORS))
+            Fraction(rng.randint(-_BOUND, _BOUND), rng.choice(_DENOMINATORS))
             for _ in range(n)
         )
         if any(vec):
@@ -57,7 +57,7 @@ def random_covectors(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fractio
     """The endless seeded random draws that follow the deterministic seeds."""
     rng = random.Random(seed)
     while True:
-        yield random_vector(rng, n, _BOUND)
+        yield random_vector(rng, n)
 
 
 def covector_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:

@@ -167,6 +167,14 @@ def test_rational_root_rejects_a_root_free_residue_without_bisecting(monkeypatch
     assert len(calls) <= 2
 
 
+def test_division_and_gcd_on_integer_tuples_are_exact():
+    # t^2 + 1 = (3t + 1)(t/3 - 1/9) + 10/9; a float 1/3 would round
+    quot, rem = realroots.divide((1, 0, 1), (1, 3))
+    assert (quot, rem) == ((Fraction(-1, 9), Fraction(1, 3)), (Fraction(10, 9),))
+    assert realroots.gcd((1, 4, 3), (1, 3)) == (Fraction(1, 3), 1)
+    assert realroots.squarefree((1, 6, 9)) == (Fraction(1, 3), 1)
+
+
 def test_sl2_witness_lies_on_a_half_cone():
     verdict = classify_constant_height(sl2())
     low = verdict.witnesses[verdict.witness_heights.index(0)]

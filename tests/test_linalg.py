@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from blowuplab import killing_form, sl2, so3
 from blowuplab.linalg import (
     det,
     in_row_space,
+    integer_multiple,
     inverse,
     is_negative_definite,
     leading_principal_minors,
+    primitive,
     rank,
     rref_basis,
 )
@@ -93,3 +98,30 @@ def test_inverse(rng):
         assert prod == [
             [Fraction(int(i == j)) for j in range(n)] for i in range(n)
         ]
+
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=36),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(ENTRIES, min_size=1, max_size=8))
+def test_integer_multiple_and_primitive_on_mixed_vectors(values):
+    scale, ints = integer_multiple(values)
+    denominators = [Fraction(v).denominator for v in values]
+    assert scale == reduce(lambda a, b: a * b // gcd(a, b), denominators)
+    assert all(type(v) is int for v in ints)
+    assert ints == [scale * v for v in values]
+    if not any(values):
+        return
+    prim = primitive(values)
+    assert all(type(v) is int for v in prim)
+    assert gcd(*prim) == 1
+    k = next(i for i, v in enumerate(values) if v)
+    ratio = Fraction(prim[k]) / values[k]
+    assert ratio > 0
+    assert list(prim) == [ratio * v for v in values]
