@@ -27,14 +27,7 @@ from .errors import (
     UsageError,
     WitnessSearchError,
 )
-from .exterior import (
-    GradedForm,
-    GradedVector,
-    exp_interior,
-    interior,
-    multi_interior,
-    wedge,
-)
+from .exterior import GradedForm, GradedVector
 from .blowup_geometry import (
     DistributionSample,
     OrbitRankReport,
@@ -81,16 +74,13 @@ from .poisson_spinor import (
     LiftVerdict,
     LineOrderReport,
     OrderCertificate,
-    PerturbationReport,
     blowup_pullback,
     check_line_orders,
     hamiltonian_field,
     lift_verdict,
+    line_order,
     linear_poisson,
-    perturbation_invariance_check,
-    restrict_to_line,
     spinor,
-    t_order,
     vanishing_order,
     volume_form,
 )

@@ -61,6 +61,12 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """No option prefixes, so "--f" is never read as "--format"; the
+    subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -4,16 +4,10 @@ Elements are stored as maps from strictly increasing 1-based index tuples to
 nonzero ring coefficients; mixed degrees are allowed.  ``GradedForm`` indexes
 the dual basis (wedge products of the theta_i / dx_i), ``GradedVector`` the
 basis multivectors (wedge products of the e_i).
-
-Insertion of multivectors follows the convention i_{X wedge Y} = i_Y i_X, so
-for an increasing tuple (k_1 < ... < k_p) the single insertions are applied
-in ascending index order.  All sign tables below derive from that choice.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
 from typing import Mapping, Sequence
 
 from .errors import DomainError, StructureError
@@ -253,28 +247,6 @@ class GradedVector(_Alternating):
     """Element of the exterior algebra over the basis multivectors."""
 
 
-def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
-    return a.wedge(b)
-
-
-def _insert_single(index: int, terms: dict) -> dict:
-    """Insertion of the basis vector e_index into a term map (degree -1)."""
-    out: dict[IndexTuple, object] = {}
-    for indices, coeff in terms.items():
-        if index not in indices:
-            continue
-        pos = indices.index(index)
-        remaining = indices[:pos] + indices[pos + 1 :]
-        value = coeff if pos % 2 == 0 else -coeff
-        if remaining in out:
-            value = out[remaining] + value
-        if not value:
-            out.pop(remaining, None)
-        else:
-            out[remaining] = value
-    return out
-
-
 def _check_insertion(name: str, v, a, degree: int | None = None):
     if not isinstance(v, GradedVector) or not isinstance(a, GradedForm):
         raise StructureError(f"{name} expects (GradedVector, GradedForm)")
@@ -282,47 +254,3 @@ def _check_insertion(name: str, v, a, degree: int | None = None):
         raise StructureError(f"{name} operands must share dimension and ring")
     if degree is not None and any(len(indices) != degree for indices in v.terms):
         raise DomainError(f"{name} expects a homogeneous degree-{degree} vector")
-
-
-def interior(v: GradedVector, a: GradedForm) -> GradedForm:
-    """Insertion i_v for a degree-1 vector; a graded derivation of degree -1."""
-    _check_insertion("interior", v, a, degree=1)
-    return multi_interior(v, a)
-
-
-def multi_interior(w: GradedVector, a: GradedForm) -> GradedForm:
-    """Insertion of a multivector: i_{X wedge Y} = i_Y i_X, extended linearly."""
-    _check_insertion("multi_interior", w, a)
-    total: dict[IndexTuple, object] = {}
-    for indices, wc in w.terms.items():
-        current = a.terms
-        for index in indices:  # ascending order realises i_{k_p} ... i_{k_1}
-            current = _insert_single(index, current)
-            if not current:
-                break
-        for idx, coeff in current.items():
-            value = wc * coeff
-            if idx in total:
-                value = total[idx] + value
-            if not value:
-                total.pop(idx, None)
-            else:
-                total[idx] = value
-    return GradedForm._trusted(a.dim, a.ring, total)
-
-
-def exp_interior(pi: GradedVector, lam: GradedForm) -> GradedForm:
-    """e^{i_pi} lam = sum_k (1/k!) i_pi^k lam for a bivector pi.
-
-    The series stops at floor(dim/2); the top-degree component of the result
-    is lam itself.
-    """
-    _check_insertion("exp_interior", pi, lam, degree=2)
-    result = lam
-    power = lam
-    for k in range(1, lam.dim // 2 + 1):
-        power = multi_interior(pi, power)
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction(1, factorial(k)))
-    return result

@@ -36,6 +36,7 @@ from .poisson_spinor import (
     LiftVerdict,
     OrderCertificate,
     coordinate_ring,
+    differential_names,
 )
 from .rings import Polynomial, PolyRing, format_rational, parse_rational
 
@@ -372,12 +373,11 @@ def classification_to_dict(c: ClassificationVerdict) -> dict:
 
 
 def certificate_to_dict(cert: OrderCertificate) -> dict:
-    names = tuple("d" + v for v in cert.leading.ring.vars)
     out: dict = {
         "chart": cert.chart,
         "order": cert.order,
         "status": cert.status,
-        "leading_form": cert.leading.render(names),
+        "leading_form": cert.leading.render(differential_names(cert.leading.ring)),
     }
     if cert.certificate:
         out["certificate"] = cert.certificate
@@ -524,11 +524,10 @@ def spinor_to_dict(result: SpinorResult) -> dict:
 def render_spinor_human(result: SpinorResult) -> str:
     lines = [f"spinor analysis: {result.name}"]
     for cf, cert in result.charts:
-        names = tuple("d" + v for v in cf.ring.vars)
         lines.append(f"chart {cf.chart}:")
         lines.append(f"  pullback: {cf.render()}")
         lines.append(f"  order: {cert.order}, {cert.status}")
-        lines.append(f"  leading form: {cert.leading.render(names)}")
+        lines.append(f"  leading form: {cert.leading.render(differential_names(cf.ring))}")
         if cert.certificate:
             lines.append(f"  certificate: {cert.certificate}")
         if cert.witness_point is not None:

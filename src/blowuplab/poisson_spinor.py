@@ -23,8 +23,8 @@ from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
 from .exterior import GradedForm, GradedVector, _check_insertion
-from .liealg import Covector, LieAlgebra, as_covector, covector_invariants
-from .linalg import integer_multiple
+from .liealg import Covector, LieAlgebra, covector_invariants
+from .linalg import integer_multiple, primitive
 from .rings import Polynomial, PolyRing, Rational
 from .sampling import DEFAULT_SEED, point_stream, sampled_covectors
 
@@ -98,6 +98,11 @@ def spinor(pi: GradedVector) -> GradedForm:
     return GradedForm._trusted(lam.dim, pi.ring, terms)
 
 
+def differential_names(ring: PolyRing) -> tuple[str, ...]:
+    """The names d<var> of a ring's coordinate differentials."""
+    return tuple("d" + v for v in ring.vars)
+
+
 def hamiltonian_field(pi: GradedVector, i: int) -> tuple[Polynomial, ...]:
     """pi^sharp dx_i, the field with j-component pi_{ij}."""
     return tuple(pi.coefficient((i, j)) for j in range(1, pi.dim + 1))
@@ -116,8 +121,7 @@ class ChartForm:
         return self.form.ring
 
     def render(self) -> str:
-        names = tuple("d" + v for v in self.ring.vars)
-        return self.form.render(names)
+        return self.form.render(differential_names(self.ring))
 
 
 def blowup_pullback(
@@ -206,27 +210,30 @@ def _divisor_points(cf: ChartForm, seed: int, samples: int):
         yield tuple(point)
 
 
-def _integer_terms(poly: Polynomial) -> list[tuple[int, tuple[int, ...], int]]:
-    """(c, e, pad) for each term of a positive integer multiple of poly padded
-    to its total degree: poly(p/q) = 0 exactly when sum c * p^e * q^pad = 0."""
-    top = max(map(sum, poly.terms))
-    ints = integer_multiple(poly.terms.values())[1]
-    return [(c, e, top - sum(e)) for c, e in zip(ints, poly.terms)]
+def _integer_terms(terms: dict) -> list[tuple[int, tuple[int, ...], int]]:
+    """(c, e, pad) for each term of a positive integer multiple of a
+    polynomial's terms padded to their total degree: the polynomial is zero
+    at p/q exactly when `_integer_value` of them at p and q is."""
+    top = max(map(sum, terms))
+    ints = integer_multiple(terms.values())[1]
+    return [(c, e, top - sum(e)) for c, e in zip(ints, terms)]
+
+
+def _integer_value(compiled, nums: Sequence[int], q: int) -> int:
+    """sum c * nums^e * q^pad over compiled terms."""
+    total = 0
+    for c, exps, pad in compiled:
+        for n, e in zip(nums, exps):
+            if e:
+                c *= n**e
+        total += c * q**pad
+    return total
 
 
 def _all_vanish(compiled, point: tuple[Fraction, ...]) -> bool:
     """Whether every compiled polynomial is zero at the point, in integers."""
     q, nums = integer_multiple(point)
-    for terms in compiled:
-        total = 0
-        for c, exps, pad in terms:
-            for n, e in zip(nums, exps):
-                if e:
-                    c *= n**e
-            total += c * q**pad
-        if total:
-            return False
-    return True
+    return not any(_integer_value(terms, nums, q) for terms in compiled)
 
 
 def vanishing_order(
@@ -245,7 +252,7 @@ def vanishing_order(
     for indices, poly in leading.terms.items():
         reason = _sign_definite_reason(poly)
         if reason:
-            names = tuple("d" + v for v in cf.ring.vars)
+            names = differential_names(cf.ring)
             where = "∧".join(names[i - 1] for i in indices) if indices else "1"
             return replace(
                 undetermined,
@@ -253,61 +260,49 @@ def vanishing_order(
                 certificate=f"coefficient of {where}: {reason}",
             )
 
-    compiled = [_integer_terms(poly) for poly in leading.terms.values()]
+    compiled = [_integer_terms(poly.terms) for poly in leading.terms.values()]
     for point in _divisor_points(cf, seed, samples):
         if _all_vanish(compiled, point):
             return replace(undetermined, status="falsified", witness_point=point)
     return undetermined
 
 
-# -- restriction to a projective line ------------------------------------------
+# -- order along a projective line ---------------------------------------------
 
 
-def restrict_to_line(cf: ChartForm, xi: Sequence[Rational]) -> GradedForm:
-    """Restrict a chart form to the line through direction xi (xi_chart != 0).
+def line_order(cf: ChartForm, xi: Sequence[Rational]) -> int:
+    """t-adic order of a chart form restricted to the line through direction
+    xi (xi_chart != 0), where x~_chart = t and x~_j = xi_j / xi_chart.
 
-    Sets x~_j = xi_j / xi_chart for j != chart and x~_chart = t; the result
-    has univariate coefficients in t and the original form indices.  Each
-    monomial's non-chart part is evaluated at the ratios and added to the
-    coefficient of t^(chart exponent).
+    Only the order is computed.  Each coefficient's monomials below the
+    lowest order found so far are bucketed by their t-exponent, and the
+    buckets are tested lowest first, in integers at the primitive integer
+    multiple x of xi: a bucket evaluated at x over powers of x_chart is
+    nonzero exactly when it is nonzero at the ratios.
     """
     m = len(cf.ring.vars)
     if cf.blown != tuple(range(1, m + 1)):
         raise DomainError("line restriction requires a full origin blowup")
-    xi = as_covector(xi)
     if len(xi) != m:
         raise StructureError("direction vector has wrong length")
     c = cf.chart
     if xi[c - 1] == 0:
         raise DomainError(f"direction lies outside chart {c} (component {c} is zero)")
-    ratios = [value / xi[c - 1] for value in xi]
-    others = [j for j in range(m) if j != c - 1]
-    powers: dict[tuple[int, int], Fraction] = {}
-    t_vars = ("t",)
-    restricted = {}
-    for indices, poly in cf.form.terms.items():
-        buckets: dict[tuple[int], Fraction] = {}
+    x = primitive(xi)
+    lowest = None
+    for poly in cf.form.terms.values():
+        buckets: dict[int, dict] = {}
         for exps, coeff in poly.terms.items():
-            for j in others:
-                e = exps[j]
-                if e:
-                    key = (j, e)
-                    if key not in powers:
-                        powers[key] = ratios[j] ** e
-                    coeff = coeff * powers[key]
-            t_exp = (exps[c - 1],)
-            buckets[t_exp] = buckets[t_exp] + coeff if t_exp in buckets else coeff
-        nonzero = {e: v for e, v in buckets.items() if v}
-        if nonzero:
-            restricted[indices] = Polynomial._trusted(t_vars, nonzero)
-    return GradedForm._trusted(m, PolyRing(t_vars), restricted)
-
-
-def t_order(form: GradedForm) -> int:
-    """t-adic valuation of a form with univariate polynomial coefficients."""
-    if form.is_zero():
-        raise DomainError("the zero form has no t-order")
-    return min(poly.valuation(1) for poly in form.terms.values())
+            k = exps[c - 1]
+            if lowest is None or k < lowest:
+                buckets.setdefault(k, {})[exps] = coeff
+        for k in sorted(buckets):
+            if _integer_value(_integer_terms(buckets[k]), x, x[c - 1]):
+                lowest = k
+                break
+    if lowest is None:
+        raise DomainError("the restriction to this line vanishes identically")
+    return lowest
 
 
 def preferred_chart(values: Sequence[Fraction]) -> int:
@@ -421,54 +416,9 @@ def check_line_orders(
     records = []
     for xi in sampled_covectors(L.dim, samples, seed):
         chart = preferred_chart(xi)
-        got = t_order(restrict_to_line(shared_pullback(L, chart), xi))
+        got = line_order(shared_pullback(L, chart), xi)
         want = L.dim - 1 - covector_invariants(L, xi).height
         records.append(LineOrderRecord(xi, chart, got, want))
     records = tuple(records)
     mismatches = tuple(r for r in records if not r.ok)
     return LineOrderReport(samples, records, mismatches)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    chart: int
-    order_base: int
-    order_perturbed: int
-    points: tuple[tuple[tuple[Fraction, ...], bool, bool], ...]
-
-    @property
-    def agree(self) -> bool:
-        return self.order_base == self.order_perturbed and all(
-            a == b for _, a, b in self.points
-        )
-
-
-def perturbation_invariance_check(
-    L: LieAlgebra,
-    w: GradedVector,
-    chart: int,
-    samples: int = 50,
-    seed: int = DEFAULT_SEED,
-) -> PerturbationReport:
-    """Perturbing the linear bivector by terms vanishing to second order at
-    the origin must not change pullback-spinor vanishing behaviour: both
-    spinors get equal chart orders and their leading forms vanish at the
-    same sampled divisor points."""
-    pi = shared_linear_poisson(L)
-    if w.ring != pi.ring:
-        raise StructureError("perturbation ring does not match the linear bivector")
-    blown = tuple(range(1, w.dim + 1))
-    for indices, poly in w.terms.items():
-        if poly.min_degree_in(blown) < 2:
-            raise DomainError(
-                f"perturbation entry {indices} does not vanish to second order at 0"
-            )
-    cf_base = shared_pullback(L, chart)
-    order_base, lead_base = _leading_form(cf_base)
-    order_pert, lead_pert = _leading_form(blowup_pullback(spinor(pi + w), chart))
-    base, pert = ([_integer_terms(p) for p in f.terms.values()] for f in (lead_base, lead_pert))
-    points = tuple(
-        (point, not _all_vanish(base, point), not _all_vanish(pert, point))
-        for point in _divisor_points(cf_base, seed, samples)
-    )
-    return PerturbationReport(chart, order_base, order_pert, points)

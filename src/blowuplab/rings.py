@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, ParseError, StructureError
 
@@ -96,13 +96,6 @@ class Polynomial:
 
     def constant_value(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
-
-    def min_degree_in(self, positions: Iterable[int]) -> int:
-        """Smallest combined degree of the given (1-based) variables over all monomials."""
-        cols = [p - 1 for p in positions]
-        if not self.terms:
-            raise DomainError("zero polynomial has no minimum degree")
-        return min(sum(e[c] for c in cols) for e in self.terms)
 
     def valuation(self, position: int) -> int:
         """Smallest exponent of variable ``position`` (1-based) over all monomials."""

@@ -1,0 +1,92 @@
+"""Reference paths the program no longer runs, kept for the tests to compare with.
+
+Insertion of multivectors follows the convention i_{X wedge Y} = i_Y i_X, so
+for an increasing tuple (k_1 < ... < k_p) the single insertions are applied
+in ascending index order.  The series of insertions `exp_interior` is what
+`poisson_spinor.spinor` reads off principal Pfaffians instead.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from blowuplab import LieAlgebra, blowup_pullback, linear_poisson, spinor
+from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, _check_insertion
+from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _leading_form
+from blowuplab.sampling import DEFAULT_SEED
+
+
+def _insert_single(index: int, terms: dict) -> dict:
+    """Insertion of the basis vector e_index into a term map (degree -1)."""
+    out: dict[IndexTuple, object] = {}
+    for indices, coeff in terms.items():
+        if index not in indices:
+            continue
+        pos = indices.index(index)
+        remaining = indices[:pos] + indices[pos + 1 :]
+        value = coeff if pos % 2 == 0 else -coeff
+        if remaining in out:
+            value = out[remaining] + value
+        if not value:
+            out.pop(remaining, None)
+        else:
+            out[remaining] = value
+    return out
+
+
+def interior(v: GradedVector, a: GradedForm) -> GradedForm:
+    """Insertion i_v for a degree-1 vector; a graded derivation of degree -1."""
+    _check_insertion("interior", v, a, degree=1)
+    return multi_interior(v, a)
+
+
+def multi_interior(w: GradedVector, a: GradedForm) -> GradedForm:
+    """Insertion of a multivector: i_{X wedge Y} = i_Y i_X, extended linearly."""
+    _check_insertion("multi_interior", w, a)
+    total: dict[IndexTuple, object] = {}
+    for indices, wc in w.terms.items():
+        current = a.terms
+        for index in indices:  # ascending order realises i_{k_p} ... i_{k_1}
+            current = _insert_single(index, current)
+            if not current:
+                break
+        for idx, coeff in current.items():
+            value = wc * coeff
+            if idx in total:
+                value = total[idx] + value
+            if not value:
+                total.pop(idx, None)
+            else:
+                total[idx] = value
+    return GradedForm._trusted(a.dim, a.ring, total)
+
+
+def exp_interior(pi: GradedVector, lam: GradedForm) -> GradedForm:
+    """e^{i_pi} lam = sum_k (1/k!) i_pi^k lam for a bivector pi.
+
+    The series stops at floor(dim/2); the top-degree component of the result
+    is lam itself.
+    """
+    _check_insertion("exp_interior", pi, lam, degree=2)
+    result = lam
+    power = lam
+    for k in range(1, lam.dim // 2 + 1):
+        power = multi_interior(pi, power)
+        if power.is_zero():
+            break
+        result = result + power.scale(Fraction(1, factorial(k)))
+    return result
+
+
+def perturbed_orders(L: LieAlgebra, w: GradedVector, chart: int, samples: int):
+    """(order of pi, order of pi + w, whether both leading forms vanish at the
+    same sampled divisor points) for the chart pullbacks of the spinors of
+    the linear bivector pi of L and of its perturbation by w."""
+    pi = linear_poisson(L)
+    cf = blowup_pullback(spinor(pi), chart)
+    order, lead = _leading_form(cf)
+    order_w, lead_w = _leading_form(blowup_pullback(spinor(pi + w), chart))
+    base, pert = ([_integer_terms(p.terms) for p in f.terms.values()] for f in (lead, lead_w))
+    points = _divisor_points(cf, DEFAULT_SEED, samples)
+    return order, order_w, all(_all_vanish(base, p) == _all_vanish(pert, p) for p in points)

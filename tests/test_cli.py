@@ -202,6 +202,14 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "catalog", "--filter", "weird")[0] == 64
 
 
+def test_option_prefixes_are_not_expanded(capsys):
+    # "--f" is the bundle's scaling option, not a prefix of "--format"
+    code, _, err = run(capsys, "analyze", "--catalog", "so3", "--f", "1")
+    assert code == 64
+    assert "--f" in err and "--format" not in err
+    assert run(capsys, "spinor", "--catalog", "so3", "--fo", "machine")[0] == 64
+
+
 def test_spinor_so3_chart_output(capsys):
     code, out, _ = run(
         capsys, "spinor", "--catalog", "so3", "--chart", "1", "--samples", "30"

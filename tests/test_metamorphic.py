@@ -16,9 +16,17 @@ from dataclasses import replace
 
 import pytest
 
-from blowuplab import classify_constant_height, diagonal_affine, heis3, lift_verdict, sl2, so3
+from blowuplab import (
+    check_line_orders,
+    classify_constant_height,
+    diagonal_affine,
+    heis3,
+    lift_verdict,
+    sl2,
+    so3,
+)
 from blowuplab.classify import RealRootWitness, verify_real_root_witness
-from conftest import adjoint_extension, seeded_conjugate, sl3
+from conftest import adjoint_extension, gl, seeded_conjugate, sl3
 
 
 def _summary(verdict):
@@ -61,3 +69,8 @@ def test_semidirect_verdict_is_invariant_under_rational_change_of_basis(base, se
     assert time.perf_counter() - start < 2.0
     assert _summary(verdict) == _summary(classify_constant_height(L))
     assert verdict.witness_heights == (1, 2)
+
+
+def test_gl3_line_orders_hold_after_rational_change_of_basis():
+    # on a dense conjugate every sampled line's t-order is dim - 1 - height
+    assert check_line_orders(seeded_conjugate(gl(3), 1), samples=48).ok

@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 from blowuplab import (
+    ChartForm,
     DomainError,
     GradedForm,
     GradedVector,
     PolyRing,
+    StructureError,
     abelian,
     blowup_pullback,
     check_line_orders,
@@ -19,14 +21,12 @@ from blowuplab import (
     heis3,
     height,
     lift_verdict,
+    line_order,
     linear_poisson,
-    perturbation_invariance_check,
-    restrict_to_line,
     scaled_so3_bundle,
     sl2,
     so3,
     spinor,
-    t_order,
     vanishing_order,
     volume_form,
 )
@@ -37,6 +37,7 @@ from blowuplab.poisson_spinor import preferred_chart
 from blowuplab.sampling import covector_stream
 
 from conftest import random_polynomial
+from reference import perturbed_orders
 
 
 # -- linear Poisson bivector ----------------------------------------------------
@@ -298,34 +299,39 @@ def test_bundle_base_blowup_lifts_as_poisson():
 
 
 def test_restrict_to_line_so3():
+    # on the line (1, 0, 0) chart 1's spinor restricts to t dx1 + t^2 dx123
     cf = blowup_pullback(spinor(linear_poisson(so3())), 1)
-    line = restrict_to_line(cf, (1, 0, 0))
-    tr = line.ring
-    assert line == GradedForm(
-        3, tr, {(1,): tr.parse("t"), (1, 2, 3): tr.parse("t^2")}
-    )
-    assert t_order(line) == 1  # = dim - 1 - height = 3 - 1 - 1
+    assert line_order(cf, (1, 0, 0)) == 1  # = dim - 1 - height = 3 - 1 - 1
+    assert line_order(cf, (Fraction(-2, 3), 5, 7)) == 1
 
 
 def test_restrict_to_line_abelian():
     for m in (1, 2, 4):
         cf = blowup_pullback(spinor(linear_poisson(abelian(m))), 1)
         xi = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(m))
-        assert t_order(restrict_to_line(cf, xi)) == m - 1
+        assert line_order(cf, xi) == m - 1
 
 
 def test_restrict_to_line_heis3():
     phi = spinor(linear_poisson(heis3()))
-    low = restrict_to_line(blowup_pullback(phi, 1), (1, 0, 0))
-    assert t_order(low) == 2  # height 0
-    high = restrict_to_line(blowup_pullback(phi, 3), (0, 0, 1))
-    assert t_order(high) == 1  # height 1
+    assert line_order(blowup_pullback(phi, 1), (1, 0, 0)) == 2  # height 0
+    assert line_order(blowup_pullback(phi, 3), (0, 0, 1)) == 1  # height 1
 
 
 def test_restrict_to_line_wrong_chart():
     cf = blowup_pullback(spinor(linear_poisson(so3())), 1)
     with pytest.raises(DomainError):
-        restrict_to_line(cf, (0, 1, 0))
+        line_order(cf, (0, 1, 0))
+    with pytest.raises(StructureError):
+        line_order(cf, (1, 0))
+    partial = blowup_pullback(spinor(scaled_so3_bundle("1")), 1, SCALED_SO3_BLOWN)
+    with pytest.raises(DomainError):
+        line_order(partial, (1, 0, 0, 0, 0))
+    # x~2 - x~3 vanishes identically on the line through (1, 1, 1)
+    ring = cf.ring
+    vanishing = ChartForm(GradedForm(3, ring, {(1,): ring.parse("x~2 - x~3")}), 1, (1, 2, 3))
+    with pytest.raises(DomainError):
+        line_order(vanishing, (1, 1, 1))
 
 
 def test_preferred_chart_policy():
@@ -357,7 +363,7 @@ def test_certified_constant_order_iff_line_orders_constant():
         for _ in range(100):
             xi = next(stream)
             chart = preferred_chart(xi)
-            orders.add(t_order(restrict_to_line(blowup_pullback(phi, chart), xi)))
+            orders.add(line_order(blowup_pullback(phi, chart), xi))
         assert all_certified == (len(orders) == 1), L.name
         if L in varying_cases:
             assert any(c.status == "falsified" for c in certs), L.name
@@ -436,34 +442,19 @@ def test_order_invariant_under_unimodular_basis_change(rng):
 
 
 def test_perturbation_trivial_and_fixtures():
+    # perturbing the linear bivector by terms vanishing to second order at the
+    # origin changes neither the chart order nor where the leading form vanishes
     L = so3()
     ring = linear_poisson(L).ring
     zero = GradedVector(3, ring)
-    report = perturbation_invariance_check(L, zero, 1, samples=20)
-    assert report.agree and report.order_base == report.order_perturbed == 1
+    assert perturbed_orders(L, zero, 1, samples=20) == (1, 1, True)
 
     w = GradedVector(3, ring, {(2, 3): ring.parse("x1^2")})
-    report = perturbation_invariance_check(L, w, 1, samples=40)
-    assert report.agree
-    assert (report.order_base, report.order_perturbed) == (1, 1)
+    assert perturbed_orders(L, w, 1, samples=40) == (1, 1, True)
 
     h = heis3()
     ring_h = linear_poisson(h).ring
     w_h = GradedVector(3, ring_h, {(1, 2): ring_h.parse("x3^2")})
     for chart in (1, 2, 3):
-        report = perturbation_invariance_check(h, w_h, chart, samples=40)
-        assert report.agree
-
-
-def test_perturbation_rejects_low_order():
-    L = so3()
-    ring = linear_poisson(L).ring
-    w = GradedVector(3, ring, {(1, 2): ring.parse("x1")})
-    with pytest.raises(DomainError):
-        perturbation_invariance_check(L, w, 1)
-    w_const = GradedVector(3, ring, {(1, 2): ring.parse("1 + x1^2")})
-    with pytest.raises(DomainError):
-        perturbation_invariance_check(L, w_const, 1)
-    w_vector = GradedVector(3, ring, {(1,): ring.parse("x1^2")})
-    with pytest.raises(DomainError):
-        perturbation_invariance_check(L, w_vector, 1)
+        order, order_w, same_zeros = perturbed_orders(h, w_h, chart, samples=40)
+        assert order == order_w and same_zeros

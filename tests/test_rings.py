@@ -88,12 +88,6 @@ def test_shift_down_and_restrict():
         XY.parse("x + y").shift_down(1, 1)
 
 
-def test_min_degree_in():
-    p = XY.parse("x^2*y + x*y")
-    assert p.min_degree_in((1,)) == 1
-    assert p.min_degree_in((1, 2)) == 2
-
-
 def test_power_and_equality():
     p = XY.parse("x + y")
     assert p**2 == XY.parse("x^2 + 2*x*y + y^2")

@@ -6,8 +6,9 @@ lifted Hamiltonian fields and each covector's invariant record are built once
 per algebra and read by every suite; the witness search alone calls the plain
 height oracle, one call per candidate, and past its first draw it leaves its
 random draws to the inputs that need them.  A chart pullback rewrites
-exponents and a line restriction evaluates monomials, so neither
-substitutes, wedges or multiplies polynomials.  Call counts come from
+exponents and a line order evaluates monomials in integers, so neither
+substitutes, wedges or multiplies polynomials, and the line orders build
+none.  Call counts come from
 cProfile, so they count every call whatever name it goes through.
 """
 
@@ -146,5 +147,12 @@ def test_pullback_and_line_restriction_read_exponents_only():
 
     profile, report = _profiled(lambda: poisson_spinor.check_line_orders(L, samples=5))
     assert report.ok
-    assert _calls(profile, poisson_spinor.restrict_to_line) == 5
+    assert _calls(profile, poisson_spinor.line_order) == 5
     assert _calls(profile, Polynomial.substitute) == 0
+
+    # once the pullbacks are cached, the line orders build no polynomial
+    for chart in range(1, L.dim + 1):
+        poisson_spinor.shared_pullback(L, chart)
+    profile, report = _profiled(lambda: poisson_spinor.check_line_orders(L, samples=48))
+    assert report.ok
+    assert _calls(profile, Polynomial._trusted.__func__) == 0
