@@ -2,7 +2,9 @@
 
 The files under ``golden/`` hold the machine output of ``analyze``,
 ``crosscheck`` and ``spinor`` at seed 1729 with 20 samples (and of
-``analyze`` on the dimension-10 ``diagonal_affine9``), the machine and
+``analyze`` on the dimension-10 ``diagonal_affine9``), the human output of
+``analyze`` on so3, heis3 and diagonal_affine9, of ``crosscheck`` on heis3
+and of ``spinor`` on so3 at the same seed and sample count, the machine and
 human output of ``spinor`` on the ``scaled_so3_bundle`` partial blowup (whose
 charts carry the unblown base variables y1, y2) for two scalings f, the
 machine and human output of ``catalog``, and the machine and human output of
@@ -41,6 +43,25 @@ def test_machine_output_matches_golden(capsys, command, algebra):
     code = main(argv + ["--seed", "1729", "--samples", "20"])
     assert code == 0
     expected = (GOLDEN / f"{command}_{algebra}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+# human output: constant k with certified charts (so3), witnesses with
+# falsified charts (heis3), ten charts ordered as numbers (diagonal_affine9)
+HUMAN_CASES = [
+    ("analyze", "so3"),
+    ("analyze", "heis3"),
+    ("analyze", "diagonal_affine9"),
+    ("crosscheck", "heis3"),
+    ("spinor", "so3"),
+]
+
+
+@pytest.mark.parametrize(("command", "algebra"), HUMAN_CASES)
+def test_human_output_matches_golden(capsys, command, algebra):
+    argv = [command, "--catalog", algebra, "--format", "human"]
+    assert main(argv + ["--seed", "1729", "--samples", "20"]) == 0
+    expected = (GOLDEN / f"{command}_{algebra}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
