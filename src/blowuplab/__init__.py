@@ -54,7 +54,6 @@ from .liealg import (
 )
 from .model_io import (
     AlgebraDocument,
-    AnalysisResult,
     CatalogEntry,
     abelian,
     catalog_algebra,

@@ -32,16 +32,16 @@ from .errors import (
 )
 from .liealg import LieAlgebra
 from .model_io import (
-    AnalysisResult,
-    CatalogResult,
-    CrosscheckResult,
     SCALED_SO3_BLOWN,
-    SpinorResult,
+    analysis_to_dict,
     catalog_algebra,
     catalog_entries,
+    catalog_to_dict,
+    crosscheck_to_dict,
     emit_report,
     parse_algebra,
     scaled_so3_bundle,
+    spinor_to_dict,
 )
 from .poisson_spinor import (
     blowup_pullback,
@@ -149,17 +149,8 @@ def cmd_analyze(args) -> int:
     spectrum = sample_height_spectrum(algebra, args.samples, seed=seed)
     orbit_report = orbit_rank_crosscheck(algebra, args.samples, seed=seed)
     line_report = check_line_orders(algebra, args.samples, seed=seed)
-    result = AnalysisResult(
-        name=algebra.name or "anonymous",
-        dim=algebra.dim,
-        seed=seed,
-        samples=args.samples,
-        verdict=verdict,
-        spectrum=spectrum,
-        orbit_report=orbit_report,
-        line_report=line_report,
-    )
-    sys.stdout.write(emit_report(result, args.fmt))
+    parts = (algebra, seed, args.samples, verdict, spectrum, orbit_report, line_report)
+    sys.stdout.write(emit_report(args.fmt, analysis_to_dict, *parts))
     if orbit_report.mismatches or line_report.mismatches:
         raise InternalError(
             "per-sample identity suites reported mismatches; see the report"
@@ -180,16 +171,15 @@ def cmd_spinor(args) -> int:
         pi = linear_poisson(algebra)
         blown = tuple(range(1, algebra.dim + 1))
         name = algebra.name or "anonymous"
-    phi = spinor(pi)
+    if args.chart is not None and args.chart not in blown:
+        raise UsageError(f"--chart must be one of {blown}")
     charts = [args.chart] if args.chart is not None else list(blown)
-    for chart in charts:
-        if chart not in blown:
-            raise UsageError(f"--chart must be one of {blown}")
+    phi = spinor(pi)
     pulled = []
     for chart in charts:
         cf = blowup_pullback(phi, chart, blown)
         pulled.append((cf, vanishing_order(cf, seed=seed, samples=args.samples)))
-    sys.stdout.write(emit_report(SpinorResult(name, seed, tuple(pulled)), args.fmt))
+    sys.stdout.write(emit_report(args.fmt, spinor_to_dict, name, seed, pulled))
     return EXIT_OK
 
 
@@ -198,10 +188,8 @@ def cmd_crosscheck(args) -> int:
     algebra = _resolve_algebra(args)
     line_report = check_line_orders(algebra, args.samples, seed=seed)
     orbit_report = orbit_rank_crosscheck(algebra, args.samples, seed=seed)
-    result = CrosscheckResult(
-        algebra.name or "anonymous", seed, args.samples, line_report, orbit_report
-    )
-    sys.stdout.write(emit_report(result, args.fmt))
+    parts = (algebra, seed, args.samples, line_report, orbit_report)
+    sys.stdout.write(emit_report(args.fmt, crosscheck_to_dict, *parts))
     if line_report.mismatches or orbit_report.mismatches:
         raise InternalError("identity suite reported mismatches")
     return EXIT_OK
@@ -220,7 +208,7 @@ def cmd_catalog(args) -> int:
         except ValueError:
             raise UsageError("--filter dim= expects an integer") from None
         entries = [e for e in entries if e.dim == wanted]
-    sys.stdout.write(emit_report(CatalogResult(tuple(entries)), args.fmt))
+    sys.stdout.write(emit_report(args.fmt, catalog_to_dict, entries))
     return EXIT_OK
 
 

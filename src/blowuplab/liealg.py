@@ -362,13 +362,15 @@ def height(L: LieAlgebra, xi: Sequence) -> int:
 
 @dataclass(frozen=True)
 class HeightReport:
-    """Every per-covector invariant, each from its own computation.
+    """Every per-covector invariant.
 
     height is checked by two oracles (wedge chain and pairing rank);
-    element_type and cartan_class come from the powers of d xi, orbit_dim is
-    the rank of the pairing matrix and radial_in_orbit whether xi lies in its
-    row space.  No field is derived from another, so the identities checked
-    by `invariant_failures` compare independently computed numbers.
+    element_type and cartan_class are both derived from the same pair
+    (height k, largest power r with (d xi)^r != 0), orbit_dim is the rank of
+    the pairing matrix and radial_in_orbit whether xi lies in its row space.
+    So of the identities checked by `invariant_failures`, class = 2*height +
+    type only catches r < k, while the orbit-dimension and radial identities
+    compare the elimination with the height oracles and with r.
     """
 
     height: int

@@ -13,6 +13,7 @@ Document grammar (UTF-8 text, one key per line, ``#`` starts a comment):
     note: free text
 
 Values are exact rationals ("p" or "p/q"); float literals are rejected.
+Every key but ``bracket`` appears at most once.
 The antisymmetric completion is implied.  Parsing validates index ranges and
 the Jacobi identity, naming the violating triples on failure.
 """
@@ -72,6 +73,7 @@ def parse_document(text: str) -> AlgebraDocument:
     brackets: list[tuple[int, int, int, Fraction]] = []
     bracket_lines: dict[tuple[int, int, int], int] = {}
     metadata: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,6 +83,10 @@ def parse_document(text: str) -> AlgebraDocument:
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in key_lines:
+            raise ParseError(f"duplicate key {key!r}; first on line {key_lines[key]}", line=lineno)
+        if key != "bracket":
+            key_lines[key] = lineno
         if key == "schema_version":
             schema = _parse_int(value, lineno, "schema_version")
         elif key == "name":
@@ -299,43 +305,8 @@ def catalog_algebra(name: str) -> LieAlgebra:
 
 
 # -- reports ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    name: str
-    dim: int
-    seed: int
-    samples: int
-    verdict: LiftVerdict
-    spectrum: HeightSpectrum
-    orbit_report: OrbitRankReport
-    line_report: LineOrderReport
-
-
-@dataclass(frozen=True)
-class SpinorResult:
-    """Pulled-back spinors of one input with their order certificates."""
-
-    name: str
-    seed: int
-    charts: tuple[tuple[ChartForm, OrderCertificate], ...]
-
-
-@dataclass(frozen=True)
-class CrosscheckResult:
-    name: str
-    seed: int
-    samples: int
-    line_report: LineOrderReport
-    orbit_report: OrbitRankReport
-
-
-@dataclass(frozen=True)
-class CatalogResult:
-    """The catalog listing, after any filter."""
-
-    entries: tuple[CatalogEntry, ...]
+# One builder per command returns the JSON-ready report document; the text
+# views below read that document only, so they show nothing the JSON lacks.
 
 
 def _covector_json(xi: Covector) -> list[str]:
@@ -351,15 +322,6 @@ def _witness_json(w) -> list[str] | dict:
         "polynomial": str(Polynomial(("t",), {(e,): c for e, c in enumerate(w.g)})),
         "interval": _covector_json(w.interval),
     }
-
-
-def _render_witness(w) -> str:
-    if not isinstance(w, RealRootWitness):
-        return _render_covector(w)
-    out = _witness_json(w)
-    return "{} + t*{} at the root of {} in ({}, {}]".format(
-        _render_covector(w.base), _render_covector(w.direction), out["polynomial"], *out["interval"]
-    )
 
 
 def classification_to_dict(c: ClassificationVerdict) -> dict:
@@ -414,28 +376,25 @@ def verdict_to_dict(verdict: LiftVerdict) -> dict:
 
 
 def spectrum_to_dict(spectrum: HeightSpectrum) -> dict:
-    return {
-        "samples": spectrum.samples,
-        "heights": {
-            str(k): {
-                "count": spectrum.counts[k],
-                "witness": _covector_json(spectrum.witnesses[k]),
-            }
-            for k in sorted(spectrum.counts)
-        },
+    heights = {
+        str(k): {"count": n, "witness": _covector_json(spectrum.witnesses[k])}
+        for k, n in sorted(spectrum.counts.items())
     }
+    return {"samples": spectrum.samples, "heights": heights}
 
 
-def analysis_to_dict(result: AnalysisResult) -> dict:
-    orbit, line = result.orbit_report, result.line_report
+def analysis_to_dict(
+    algebra: LieAlgebra, seed: int, samples: int, verdict: LiftVerdict,
+    spectrum: HeightSpectrum, orbit: OrbitRankReport, line: LineOrderReport,
+) -> dict:
     return {
         "command": "analyze",
-        "algebra": result.name,
-        "dimension": result.dim,
-        "seed": result.seed,
-        "samples": result.samples,
-        "verdict": verdict_to_dict(result.verdict),
-        "spectrum": spectrum_to_dict(result.spectrum),
+        "algebra": algebra.name or "anonymous",
+        "dimension": algebra.dim,
+        "seed": seed,
+        "samples": samples,
+        "verdict": verdict_to_dict(verdict),
+        "spectrum": spectrum_to_dict(spectrum),
         "orbit_crosscheck": {
             "samples": orbit.samples,
             "mismatches": len(orbit.mismatches),
@@ -449,103 +408,22 @@ def analysis_to_dict(result: AnalysisResult) -> dict:
     }
 
 
-_VERDICT_TEXT = {
-    "lifts_as_poisson": "lifts as a Poisson structure",
-    "lifts_as_dirac_only": "lifts as a Dirac structure only (not Poisson)",
-    "does_not_lift": "does not lift",
-}
-
-
-def render_human(result: AnalysisResult) -> str:
-    verdict = result.verdict
-    c = verdict.classification
-    k = c.constant_height
-    lines = [
-        f"algebra: {result.name} (dim {result.dim})",
-        f"seed: {result.seed}   samples: {result.samples}",
-        f"classification: {c.kind}" + (f" (constant height {k})" if k is not None else ""),
-        f"verdict: {_VERDICT_TEXT[verdict.kind]}" + (f" [k = {k}]" if k is not None else ""),
-    ]
-    if c.witnesses is not None:
-        w1, w2 = c.witnesses
-        h1, h2 = c.witness_heights
-        lines.append(
-            f"witnesses: {_render_witness(w1)} has height {h1}; "
-            f"{_render_witness(w2)} has height {h2}"
-        )
-    lines.append("spinor vanishing orders along the divisor:")
-    for chart, cert in sorted(verdict.certificates.items()):
-        entry = f"  chart {chart}: order {cert.order}, {cert.status}"
-        if cert.certificate:
-            entry += f" ({cert.certificate})"
-        if cert.witness_point is not None:
-            entry += f" (vanishes at {_render_covector(cert.witness_point)})"
-        if cert.note:
-            entry += f" [{cert.note}]"
-        lines.append(entry)
-    lines.append(f"spinor agreement: {verdict.spinor_agreement}")
-    spectrum = result.spectrum
-    spec_text = ", ".join(
-        f"{k}: {spectrum.counts[k]} samples" for k in sorted(spectrum.counts)
-    )
-    lines.append(f"height spectrum ({spectrum.samples} samples): {{{spec_text}}}")
-    orbit = result.orbit_report
-    lines.append(
-        f"orbit/rank identities: {orbit.samples} samples, "
-        f"{len(orbit.mismatches)} mismatches, heights {set(orbit.heights)}"
-        + ("" if orbit.constant_height else " (non-constant)")
-    )
-    line = result.line_report
-    lines.append(
-        f"line-order identity: {line.samples} samples, {len(line.mismatches)} mismatches"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _render_covector(xi) -> str:
-    return "(" + ", ".join(format_rational(v) for v in xi) + ")"
-
-
-def spinor_to_dict(result: SpinorResult) -> dict:
-    return {
-        "command": "spinor",
-        "input": result.name,
-        "seed": result.seed,
-        "charts": {
-            str(cf.chart): {
-                "pullback": cf.render(),
-                "certificate": certificate_to_dict(cert),
-            }
-            for cf, cert in result.charts
-        },
+def spinor_to_dict(name: str, seed: int, charts: list[tuple[ChartForm, OrderCertificate]]) -> dict:
+    pulled = {
+        str(cf.chart): {"pullback": cf.render(), "certificate": certificate_to_dict(cert)}
+        for cf, cert in charts
     }
+    return {"command": "spinor", "input": name, "seed": seed, "charts": pulled}
 
 
-def render_spinor_human(result: SpinorResult) -> str:
-    lines = [f"spinor analysis: {result.name}"]
-    for cf, cert in result.charts:
-        lines.append(f"chart {cf.chart}:")
-        lines.append(f"  pullback: {cf.render()}")
-        lines.append(f"  order: {cert.order}, {cert.status}")
-        lines.append(f"  leading form: {cert.leading.render(differential_names(cf.ring))}")
-        if cert.certificate:
-            lines.append(f"  certificate: {cert.certificate}")
-        if cert.witness_point is not None:
-            lines.append(
-                f"  leading form vanishes at: {_render_covector(cert.witness_point)}"
-            )
-        if cert.note:
-            lines.append(f"  note: {cert.note}")
-    return "\n".join(lines) + "\n"
-
-
-def crosscheck_to_dict(result: CrosscheckResult) -> dict:
-    line, orbit = result.line_report, result.orbit_report
+def crosscheck_to_dict(
+    algebra: LieAlgebra, seed: int, samples: int, line: LineOrderReport, orbit: OrbitRankReport
+) -> dict:
     return {
         "command": "crosscheck",
-        "algebra": result.name,
-        "seed": result.seed,
-        "samples": result.samples,
+        "algebra": algebra.name or "anonymous",
+        "seed": seed,
+        "samples": samples,
         "line_orders": {
             "mismatches": len(line.mismatches),
             "records": [
@@ -569,7 +447,7 @@ def crosscheck_to_dict(result: CrosscheckResult) -> dict:
 
 def _orbit_record_json(record: OrbitRankRecord) -> dict:
     inv = record.invariants
-    return {
+    out = {
         "v": _covector_json(record.v),
         "height": inv.height,
         "type": int(inv.element_type),
@@ -579,68 +457,163 @@ def _orbit_record_json(record: OrbitRankRecord) -> dict:
         "distribution_rank": record.distribution_rank,
         "ok": record.ok,
     }
+    if record.failures:
+        out["failures"] = list(record.failures)
+    return out
 
 
-def render_crosscheck_human(result: CrosscheckResult) -> str:
-    line, orbit = result.line_report, result.orbit_report
-    lines = [
-        f"crosscheck: {result.name} (seed {result.seed}, {result.samples} samples)",
-        "line-order identity (order == dim - 1 - height):",
-    ]
-    for r in line.records:
-        mark = "ok" if r.ok else "MISMATCH"
-        lines.append(
-            f"  xi={_render_covector(r.xi)} chart {r.chart}: order {r.order}, "
-            f"expected {r.expected}  [{mark}]"
-        )
-    lines.append("orbit/rank identities:")
-    for r in orbit.records:
-        inv = r.invariants
-        mark = "ok" if r.ok else "MISMATCH: " + "; ".join(r.failures)
-        lines.append(
-            f"  v={_render_covector(r.v)} height {inv.height} "
-            f"type {int(inv.element_type)} class {inv.cartan_class} "
-            f"orbit {inv.orbit_dim} radial {str(inv.radial_in_orbit).lower()} "
-            f"rank {r.distribution_rank}  [{mark}]"
-        )
-    constancy = "constant" if orbit.constant_height else "globally non-constant"
-    status = (
-        "VIOLATIONS FOUND"
-        if line.mismatches or orbit.mismatches
-        else "pointwise-consistent"
-    )
-    lines.append(f"summary: {status}, heights {set(orbit.heights)} ({constancy})")
-    return "\n".join(lines) + "\n"
+def catalog_to_dict(entries: list[CatalogEntry]) -> dict:
+    return {"command": "catalog", "entries": [asdict(e) for e in entries]}
 
 
-def catalog_to_dict(result: CatalogResult) -> dict:
-    return {"command": "catalog", "entries": [asdict(e) for e in result.entries]}
+# -- text views: each reads one report document --------------------------------------
 
 
-def render_catalog_human(result: CatalogResult) -> str:
-    lines = ["catalog:"]
-    for e in result.entries:
-        height = f", height {e.expected_height}" if e.expected_height is not None else ""
-        lines.append(
-            f"  {e.name}  (dim {e.dim}, {e.kind}): {e.expected_verdict}{height} -- {e.note}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-_RENDERERS = {
-    AnalysisResult: (analysis_to_dict, render_human),
-    SpinorResult: (spinor_to_dict, render_spinor_human),
-    CrosscheckResult: (crosscheck_to_dict, render_crosscheck_human),
-    CatalogResult: (catalog_to_dict, render_catalog_human),
+_VERDICT_TEXT = {
+    "lifts_as_poisson": "lifts as a Poisson structure",
+    "lifts_as_dirac_only": "lifts as a Dirac structure only (not Poisson)",
+    "does_not_lift": "does not lift",
 }
 
 
-def emit_report(
-    result: AnalysisResult | SpinorResult | CrosscheckResult | CatalogResult,
-    fmt: str = "human",
-) -> str:
-    """Deterministic report: identical inputs and seeds give identical bytes."""
-    to_dict, to_text = _RENDERERS[type(result)]
+def _vector_text(values: list[str]) -> str:
+    return "(" + ", ".join(values) + ")"
+
+
+def _witness_text(w: list[str] | dict) -> str:
+    if isinstance(w, list):
+        return _vector_text(w)
+    base, direction = w["line"]
+    return "{} + t*{} at the root of {} in ({}, {}]".format(
+        _vector_text(base), _vector_text(direction), w["polynomial"], *w["interval"]
+    )
+
+
+def _by_number(table: dict) -> list:
+    # keys are numbers as text, which sort_keys orders "1", "10", "2"
+    return sorted(table.items(), key=lambda item: int(item[0]))
+
+
+def _analysis_text(report: dict) -> list[str]:
+    verdict = report["verdict"]
+    c = verdict["classification"]
+    k = c["constant_height"]
+    lines = [
+        f"algebra: {report['algebra']} (dim {report['dimension']})",
+        f"seed: {report['seed']}   samples: {report['samples']}",
+        f"classification: {c['kind']}" + (f" (constant height {k})" if k is not None else ""),
+        f"verdict: {_VERDICT_TEXT[verdict['kind']]}" + (f" [k = {k}]" if k is not None else ""),
+    ]
+    if "witnesses" in c:
+        (w1, w2), (h1, h2) = c["witnesses"], c["witness_heights"]
+        lines.append(
+            f"witnesses: {_witness_text(w1)} has height {h1}; "
+            f"{_witness_text(w2)} has height {h2}"
+        )
+    lines.append("spinor vanishing orders along the divisor:")
+    for chart, cert in _by_number(verdict["charts"]):
+        entry = f"  chart {chart}: order {cert['order']}, {cert['status']}"
+        if "certificate" in cert:
+            entry += f" ({cert['certificate']})"
+        if "witness_point" in cert:
+            entry += f" (vanishes at {_vector_text(cert['witness_point'])})"
+        if "note" in cert:
+            entry += f" [{cert['note']}]"
+        lines.append(entry)
+    lines.append(f"spinor agreement: {verdict['cross_checks']['spinor_agreement']}")
+    spectrum = report["spectrum"]
+    spec_text = ", ".join(
+        f"{h}: {entry['count']} samples" for h, entry in _by_number(spectrum["heights"])
+    )
+    lines.append(f"height spectrum ({spectrum['samples']} samples): {{{spec_text}}}")
+    orbit = report["orbit_crosscheck"]
+    lines.append(
+        f"orbit/rank identities: {orbit['samples']} samples, "
+        f"{orbit['mismatches']} mismatches, heights {set(orbit['heights_observed'])}"
+        + ("" if orbit["constant_height"] else " (non-constant)")
+    )
+    line = report["line_order_crosscheck"]
+    lines.append(
+        f"line-order identity: {line['samples']} samples, {line['mismatches']} mismatches"
+    )
+    return lines
+
+
+def _spinor_text(report: dict) -> list[str]:
+    lines = [f"spinor analysis: {report['input']}"]
+    for chart, entry in _by_number(report["charts"]):
+        cert = entry["certificate"]
+        lines += [
+            f"chart {chart}:",
+            f"  pullback: {entry['pullback']}",
+            f"  order: {cert['order']}, {cert['status']}",
+            f"  leading form: {cert['leading_form']}",
+        ]
+        if "certificate" in cert:
+            lines.append(f"  certificate: {cert['certificate']}")
+        if "witness_point" in cert:
+            lines.append(f"  leading form vanishes at: {_vector_text(cert['witness_point'])}")
+        if "note" in cert:
+            lines.append(f"  note: {cert['note']}")
+    return lines
+
+
+def _crosscheck_text(report: dict) -> list[str]:
+    line, orbit = report["line_orders"], report["orbit_ranks"]
+    lines = [
+        f"crosscheck: {report['algebra']} (seed {report['seed']}, {report['samples']} samples)",
+        "line-order identity (order == dim - 1 - height):",
+    ]
+    for r in line["records"]:
+        mark = "ok" if r["order"] == r["expected"] else "MISMATCH"
+        lines.append(
+            f"  xi={_vector_text(r['xi'])} chart {r['chart']}: order {r['order']}, "
+            f"expected {r['expected']}  [{mark}]"
+        )
+    lines.append("orbit/rank identities:")
+    for r in orbit["records"]:
+        mark = "ok" if r["ok"] else "MISMATCH: " + "; ".join(r["failures"])
+        lines.append(
+            f"  v={_vector_text(r['v'])} height {r['height']} "
+            f"type {r['type']} class {r['class']} "
+            f"orbit {r['orbit_dim']} radial {str(r['radial']).lower()} "
+            f"rank {r['distribution_rank']}  [{mark}]"
+        )
+    constancy = "constant" if orbit["constant_height"] else "globally non-constant"
+    violated = line["mismatches"] or orbit["mismatches"]
+    status = "VIOLATIONS FOUND" if violated else "pointwise-consistent"
+    lines.append(f"summary: {status}, heights {set(orbit['heights_observed'])} ({constancy})")
+    return lines
+
+
+def _catalog_text(report: dict) -> list[str]:
+    lines = ["catalog:"]
+    for e in report["entries"]:
+        height = f", height {e['expected_height']}" if e["expected_height"] is not None else ""
+        lines.append(
+            f"  {e['name']}  (dim {e['dim']}, {e['kind']}): "
+            f"{e['expected_verdict']}{height} -- {e['note']}"
+        )
+    return lines
+
+
+_TEXT_VIEWS = {
+    "analyze": _analysis_text,
+    "spinor": _spinor_text,
+    "crosscheck": _crosscheck_text,
+    "catalog": _catalog_text,
+}
+
+
+def render_text(report: dict) -> str:
+    """The human view of a report document, read from the document alone."""
+    return "\n".join(_TEXT_VIEWS[report["command"]](report)) + "\n"
+
+
+def emit_report(fmt: str, build, *parts) -> str:
+    """Build one report document from its parts and print it as JSON (fmt
+    "machine") or as text; identical inputs and seeds give identical bytes."""
+    report = build(*parts)
     if fmt == "machine":
-        return json.dumps(to_dict(result), sort_keys=True, indent=2) + "\n"
-    return to_text(result)
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return render_text(report)

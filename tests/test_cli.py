@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -210,6 +211,19 @@ def test_option_prefixes_are_not_expanded(capsys):
     assert run(capsys, "spinor", "--catalog", "so3", "--fo", "machine")[0] == 64
 
 
+def test_bad_chart_is_refused_before_the_spinor_is_built(capsys, monkeypatch):
+    import blowuplab.cli as cli_mod
+
+    def no_spinor(pi):
+        raise AssertionError("the spinor was built for a chart that does not exist")
+
+    monkeypatch.setattr(cli_mod, "spinor", no_spinor)
+    code, out, err = run(capsys, "spinor", "--catalog", "so3", "--chart", "4")
+    assert code == 64
+    assert out == ""
+    assert err == "usage error: --chart must be one of (1, 2, 3)\n"
+
+
 def test_spinor_so3_chart_output(capsys):
     code, out, _ = run(
         capsys, "spinor", "--catalog", "so3", "--chart", "1", "--samples", "30"
@@ -306,6 +320,39 @@ def test_internal_disagreement_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "crosscheck", "--catalog", "so3", "--samples", "5")
     assert code == 3
     assert "internal disagreement" in err
+
+
+def test_failing_orbit_record_carries_its_reasons_in_both_formats(capsys, monkeypatch):
+    import blowuplab.blowup_geometry as geometry
+
+    # the first sample's distribution rank is off by two, so that record
+    # fails the rank identities and the others pass
+    real = geometry.distribution_at
+    calls = []
+
+    def skewed(L, v):
+        sample = real(L, v)
+        calls.append(v)
+        return SimpleNamespace(rank=sample.rank + 2) if len(calls) == 1 else sample
+
+    monkeypatch.setattr(geometry, "distribution_at", skewed)
+    argv = ("crosscheck", "--catalog", "so3", "--samples", "5")
+    code, out, err = run(capsys, *argv, "--format", "machine")
+    assert code == 3
+    assert "internal disagreement" in err
+    records = json.loads(out)["orbit_ranks"]["records"]
+    failing = [r for r in records if not r["ok"]]
+    assert len(failing) == 1
+    assert all("failures" not in r for r in records if r["ok"])
+    reasons = failing[0]["failures"]
+    assert reasons and all("distribution rank" in reason for reason in reasons)
+
+    calls.clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    mismatches = [line for line in out.splitlines() if "MISMATCH" in line]
+    assert len(mismatches) == 1
+    assert mismatches[0].endswith(f"[MISMATCH: {'; '.join(reasons)}]")
 
 
 # height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has real points but no rational ones

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from blowuplab import (
-    AnalysisResult,
     DomainError,
     JacobiError,
     ParseError,
@@ -29,6 +28,7 @@ from blowuplab import (
     sl2,
     so3,
 )
+from blowuplab.model_io import analysis_to_dict
 
 SO3_DOC = """
 # compact simple three-dimensional algebra
@@ -101,6 +101,25 @@ def test_parse_line_numbers_and_shape_errors():
         parse_document("schema_version: 2\ndimension: 2\n")
 
 
+# SO3_DOC's scalar keys sit on lines 3-5, 9 and 10; a note is added on line 11
+@pytest.mark.parametrize(
+    ("line", "first"),
+    [
+        ("schema_version: 1", 3),
+        ("name: other", 4),
+        ("dimension: 3", 5),
+        ("expected_verdict: does_not_lift", 9),
+        ("expected_height: 2", 10),
+        ("note: again", 11),
+    ],
+)
+def test_parse_rejects_a_repeated_scalar_key_naming_the_first_line(line, first):
+    key = line.partition(":")[0]
+    with pytest.raises(ParseError) as info:
+        parse_document(SO3_DOC + "note: first\n" + line + "\n")
+    assert str(info.value) == f"line 12: duplicate key {key!r}; first on line {first}"
+
+
 def test_round_trip_catalog():
     for L in (so3(), sl2(), heis3(), abelian(4), diagonal_affine(3)):
         text = serialize_algebra(L)
@@ -147,34 +166,34 @@ def test_scaled_bundle_parses_f():
 
 
 def _analysis(L, samples=20, seed=1729):
-    return AnalysisResult(
-        name=L.name,
-        dim=L.dim,
-        seed=seed,
-        samples=samples,
-        verdict=lift_verdict(L, seed=seed, samples=samples),
-        spectrum=sample_height_spectrum(L, samples, seed=seed),
-        orbit_report=orbit_rank_crosscheck(L, samples, seed=seed),
-        line_report=check_line_orders(L, samples, seed=seed),
+    """The parts of an analyze report, in the order analysis_to_dict takes them."""
+    return (
+        L,
+        seed,
+        samples,
+        lift_verdict(L, seed=seed, samples=samples),
+        sample_height_spectrum(L, samples, seed=seed),
+        orbit_rank_crosscheck(L, samples, seed=seed),
+        check_line_orders(L, samples, seed=seed),
     )
 
 
 def test_emit_report_deterministic_and_parseable():
-    first = emit_report(_analysis(heis3()), "machine")
-    second = emit_report(_analysis(heis3()), "machine")
+    first = emit_report("machine", analysis_to_dict, *_analysis(heis3()))
+    second = emit_report("machine", analysis_to_dict, *_analysis(heis3()))
     assert first == second
     payload = json.loads(first)
     assert payload["verdict"]["kind"] == "does_not_lift"
     assert payload["spectrum"]["heights"].keys() == {"0", "1"}
     assert payload["orbit_crosscheck"]["mismatches"] == 0
 
-    human = emit_report(_analysis(heis3()), "human")
+    human = emit_report("human", analysis_to_dict, *_analysis(heis3()))
     assert "does not lift" in human
-    assert human == emit_report(_analysis(heis3()), "human")
+    assert human == emit_report("human", analysis_to_dict, *_analysis(heis3()))
 
 
 def test_emit_report_so3_content():
-    payload = json.loads(emit_report(_analysis(so3()), "machine"))
+    payload = json.loads(emit_report("machine", analysis_to_dict, *_analysis(so3())))
     assert payload["verdict"]["kind"] == "lifts_as_dirac_only"
     assert payload["verdict"]["constant_height"] == 1
     charts = payload["verdict"]["charts"]
