@@ -39,18 +39,14 @@ from .liealg import (
     ElementType,
     HeightReport,
     LieAlgebra,
-    cartan_class,
     ce_differential,
     change_basis,
-    coadjoint_orbit_dim,
     covector_form,
     derived_algebra,
-    element_type,
     height,
     height_report,
     jacobi_check,
     killing_form,
-    radial_in_orbit,
 )
 from .model_io import (
     AlgebraDocument,

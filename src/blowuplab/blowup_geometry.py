@@ -50,18 +50,13 @@ def _hamiltonian_lifts(L: LieAlgebra, chart: int) -> tuple[tuple[Polynomial, ...
 class DistributionSample:
     """The divisor distribution at one projective point, with its exact rank.
 
-    rows are the evaluated annihilator fields that span it; the reduced
-    basis is computed only when asked for.
+    rows are the evaluated annihilator fields that span it.
     """
 
     point: Covector
     chart: int
     rows: tuple[tuple[Fraction, ...], ...]
     rank: int
-
-    @property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(row) for row in linalg.rref_basis(self.rows))
 
 
 def distribution_at(L: LieAlgebra, v: Sequence) -> DistributionSample:
@@ -116,10 +111,6 @@ class OrbitRankReport:
     records: tuple[OrbitRankRecord, ...]
     mismatches: tuple[OrbitRankRecord, ...]
     heights: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
     @property
     def constant_height(self) -> bool:

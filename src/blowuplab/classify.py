@@ -241,9 +241,6 @@ class HeightSpectrum:
     witnesses: dict[int, Covector]
     samples: int
 
-    def heights(self) -> tuple[int, ...]:
-        return tuple(sorted(self.counts))
-
 
 def sample_height_spectrum(
     L: LieAlgebra, samples: int, seed: int = DEFAULT_SEED

@@ -128,7 +128,8 @@ def _resolve_algebra(args) -> LieAlgebra:
         except DomainError as exc:
             raise UsageError(str(exc)) from None
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark, which editors may write
+        with open(args.input, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from None

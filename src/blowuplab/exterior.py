@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import DomainError, StructureError
-from .rings import CoeffRing, RATIONALS, join_signed
+from .rings import CoeffRing, join_signed
 
 IndexTuple = tuple[int, ...]
 
@@ -107,16 +107,6 @@ class _Alternating:
         self.terms = dict(sorted(terms.items(), key=_term_order))
         return self
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int, ring: CoeffRing = RATIONALS):
-        return cls(dim, ring)
-
-    @classmethod
-    def term(cls, dim: int, indices: Sequence[int], coeff=1, ring: CoeffRing = RATIONALS):
-        return cls(dim, ring, {tuple(indices): coeff})
-
     # -- structure -------------------------------------------------------------
 
     def _require_compatible(self, other: "_Alternating"):
@@ -131,16 +121,6 @@ class _Alternating:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({len(indices) for indices in self.terms}))
-
-    def degree_part(self, degree: int):
-        return type(self)(
-            self.dim,
-            self.ring,
-            {i: c for i, c in self.terms.items() if len(i) == degree},
-        )
 
     def coefficient(self, indices: Sequence[int]):
         sorted_idx, sign = _sort_indices(self.dim, indices)

@@ -96,9 +96,6 @@ class LieAlgebra:
             return [Fraction(0)] * self.dim
         return [sign * v for v in stored]
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self.bracket_basis(i, j)[k - 1]
-
     def bracket(self, u: Sequence[Rational], v: Sequence[Rational]) -> list[Fraction]:
         """[u, v] for arbitrary coordinate vectors."""
         u = [Fraction(x) for x in u]
@@ -424,26 +421,6 @@ def height_report(L: LieAlgebra, xi: Sequence) -> HeightReport:
     if failures:
         raise DisagreementError("; ".join(failures))
     return record
-
-
-def element_type(L: LieAlgebra, xi: Sequence) -> ElementType:
-    """Type ONE iff (d xi)^{k+1} = 0 at k = height(xi); TWO otherwise."""
-    return covector_invariants(L, xi).element_type
-
-
-def cartan_class(L: LieAlgebra, xi: Sequence) -> int:
-    """Cartan class: 2k+1 when (d xi)^{k+1} = 0, else 2k+2, at k = height(xi)."""
-    return covector_invariants(L, xi).cartan_class
-
-
-def coadjoint_orbit_dim(L: LieAlgebra, xi: Sequence) -> int:
-    """dim O_xi = rank of the skew matrix (d xi)(b_i, b_j); always even."""
-    return covector_invariants(L, xi).orbit_dim
-
-
-def radial_in_orbit(L: LieAlgebra, xi: Sequence) -> bool:
-    """Whether xi itself is tangent to its coadjoint orbit (exact solve)."""
-    return covector_invariants(L, xi).radial_in_orbit
 
 
 # -- classical invariants -----------------------------------------------------

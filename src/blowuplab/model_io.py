@@ -163,10 +163,18 @@ def parse_algebra(text: str) -> LieAlgebra:
     return parse_document(text).to_algebra()
 
 
+def _written_value(key: str, value: str) -> str:
+    """A value the parser reads back as written.  The format has no escape,
+    so a "#", a line break or surrounding whitespace is refused."""
+    if "#" in value or len(value.splitlines()) > 1 or value != value.strip():
+        raise DomainError(f"{key} {value!r} cannot be written to a document")
+    return value
+
+
 def serialize_algebra(L: LieAlgebra, metadata: Mapping[str, str] | None = None) -> str:
     lines = [
         f"schema_version: {SCHEMA_VERSION}",
-        f"name: {L.name or 'anonymous'}",
+        f"name: {_written_value('name', L.name or 'anonymous')}",
         f"dimension: {L.dim}",
     ]
     for (i, j), vec in sorted(L._pairs.items()):
@@ -176,7 +184,7 @@ def serialize_algebra(L: LieAlgebra, metadata: Mapping[str, str] | None = None) 
     for key, value in sorted((metadata or {}).items()):
         if key not in _METADATA_KEYS:
             raise DomainError(f"unknown metadata key {key!r}")
-        lines.append(f"{key}: {value}")
+        lines.append(f"{key}: {_written_value(key, value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -229,7 +237,10 @@ def scaled_so3_bundle(f: str) -> GradedVector:
     base variables (y1, y2) which every fibre chart leaves fixed.
     """
     ring = SCALED_SO3_RING
-    lift = PolyRing(("y1", "y2")).parse(f).substitute([ring.named("y1"), ring.named("y2")])
+    # y1, y2 are the last two variables of the ring, so f embeds by padding
+    # each exponent tuple with the three fibre exponents 0
+    terms = PolyRing(("y1", "y2")).parse(f).terms
+    lift = Polynomial._trusted(ring.vars, {(0, 0, 0) + e: c for e, c in terms.items()})
     x1, x2, x3 = (ring.variable(i) for i in (1, 2, 3))
     return GradedVector(
         len(ring.vars),

@@ -22,7 +22,7 @@ from typing import Sequence
 from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
-from .exterior import GradedForm, GradedVector, _check_insertion
+from .exterior import GradedForm, GradedVector, _check_insertion, _merge_sign
 from .liealg import Covector, LieAlgebra, covector_invariants
 from .linalg import integer_multiple, primitive
 from .rings import Polynomial, PolyRing, Rational
@@ -92,7 +92,7 @@ def spinor(pi: GradedVector) -> GradedForm:
     terms = {}
     for J, pf in pfaffians.items():
         I = tuple(i for i in range(1, lam.dim + 1) if i not in J)
-        sign, den = (-1) ** sum(i < j for j in J for i in I), scale ** (len(J) // 2)
+        sign, den = _merge_sign(J, I)[1], scale ** (len(J) // 2)
         coeffs = {e: Fraction(sign * c, den) for e, c in pf.items()}
         terms[I] = Polynomial._trusted(pi.ring.vars, coeffs)
     return GradedForm._trusted(lam.dim, pi.ring, terms)
@@ -402,10 +402,6 @@ class LineOrderReport:
     samples: int
     records: tuple[LineOrderRecord, ...]
     mismatches: tuple[LineOrderRecord, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
 
 def check_line_orders(

@@ -139,9 +139,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -172,43 +169,7 @@ class Polynomial:
 
     __hash__ = None
 
-    # -- calculus and substitution -------------------------------------------
-
-    def diff(self, position: int) -> "Polynomial":
-        col = position - 1
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[col]:
-                new = list(exps)
-                new[col] -= 1
-                out[tuple(new)] = coeff * exps[col]
-        return Polynomial._trusted(self.vars, out)
-
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Replace each variable by the corresponding image polynomial.
-
-        All images must live over one common variable list, which becomes the
-        variable list of the result.
-        """
-        if len(images) != len(self.vars):
-            raise StructureError("substitution needs one image per variable")
-        target = images[0].vars if images else ()
-        for img in images:
-            if img.vars != target:
-                raise StructureError("substitution images live over different variables")
-        result = Polynomial._trusted(target, {})
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-        for exps, coeff in self.terms.items():
-            term = Polynomial._trusted(target, {(0,) * len(target): coeff})
-            for pos, e in enumerate(exps):
-                if not e:
-                    continue
-                key = (pos, e)
-                if key not in power_cache:
-                    power_cache[key] = images[pos] ** e
-                term = term * power_cache[key]
-            result = result + term
-        return result
+    # -- evaluation and restriction -----------------------------------------
 
     def evaluate(self, values: Sequence[Rational]) -> Fraction:
         if len(values) != len(self.vars):

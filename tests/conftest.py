@@ -18,6 +18,7 @@ from blowuplab import (
     change_basis,
 )
 from blowuplab.linalg import det
+from reference import diff
 
 
 def rational(rng: random.Random, bound: int = 8) -> Fraction:
@@ -68,7 +69,7 @@ def apply_field(coeffs, poly: Polynomial) -> Polynomial:
     the ring of poly (a lifted field acting on a chart polynomial)."""
     out = PolyRing(poly.vars).zero()
     for j, coeff in enumerate(coeffs, start=1):
-        out = out + coeff * poly.diff(j)
+        out = out + coeff * diff(poly, j)
     return out
 
 

@@ -1,5 +1,9 @@
 """Reference paths the program no longer runs, kept for the tests to compare with.
 
+`substitute` is the pullback as first written (substitute into every
+coefficient) and `diff` the partial derivative the Poisson-bracket checks
+apply; `term` builds one basis term of a form or multivector.
+
 Insertion of multivectors follows the convention i_{X wedge Y} = i_Y i_X, so
 for an increasing tuple (k_1 < ... < k_p) the single insertions are applied
 in ascending index order.  The series of insertions `exp_interior` is what
@@ -11,10 +15,54 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from blowuplab import LieAlgebra, blowup_pullback, linear_poisson, spinor
+from blowuplab import (
+    RATIONALS,
+    LieAlgebra,
+    Polynomial,
+    blowup_pullback,
+    linear_poisson,
+    spinor,
+)
 from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, _check_insertion
 from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _leading_form
 from blowuplab.sampling import DEFAULT_SEED
+
+
+def term(cls, dim: int, indices, coeff=1, ring=RATIONALS):
+    """coeff times the basis element `indices` of a GradedForm or GradedVector."""
+    return cls(dim, ring, {tuple(indices): coeff})
+
+
+def diff(poly: Polynomial, position: int) -> Polynomial:
+    """The partial derivative in variable `position` (1-based)."""
+    col = position - 1
+    out = {}
+    for exps, coeff in poly.terms.items():
+        if exps[col]:
+            new = list(exps)
+            new[col] -= 1
+            out[tuple(new)] = coeff * exps[col]
+    return Polynomial._trusted(poly.vars, out)
+
+
+def substitute(poly: Polynomial, images) -> Polynomial:
+    """Replace each variable by the corresponding image polynomial; all
+    images live over one variable list, which the result takes."""
+    assert len(images) == len(poly.vars)
+    target = images[0].vars if images else ()
+    assert all(img.vars == target for img in images)
+    result = Polynomial._trusted(target, {})
+    power_cache: dict[tuple[int, int], Polynomial] = {}
+    for exps, coeff in poly.terms.items():
+        value = Polynomial._trusted(target, {(0,) * len(target): coeff})
+        for pos, e in enumerate(exps):
+            if not e:
+                continue
+            if (pos, e) not in power_cache:
+                power_cache[(pos, e)] = images[pos] ** e
+            value = value * power_cache[(pos, e)]
+        result = result + value
+    return result
 
 
 def _insert_single(index: int, terms: dict) -> dict:

@@ -77,6 +77,18 @@ def test_analyze_from_input_file(tmp_path, capsys):
     assert json.loads(out)["verdict"]["kind"] == "lifts_as_dirac_only"
 
 
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    text = serialize_algebra(so3())
+    plain, marked = tmp_path / "plain.alg", tmp_path / "marked.alg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    options = ["--samples", "5", "--format", "machine"]
+    want = run(capsys, "analyze", "--input", str(plain), *options)
+    assert run(capsys, "analyze", "--input", str(marked), *options) == want
+    assert want[0] == 0
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_text("schema_version: 1\ndimension: 3\nbracket: 1 2 3 0.5\n")

@@ -12,7 +12,8 @@ Pfaffians.  Each is checked here against an independent path on
 hypothesis-drawn inputs: the term-by-term derivation of d, the validating
 public constructors, sympy's rank of the rational restricted pairing, the
 substitute-and-wedge and general-bracket bodies the new code replaced, and
-the series of insertions `exp_interior` kept in `tests/reference.py`.
+the series of insertions `exp_interior`; `substitute` and `exp_interior` are
+kept in `tests/reference.py`.
 The real-root kernel behind the constructed height witnesses (gcd,
 square-free part, Sturm counts, isolating intervals, the rational-root test)
 is checked against sympy's polynomial arithmetic and real roots.
@@ -55,7 +56,7 @@ from blowuplab import realroots
 from blowuplab.charts import BlowupChart
 from blowuplab.exterior import _merge_sign
 from blowuplab.linalg import det, rank, rank_and_membership
-from reference import exp_interior, multi_interior
+from reference import diff, exp_interior, multi_interior, substitute
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -133,7 +134,7 @@ def reference_ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
             n,
             ring,
             {
-                (i, j): -L.structure_constant(i, j, k)
+                (i, j): -L.bracket_basis(i, j)[k - 1]
                 for i in range(1, n + 1)
                 for j in range(i + 1, n + 1)
             },
@@ -380,7 +381,7 @@ def reference_images(bc: BlowupChart):
         for pos in range(1, m + 1)
     ]
     differentials = [
-        GradedForm(m, bc.chart_ring, {(k,): img.diff(k) for k in range(1, m + 1)})
+        GradedForm(m, bc.chart_ring, {(k,): diff(img, k) for k in range(1, m + 1)})
         for img in images
     ]
     return images, differentials
@@ -391,9 +392,9 @@ def reference_pull_form(bc: BlowupChart, form: GradedForm) -> GradedForm:
     wedge the pulled-back differentials of the form's indices."""
     images, differentials = reference_images(bc)
     m = len(bc.ring.vars)
-    result = GradedForm.zero(m, bc.chart_ring)
+    result = GradedForm(m, bc.chart_ring)
     for indices, coeff in form.terms.items():
-        piece = GradedForm(m, bc.chart_ring, {(): coeff.substitute(images)})
+        piece = GradedForm(m, bc.chart_ring, {(): substitute(coeff, images)})
         for j in indices:
             piece = piece.wedge(differentials[j - 1])
         result = result + piece
@@ -432,7 +433,7 @@ def test_pullback_by_exponent_matches_substitute_and_wedge(setup):
         images, _ = reference_images(bc)
         for poly in form.terms.values():
             got = bc.pull_polynomial(poly)
-            want = poly.substitute(images)
+            want = substitute(poly, images)
             assert got == want and list(got.terms) == list(want.terms)
             assert str(got) == str(want)
             _polynomial_canonical(got)
@@ -450,7 +451,7 @@ def reference_restrict_to_line(cf: ChartForm, xi) -> GradedForm:
         for pos in range(1, m + 1)
     ]
     return GradedForm(
-        m, t_ring, {indices: poly.substitute(images) for indices, poly in cf.form.terms.items()}
+        m, t_ring, {indices: substitute(poly, images) for indices, poly in cf.form.terms.items()}
     )
 
 
@@ -492,9 +493,7 @@ def test_trusted_polynomial_results_are_canonical(data, m):
         a * (b - b),
         (a + b) * (a - b),
         a * c,
-        c - a,
         a**2,
-        a.diff(position),
         divisible.shift_down(position, 2),
         a.restrict_zero(position),
     ):

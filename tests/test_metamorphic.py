@@ -73,4 +73,4 @@ def test_semidirect_verdict_is_invariant_under_rational_change_of_basis(base, se
 
 def test_gl3_line_orders_hold_after_rational_change_of_basis():
     # on a dense conjugate every sampled line's t-order is dim - 1 - height
-    assert check_line_orders(seeded_conjugate(gl(3), 1), samples=48).ok
+    assert not check_line_orders(seeded_conjugate(gl(3), 1), samples=48).mismatches

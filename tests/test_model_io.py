@@ -5,11 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import json
+import re
 import pytest
 
 from blowuplab import (
     DomainError,
     JacobiError,
+    LieAlgebra,
     ParseError,
     abelian,
     catalog_algebra,
@@ -52,7 +54,7 @@ def test_parse_so3_document():
         "expected_verdict": "lifts_as_dirac_only",
     }
     algebra = doc.to_algebra()
-    assert algebra.structure_constant(2, 1, 3) == -1
+    assert algebra.bracket_basis(2, 1) == [0, 0, -1]
     assert algebra.jacobi_violations() == []
 
 
@@ -133,6 +135,20 @@ def test_round_trip_preserves_metadata():
     text = serialize_algebra(so3(), {"expected_height": "1", "note": "check"})
     doc = parse_document(text)
     assert doc.metadata == {"expected_height": "1", "note": "check"}
+    for name in ("so3~conj", "aff: v2", "R x| R^3"):
+        L = LieAlgebra(3, {(1, 2): {3: 1}}, name=name)
+        doc = parse_document(serialize_algebra(L, {"note": name}))
+        assert (doc.name, doc.metadata) == (name, {"note": name})
+
+
+@pytest.mark.parametrize("value", ["a # b", "a\nb", " a", "a ", "a\rb", "a\x1cb"])
+def test_serialize_refuses_values_the_parser_would_change(value):
+    # the format has no escape: "#" starts a comment, a line break ends the
+    # line and the parser strips surrounding whitespace
+    with pytest.raises(DomainError, match=re.escape(repr(value))):
+        serialize_algebra(LieAlgebra(3, {(1, 2): {3: 1}}, name=value))
+    with pytest.raises(DomainError, match="note"):
+        serialize_algebra(so3(), {"note": value})
 
 
 def test_catalog_entries_cover_expected_names():

@@ -1,13 +1,19 @@
-"""The package keeps only what a command runs.
+"""The package keeps only what a command or the library example runs.
 
-A fixed list of command lines, covering every command, a document, the
-bundle fixture and the usage, parse and Jacobi error paths, runs through
-`cli.main` under a profile hook.  Every plain function that `blowuplab`
-exports must be called by one of them, or be on the README's library list.
+What `blowuplab` supports is defined once: a fixed list of command lines,
+covering every command, documents, the bundle fixture and the usage, parse
+and Jacobi error paths, together with the `## Library` example of README.md.
+Both run under a profile hook, and every function and method defined in
+`src/` must be called by one of them.  Three kinds are excepted: methods a
+dataclass generates (their code has no source file in the package),
+`__repr__`, and the console entry `cli.run`, which `tests/test_console.py`
+runs in a subprocess.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
 import types
 from pathlib import Path
@@ -17,20 +23,22 @@ from blowuplab import serialize_algebra, sl2
 from blowuplab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-LIBRARY_ONLY = (
-    "height_report",
-    "element_type",
-    "cartan_class",
-    "coadjoint_orbit_dim",
-    "radial_in_orbit",
-    "change_basis",
-    "serialize_algebra",
+PACKAGE = Path(blowuplab.__file__).resolve().parent
+EXEMPT = {"cli.run"}
+
+# height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has real points but no rational
+# ones, so its witness search reaches the Cartan-slice phase
+ANISOTROPIC_SL2 = (
+    "schema_version: 1\nname: aniso_sl2\ndimension: 3\n"
+    "bracket: 1 2 3 -3\nbracket: 2 3 1 1\nbracket: 1 3 2 -1\n"
 )
 
 
 def _command_lines(tmp_path):
     document = tmp_path / "sl2.alg"
     document.write_text(serialize_algebra(sl2()), encoding="utf-8")
+    anisotropic = tmp_path / "aniso_sl2.alg"
+    anisotropic.write_text(ANISOTROPIC_SL2, encoding="utf-8")
     malformed = tmp_path / "malformed.alg"
     malformed.write_text("schema_version: 1\ndimension: 3\nbracket: 1 2 3 0.5\n")
     broken = tmp_path / "broken.alg"
@@ -38,6 +46,7 @@ def _command_lines(tmp_path):
         "schema_version: 1\ndimension: 3\n"
         "bracket: 1 2 3 1\nbracket: 2 3 2 1\nbracket: 1 3 2 -1\n"
     )
+    bundle = ["spinor", "--catalog", "scaled_so3_bundle"]
     lines = [
         ([command, "--catalog", name, "--samples", "5", "--format", fmt], 0)
         for command in ("analyze", "spinor", "crosscheck")
@@ -46,8 +55,11 @@ def _command_lines(tmp_path):
     ]
     return lines + [
         (["analyze", "--input", str(document), "--samples", "5", "--format", "machine"], 0),
-        (["spinor", "--catalog", "scaled_so3_bundle", "--f", "y1", "--format", "human"], 0),
-        (["spinor", "--catalog", "scaled_so3_bundle", "--f", "y1", "--format", "machine"], 0),
+        (["analyze", "--input", str(anisotropic), "--samples", "5", "--format", "machine"], 0),
+        ([*bundle, "--f", "y1", "--format", "human"], 0),
+        ([*bundle, "--f", "y1", "--format", "machine"], 0),
+        # a sum, a product, a power and a unary minus, for the degree pass
+        ([*bundle, "--f", "1 - (y1-y2)^2*y1 + -y2", "--format", "machine"], 0),
         (["catalog"], 0),
         (["catalog", "--format", "machine", "--filter", "dim=3"], 0),
         (["analyze", "--catalog", "so3", "--f", "1"], 64),
@@ -56,8 +68,43 @@ def _command_lines(tmp_path):
     ]
 
 
-def test_every_exported_function_is_run_by_a_command_or_documented(tmp_path, capsys):
+def _library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def _functions(cls_or_module):
+    """(name, function) for each function or method defined directly in it."""
+    for name, member in vars(cls_or_module).items():
+        if isinstance(member, (staticmethod, classmethod)):
+            member = member.__func__
+        if isinstance(member, property):
+            member = member.fget
+        if isinstance(member, types.FunctionType):
+            yield name, member
+
+
+def _defined_in_src():
+    """Qualified name -> code object of every function and method whose
+    source is a module of the package."""
+    defined = {}
+    for info in pkgutil.iter_modules(blowuplab.__path__):
+        module = importlib.import_module(f"blowuplab.{info.name}")
+        owners = [(info.name, module)] + [
+            (f"{info.name}.{name}", obj)
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+        for prefix, owner in owners:
+            for name, fn in _functions(owner):
+                if Path(fn.__code__.co_filename).resolve().parent == PACKAGE:
+                    defined[f"{prefix}.{name}"] = fn.__code__
+    return defined
+
+
+def test_every_function_is_run_by_a_command_or_the_library_example(tmp_path, capsys):
     command_lines = _command_lines(tmp_path)
+    example = compile(_library_example(), str(README), "exec")
     called = set()
 
     def profiler(frame, event, arg):
@@ -69,18 +116,19 @@ def test_every_exported_function_is_run_by_a_command_or_documented(tmp_path, cap
     try:
         for argv, _ in command_lines:
             codes.append(main(argv))
+        exec(example, {"__name__": "readme_example"})
     finally:
         sys.setprofile(None)
     capsys.readouterr()
     assert codes == [code for _, code in command_lines]
 
+    defined = _defined_in_src()
+    # the enumeration sees module functions, methods and properties alike
+    seen = {"cli.main", "rings.Polynomial.evaluate", "poisson_spinor.ChartForm.ring"}
+    assert seen <= set(defined)
     unreached = sorted(
         name
-        for name, obj in vars(blowuplab).items()
-        if isinstance(obj, types.FunctionType)
-        and obj.__code__ not in called
-        and name not in LIBRARY_ONLY
+        for name, code in defined.items()
+        if code not in called and name not in EXEMPT and not name.endswith(".__repr__")
     )
     assert unreached == []
-    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
-    assert [name for name in LIBRARY_ONLY if name not in library] == []
