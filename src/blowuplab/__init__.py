@@ -29,7 +29,6 @@ from .errors import (
 )
 from .exterior import GradedForm, GradedVector
 from .blowup_geometry import (
-    DistributionSample,
     OrbitRankReport,
     distribution_at,
     orbit_rank_crosscheck,

@@ -13,7 +13,6 @@ with zero violations on every input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -27,61 +26,55 @@ from .liealg import (
     covector_invariants,
     invariant_failures,
 )
-from .poisson_spinor import hamiltonian_field, preferred_chart, shared_linear_poisson
-from .rings import Polynomial
-from .sampling import DEFAULT_SEED, sampled_covectors
+from .poisson_spinor import _integer_terms, _integer_value, hamiltonian_field
+from .poisson_spinor import preferred_chart, shared_linear_poisson
+from .sampling import DEFAULT_SEED, shared_covectors
 
 
-def _hamiltonian_lifts(L: LieAlgebra, chart: int) -> tuple[tuple[Polynomial, ...], ...]:
-    """Lifts through `chart` of the Hamiltonian fields of dx_1, ..., dx_dim
-    of the linear Poisson bivector, built once per algebra and chart."""
+def _compiled_lifts(L: LieAlgebra, chart: int):
+    """The lifts through `chart` of the Hamiltonian fields of dx_1, ...,
+    dx_dim of the linear Poisson bivector, as `_integer_terms` with one
+    denominator and one padding degree for every field, built once per
+    algebra and chart."""
 
     def build():
         pi = shared_linear_poisson(L)
         bc = BlowupChart(pi.ring, chart)
-        return tuple(
-            bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)
-        )
+        fields = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
+        compiled = iter(_integer_terms(*(poly.terms for field in fields for poly in field)))
+        return tuple(tuple(next(compiled) for _ in field) for field in fields)
 
     return L.memo(("lifts", chart), build)
 
 
-@dataclass(frozen=True)
-class DistributionSample:
-    """The divisor distribution at one projective point, with its exact rank.
-
-    rows are the evaluated annihilator fields that span it.
-    """
-
-    point: Covector
-    chart: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    rank: int
-
-
-def distribution_at(L: LieAlgebra, v: Sequence) -> DistributionSample:
-    """Span of lifted Hamiltonian fields of v-annihilating covectors at [v].
+def distribution_at(L: LieAlgebra, v: Sequence) -> int:
+    """The rank of the span of lifted Hamiltonian fields of v-annihilating
+    covectors at [v].
 
     Works with the linear part of the bivector, which determines the
     distribution: covectors are taken constant, and the annihilator of v is
     spanned by dx_j - (v_j / v_c) dx_c for j != c in the chart c of largest
-    |v component|.
+    |v component|.  Evaluated in integers at the primitive integer multiple
+    x of v: the lifted fields at the divisor point x / x_c (chart entry
+    zeroed) come out as at[j] = D q^top times their values, q = x_c, and the
+    rows q at[j] - x_j at[c] are the annihilator fields times q D q^top.
     """
     v = as_covector(v)
     if len(v) != L.dim:
         raise StructureError("direction vector length does not match the algebra")
     if not any(v):
         raise DomainError("direction vector must be nonzero")
-    chart = preferred_chart(v)
-    ratios = [value / v[chart - 1] for value in v]
-    point = list(ratios)
-    point[chart - 1] = Fraction(0)
-    at_point = [
-        [poly.evaluate(point) for poly in field]
-        for field in _hamiltonian_lifts(L, chart)
+    x = linalg.primitive(v)
+    chart = preferred_chart(x)
+    q = x[chart - 1]
+    point = list(x)
+    point[chart - 1] = 0
+    at = [
+        [_integer_value(poly, point, q) for poly in field]
+        for field in _compiled_lifts(L, chart)
     ]
     rows = [
-        [a - ratios[j] * b for a, b in zip(at_point[j], at_point[chart - 1])]
+        [q * a - x[j] * b for a, b in zip(at[j], at[chart - 1])]
         for j in range(L.dim)
         if j != chart - 1
     ]
@@ -90,7 +83,7 @@ def distribution_at(L: LieAlgebra, v: Sequence) -> DistributionSample:
     r = linalg.rank(rows)
     if r % 2:
         raise InternalError("divisor distribution has odd rank")
-    return DistributionSample(tuple(point), chart, tuple(map(tuple, rows)), r)
+    return r
 
 
 @dataclass(frozen=True)
@@ -125,9 +118,9 @@ def orbit_rank_crosscheck(
     class.  Identities hold pointwise on any algebra; global constancy of
     the height is reported separately."""
     records = []
-    for v in sampled_covectors(L.dim, samples, seed):
+    for v in shared_covectors(L, samples, seed):
         inv = covector_invariants(L, v)
-        rank = distribution_at(L, v).rank
+        rank = distribution_at(L, v)
         failures = []
         if rank != 2 * inv.height:
             failures.append(f"distribution rank {rank} != 2*height {2 * inv.height}")

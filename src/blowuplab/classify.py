@@ -28,7 +28,7 @@ from .liealg import Covector, LieAlgebra, as_covector, ce_differential, covector
 from .liealg import covector_invariants, derived_algebra, height, killing_form
 from .rings import PolyRing
 from .sampling import DEFAULT_SEED, dual_basis, pairwise_combinations, random_covectors
-from .sampling import random_vector, sampled_covectors
+from .sampling import random_vector, shared_covectors
 
 WITNESS_CAP = 10_000
 _SLICE_LINES = 8
@@ -248,7 +248,7 @@ def sample_height_spectrum(
     """Heights of the first `samples` covectors of the deterministic stream."""
     counts: dict[int, int] = {}
     witnesses: dict[int, Covector] = {}
-    for xi in sampled_covectors(L.dim, samples, seed):
+    for xi in shared_covectors(L, samples, seed):
         k = covector_invariants(L, xi).height
         counts[k] = counts.get(k, 0) + 1
         witnesses.setdefault(k, xi)

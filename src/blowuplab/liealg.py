@@ -329,14 +329,26 @@ def _height_by_rank(pairing: list[list[int]], x: tuple[int, ...]) -> int:
     return r // 2
 
 
+def _integer_form(form: GradedForm) -> GradedForm:
+    """D times a rational form, D the lcm of its denominators, with int
+    coefficients for the integer wedge chains (the ring stays the rationals,
+    whose arithmetic ints share)."""
+    ints = linalg.integer_multiple(form.terms.values())[1]
+    return GradedForm._trusted(form.dim, form.ring, dict(zip(form.terms, ints)))
+
+
 def _checked_height(L: LieAlgebra, xi: Covector):
     """The height of xi by iterated wedging, cross-checked against the rank of
     the skew pairing on ker xi (a mismatch raises, since the two must agree),
-    with d xi, the primitive integer vector x of xi and its pairing matrix."""
-    form = covector_form(L, xi)
-    omega = ce_differential(L, form)
-    by_wedge = _wedge_chain(form, omega)
+    with D d x, the primitive integer vector x of xi and its pairing matrix.
+
+    The wedge chain runs in integers on x = s xi (s > 0) and on D d x, D the
+    lcm of the denominators of d x: x ^ (D d x)^j = s^(j+1) D^j xi ^ (d xi)^j
+    is zero exactly when xi ^ (d xi)^j is."""
     x = linalg.primitive(xi)
+    form = covector_form(L, x)
+    omega = _integer_form(ce_differential(L, form))
+    by_wedge = _wedge_chain(_integer_form(form), omega)
     pairing = _pairing_matrix(L, x)
     by_rank = _height_by_rank(pairing, x)
     if by_wedge != by_rank:
@@ -379,9 +391,10 @@ class HeightReport:
 
 def _build_invariants(L: LieAlgebra, xi: Covector) -> HeightReport:
     k, omega, x, pairing = _checked_height(L, xi)
-    # r is the largest power with (d xi)^r != 0: type ONE iff (d xi)^{k+1} = 0,
-    # and the class is 2k+1 when r equals k, else 2k+2
-    r = _wedge_chain(GradedForm(L.dim, RATIONALS, {(): 1}), omega)
+    # r is the largest power with (d xi)^r != 0, read off the integer multiple
+    # omega of d x: type ONE iff (d xi)^{k+1} = 0, and the class is 2k+1 when
+    # r equals k, else 2k+2
+    r = _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {(): 1}), omega)
     etype = ElementType.ONE if r <= k else ElementType.TWO
     cls = 2 * k + 1 if r == k else 2 * k + 2
     # one elimination of [A; x] pivoting on A's rows only: the pivot count is

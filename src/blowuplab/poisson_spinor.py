@@ -26,7 +26,7 @@ from .exterior import GradedForm, GradedVector, _check_insertion, _merge_sign
 from .liealg import Covector, LieAlgebra, covector_invariants
 from .linalg import integer_multiple, primitive
 from .rings import Polynomial, PolyRing, Rational
-from .sampling import DEFAULT_SEED, point_stream, sampled_covectors
+from .sampling import DEFAULT_SEED, point_stream, shared_covectors
 
 
 def coordinate_ring(n: int, base: Sequence[str] = ()) -> PolyRing:
@@ -210,13 +210,16 @@ def _divisor_points(cf: ChartForm, seed: int, samples: int):
         yield tuple(point)
 
 
-def _integer_terms(terms: dict) -> list[tuple[int, tuple[int, ...], int]]:
-    """(c, e, pad) for each term of a positive integer multiple of a
-    polynomial's terms padded to their total degree: the polynomial is zero
-    at p/q exactly when `_integer_value` of them at p and q is."""
-    top = max(map(sum, terms))
-    ints = integer_multiple(terms.values())[1]
-    return [(c, e, top - sum(e)) for c, e in zip(ints, terms)]
+def _integer_terms(*polys: dict) -> list[list[tuple[int, tuple[int, ...], int]]]:
+    """For each polynomial's terms, (c, e, pad) per term: all of them times
+    one positive integer D, the lcm of their denominators, and padded to
+    their highest total degree top.  `_integer_value` of one polynomial's
+    terms at p and q is D q^top times its value at p/q, so it is zero exactly
+    when the polynomial is, and values of polynomials compiled together
+    share that factor."""
+    top = max((sum(e) for terms in polys for e in terms), default=0)
+    ints = iter(integer_multiple(c for terms in polys for c in terms.values())[1])
+    return [[(next(ints), e, top - sum(e)) for e in terms] for terms in polys]
 
 
 def _integer_value(compiled, nums: Sequence[int], q: int) -> int:
@@ -260,7 +263,7 @@ def vanishing_order(
                 certificate=f"coefficient of {where}: {reason}",
             )
 
-    compiled = [_integer_terms(poly.terms) for poly in leading.terms.values()]
+    compiled = [_integer_terms(poly.terms)[0] for poly in leading.terms.values()]
     for point in _divisor_points(cf, seed, samples):
         if _all_vanish(compiled, point):
             return replace(undetermined, status="falsified", witness_point=point)
@@ -297,7 +300,7 @@ def line_order(cf: ChartForm, xi: Sequence[Rational]) -> int:
             if lowest is None or k < lowest:
                 buckets.setdefault(k, {})[exps] = coeff
         for k in sorted(buckets):
-            if _integer_value(_integer_terms(buckets[k]), x, x[c - 1]):
+            if _integer_value(_integer_terms(buckets[k])[0], x, x[c - 1]):
                 lowest = k
                 break
     if lowest is None:
@@ -410,7 +413,7 @@ def check_line_orders(
     """Primary cross-oracle identity: for each sampled covector, the t-adic
     order of the line-restricted pullback spinor equals dim - 1 - height."""
     records = []
-    for xi in sampled_covectors(L.dim, samples, seed):
+    for xi in shared_covectors(L, samples, seed):
         chart = preferred_chart(xi)
         got = line_order(shared_pullback(L, chart), xi)
         want = L.dim - 1 - covector_invariants(L, xi).height

@@ -169,24 +169,7 @@ class Polynomial:
 
     __hash__ = None
 
-    # -- evaluation and restriction -----------------------------------------
-
-    def evaluate(self, values: Sequence[Rational]) -> Fraction:
-        if len(values) != len(self.vars):
-            raise StructureError("evaluation needs one value per variable")
-        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-        powers: dict[tuple[int, int], Fraction] = {}
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for pos, e in enumerate(exps):
-                if e:
-                    key = (pos, e)
-                    if key not in powers:
-                        powers[key] = vals[pos] ** e
-                    prod *= powers[key]
-            total += prod
-        return total
+    # -- restriction ---------------------------------------------------------
 
     def shift_down(self, position: int, amount: int) -> "Polynomial":
         """Divide exactly by ``v_position ** amount``."""

@@ -67,14 +67,17 @@ def covector_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction
     yield from random_covectors(n, seed)
 
 
-def sampled_covectors(
-    n: int, samples: int, seed: int = DEFAULT_SEED
-) -> Iterator[tuple[Fraction, ...]]:
-    """The first `samples` covectors of the stream, the points that every
-    per-sample suite visits."""
+def shared_covectors(L, samples: int, seed: int = DEFAULT_SEED) -> tuple[tuple[Fraction, ...], ...]:
+    """The first `samples` covectors of the stream for the algebra L, the
+    points that every per-sample suite visits: drawn once per algebra,
+    sample count and seed, and kept in `L.memo`, so the suites of one
+    command read one draw."""
     if samples < 1:
         raise DomainError("samples must be positive")
-    return itertools.islice(covector_stream(n, seed), samples)
+    return L.memo(
+        ("covectors", samples, seed),
+        lambda: tuple(itertools.islice(covector_stream(L.dim, seed), samples)),
+    )
 
 
 def point_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:

@@ -156,16 +156,21 @@ def adjoint_extension(L: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(2 * n, brackets, name=f"{L.name}_x_ad")
 
 
-def seeded_conjugate(L: LieAlgebra, seed: int, bound: int = 30) -> LieAlgebra:
-    """L in a random rational basis with entries p/q, |p|, q <= bound."""
+def seeded_matrix(n: int, seed: int, bound: int = 30) -> list[list[Fraction]]:
+    """An invertible random rational n x n matrix with entries p/q, |p|, q <= bound."""
     rng = random.Random(seed)
     while True:
         matrix = [
-            [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(L.dim)]
-            for _ in range(L.dim)
+            [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(n)]
+            for _ in range(n)
         ]
         if det(matrix):
-            return change_basis(L, matrix)
+            return matrix
+
+
+def seeded_conjugate(L: LieAlgebra, seed: int, bound: int = 30) -> LieAlgebra:
+    """L in the basis b'_j = sum_i M[i][j] b_i, M = seeded_matrix(L.dim, seed, bound)."""
+    return change_basis(L, seeded_matrix(L.dim, seed, bound))
 
 
 @pytest.fixture

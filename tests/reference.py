@@ -2,7 +2,11 @@
 
 `substitute` is the pullback as first written (substitute into every
 coefficient) and `diff` the partial derivative the Poisson-bracket checks
-apply; `term` builds one basis term of a form or multivector.
+apply; `term` builds one basis term of a form or multivector.  `evaluate`
+gives a polynomial's value at a rational point; `rational_chains` and
+`distribution_rows` are the rational per-covector kernels (the wedge chains
+of xi and d xi, the evaluated divisor distribution) that the program now
+runs in integers on the primitive integer multiple of the covector.
 
 Insertion of multivectors follows the convention i_{X wedge Y} = i_Y i_X, so
 for an increasing tuple (k_1 < ... < k_p) the single insertions are applied
@@ -20,11 +24,16 @@ from blowuplab import (
     LieAlgebra,
     Polynomial,
     blowup_pullback,
+    ce_differential,
+    covector_form,
+    hamiltonian_field,
     linear_poisson,
     spinor,
 )
+from blowuplab.charts import BlowupChart
 from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, _check_insertion
 from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _leading_form
+from blowuplab.poisson_spinor import preferred_chart
 from blowuplab.sampling import DEFAULT_SEED
 
 
@@ -43,6 +52,53 @@ def diff(poly: Polynomial, position: int) -> Polynomial:
             new[col] -= 1
             out[tuple(new)] = coeff * exps[col]
     return Polynomial._trusted(poly.vars, out)
+
+
+def evaluate(poly: Polynomial, values) -> Fraction:
+    """The value of poly at a point, one rational value per variable."""
+    assert len(values) == len(poly.vars)
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        for value, e in zip(values, exps):
+            coeff *= Fraction(value) ** e
+        total += coeff
+    return total
+
+
+def rational_chains(L: LieAlgebra, xi) -> tuple[int, int]:
+    """(k, r): the largest k with xi ^ (d xi)^k != 0 and the largest r with
+    (d xi)^r != 0, by wedging the rational forms xi and d xi."""
+    form = covector_form(L, xi)
+    omega = ce_differential(L, form)
+
+    def chain(level: GradedForm) -> int:
+        j = 0
+        while not (level := level.wedge(omega)).is_zero():
+            j += 1
+        return j
+
+    return chain(form), chain(GradedForm(L.dim, RATIONALS, {(): 1}))
+
+
+def distribution_rows(L: LieAlgebra, v) -> tuple[int, list[list[Fraction]]]:
+    """(chart, rows) for the divisor distribution at [v]: in the chart c of
+    largest |v component|, the lifted Hamiltonian fields of dx_j - (v_j / v_c)
+    dx_c, j != c, evaluated at the divisor point v / v_c (entry c zeroed)."""
+    v = [Fraction(a) for a in v]
+    chart = preferred_chart(v)
+    pi = linear_poisson(L)
+    bc = BlowupChart(pi.ring, chart)
+    fields = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
+    ratios = [a / v[chart - 1] for a in v]
+    point = ratios.copy()
+    point[chart - 1] = Fraction(0)
+    at = [[evaluate(poly, point) for poly in field] for field in fields]
+    rows = [
+        [a - ratios[j] * b for a, b in zip(at[j], at[chart - 1])]
+        for j in range(L.dim)
+        if j != chart - 1
+    ]
+    return chart, rows
 
 
 def substitute(poly: Polynomial, images) -> Polynomial:
@@ -135,6 +191,6 @@ def perturbed_orders(L: LieAlgebra, w: GradedVector, chart: int, samples: int):
     cf = blowup_pullback(spinor(pi), chart)
     order, lead = _leading_form(cf)
     order_w, lead_w = _leading_form(blowup_pullback(spinor(pi + w), chart))
-    base, pert = ([_integer_terms(p.terms) for p in f.terms.values()] for f in (lead, lead_w))
+    base, pert = ([_integer_terms(p.terms)[0] for p in f.terms.values()] for f in (lead, lead_w))
     points = _divisor_points(cf, DEFAULT_SEED, samples)
     return order, order_w, all(_all_vanish(base, p) == _all_vanish(pert, p) for p in points)

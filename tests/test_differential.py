@@ -14,6 +14,11 @@ public constructors, sympy's rank of the rational restricted pairing, the
 substitute-and-wedge and general-bracket bodies the new code replaced, and
 the series of insertions `exp_interior`; `substitute` and `exp_interior` are
 kept in `tests/reference.py`.
+The per-covector kernels run in integers on the primitive integer multiple
+of the covector: the wedge chains of the height and of the powers of d xi,
+and the evaluated divisor distribution.  They are checked against the
+rational chains and the rationally evaluated rows of `tests/reference.py`
+on seeded conjugates, with covector entries up to 10^6/10^6.
 The real-root kernel behind the constructed height witnesses (gcd,
 square-free part, Sturm counts, isolating intervals, the rational-root test)
 is checked against sympy's polynomial arithmetic and real roots.
@@ -21,6 +26,7 @@ is checked against sympy's polynomial arithmetic and real roots.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import lcm
 
@@ -43,6 +49,7 @@ from blowuplab import (
     change_basis,
     covector_form,
     diagonal_affine,
+    distribution_at,
     heis3,
     height,
     jacobi_check,
@@ -55,8 +62,12 @@ from blowuplab import (
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart
 from blowuplab.exterior import _merge_sign
+from blowuplab.liealg import _checked_height, _wedge_chain, as_covector, covector_invariants
 from blowuplab.linalg import det, rank, rank_and_membership
-from reference import diff, exp_interior, multi_interior, substitute
+from blowuplab.sampling import dual_basis, pairwise_combinations
+from conftest import seeded_matrix, sl3
+from reference import diff, distribution_rows, exp_interior, multi_interior
+from reference import rational_chains, substitute
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -648,3 +659,66 @@ def test_rational_root_finds_exactly_sympy_rational_roots(roots, extra, lead):
     event("has a rational root" if expected else "no rational root")
     event("has an irrational root" if len(set(poly.real_roots())) > len(expected) else "all rational")
     assert found == expected
+
+
+# -- integer per-covector kernels -------------------------------------------------
+
+# sl3 first: the draws lean towards the first entry, and it is the hardest
+KERNEL_BASES = {
+    "sl3": sl3,
+    "so3": so3,
+    "sl2": sl2,
+    "heis3": heis3,
+    "diagonal_affine3": lambda: diagonal_affine(3),
+}
+big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+nonzero_big_rationals = st.builds(
+    Fraction, st.integers(1, 10**6) | st.integers(-10**6, -1), st.integers(1, 10**6)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_conjugate(name: str, seed: int):
+    """(seeded conjugate of a kernel base, its change-of-basis matrix)."""
+    base = KERNEL_BASES[name]()
+    matrix = seeded_matrix(base.dim, seed)
+    return change_basis(base, matrix), matrix
+
+
+@st.composite
+def kernel_cases(draw):
+    """A seeded conjugate with a covector: random entries up to 10^6/10^6,
+    or a standard-basis seed covector (where heights drop) carried into the
+    conjugate basis as xi M and scaled by such a rational."""
+    L, matrix = kernel_conjugate(draw(st.sampled_from(list(KERNEL_BASES))), draw(st.integers(1, 3)))
+    n = L.dim
+    if draw(st.booleans()):
+        xi = draw(st.lists(big_rationals, min_size=n, max_size=n))
+    else:
+        seed = draw(st.sampled_from(dual_basis(n) + pairwise_combinations(n)))
+        scale = draw(nonzero_big_rationals)
+        xi = [scale * sum(seed[i] * matrix[i][j] for i in range(n)) for j in range(n)]
+    assume(any(xi))
+    return L, tuple(xi)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(case=kernel_cases())
+def test_integer_height_and_power_match_the_rational_chains(case):
+    L, xi = case
+    k, r = rational_chains(L, xi)
+    event(f"{L.name} k={k} r={r}")
+    height_, omega, _, _ = _checked_height(L, as_covector(xi))
+    assert (height_, _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {(): 1}), omega)) == (k, r)
+    record = covector_invariants(L, xi)
+    assert (record.height, record.cartan_class) == (k, k + r + 1)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(case=kernel_cases())
+def test_integer_distribution_rank_matches_the_rational_rows(case):
+    L, v = case
+    _, rows = distribution_rows(L, v)
+    expected = sympy.Matrix(rows).rank()
+    event(f"{L.name} rank={expected}")
+    assert distribution_at(L, v) == expected

@@ -2,8 +2,8 @@
 
 `analyze` runs four suites over the same algebra and the same sampled
 covectors.  The linear Poisson bivector, its spinor and chart pullbacks, the
-lifted Hamiltonian fields and each covector's invariant record are built once
-per algebra and read by every suite; the witness search alone calls the plain
+lifted Hamiltonian fields, the sampled covectors and each covector's
+invariant record are built once per algebra and read by every suite; the witness search alone calls the plain
 height oracle, one call per candidate, and past its first draw it leaves its
 random draws to the inputs that need them.  A chart pullback rewrites
 exponents and a line order evaluates monomials in integers, so neither
@@ -18,7 +18,7 @@ import pstats
 from fractions import Fraction
 
 import blowuplab.classify as classify_mod
-from blowuplab import change_basis, charts, heis3, liealg, poisson_spinor, sl2, so3
+from blowuplab import change_basis, charts, heis3, liealg, poisson_spinor, sampling, sl2, so3
 from blowuplab.cli import main
 from blowuplab.exterior import GradedForm
 from blowuplab.model_io import serialize_algebra
@@ -129,6 +129,22 @@ def _profiled(fn):
     finally:
         profile.disable()
     return profile, result
+
+
+def test_analyze_draws_the_sampled_covectors_once_per_command(capsys):
+    """The height spectrum, the orbit/rank check and the line orders visit
+    one draw of the sampled covectors.  so3 is classified structurally, so
+    every random draw belongs to that stream; a second command builds its
+    algebra anew and draws again."""
+    argv = ["analyze", "--catalog", "so3", "--samples", "48", "--format", "machine"]
+    random_draws = 48 - len(dual_basis(3) + pairwise_combinations(3))
+    profile, codes = _profiled(lambda: [main(argv)])
+    assert codes == [0]
+    assert _calls(profile, sampling.random_vector) == random_draws
+    profile, codes = _profiled(lambda: [main(argv), main(argv)])
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert _calls(profile, sampling.random_vector) == 2 * random_draws
 
 
 def test_pullback_and_line_restriction_read_exponents_only():
