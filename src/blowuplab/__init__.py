@@ -76,7 +76,6 @@ from .poisson_spinor import (
     linear_poisson,
     spinor,
     vanishing_order,
-    volume_form,
 )
 from .rings import (
     PolyRing,

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_algebra(args) -> LieAlgebra:
-    if args.catalog:
+    if args.catalog is not None:
         if args.catalog == "scaled_so3_bundle":
             raise UsageError(
                 "scaled_so3_bundle is a bundle fixture; use the 'spinor' command"
@@ -198,7 +198,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_catalog(args) -> int:
     entries = catalog_entries()
-    if args.filter:
+    if args.filter is not None:
         if "=" not in args.filter:
             raise UsageError("--filter expects key=value, e.g. dim=3")
         key, _, value = args.filter.partition("=")

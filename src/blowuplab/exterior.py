@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import DomainError, StructureError
+from .errors import StructureError
 from .rings import CoeffRing, join_signed
 
 IndexTuple = tuple[int, ...]
@@ -226,11 +226,3 @@ class GradedForm(_Alternating):
 class GradedVector(_Alternating):
     """Element of the exterior algebra over the basis multivectors."""
 
-
-def _check_insertion(name: str, v, a, degree: int | None = None):
-    if not isinstance(v, GradedVector) or not isinstance(a, GradedForm):
-        raise StructureError(f"{name} expects (GradedVector, GradedForm)")
-    if v.dim != a.dim or v.ring != a.ring:
-        raise StructureError(f"{name} operands must share dimension and ring")
-    if degree is not None and any(len(indices) != degree for indices in v.terms):
-        raise DomainError(f"{name} expects a homogeneous degree-{degree} vector")

@@ -150,36 +150,17 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[tuple[int, int, int], tuple[Fracti
     """All triples (i, j, k), i<j<k, whose cyclic double brackets fail to cancel.
 
     Returns the nonzero defect vector [[b_i,b_j],b_k] + [[b_j,b_k],b_i]
-    + [[b_k,b_i],b_j] for each violating triple; empty means the table is a
-    Lie algebra.  Each term is read off the stored constants as
-    [[b_a,b_b],b_c] = sum_p c(a,b,p) [b_p,b_c].
+    + [[b_k,b_i],b_j] for each violating triple, in triple order; empty
+    means the table is a Lie algebra.  The defects are read off d o d, with
+    the differential the heights use: the coefficient of theta_ijk in
+    d(d theta_m) is the m-th entry of the defect of (i, j, k).
     """
-    nonzero = {
-        key: [(m, v) for m, v in enumerate(vec) if v] for key, vec in L._pairs.items()
-    }
-
-    def components(a: int, b: int):
-        """The nonzero (0-based index, value) pairs of [b_a, b_b], a != b."""
-        if a < b:
-            return nonzero.get((a, b), ())
-        return [(m, -v) for m, v in nonzero.get((b, a), ())]
-
-    violations = []
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            for k in range(j + 1, L.dim + 1):
-                defect: dict[int, Fraction] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p, x in components(a, b):
-                        if p + 1 != c:
-                            for m, y in components(p + 1, c):
-                                defect[m] = defect.get(m, 0) + x * y
-                if any(defect.values()):
-                    vector = [Fraction(0)] * L.dim
-                    for m, value in defect.items():
-                        vector[m] = value
-                    violations.append(((i, j, k), tuple(vector)))
-    return violations
+    defects: dict[tuple[int, int, int], list[Fraction]] = {}
+    for m in range(L.dim):
+        theta = covector_form(L, [int(i == m) for i in range(L.dim)])
+        for triple, value in ce_differential(L, ce_differential(L, theta)).terms.items():
+            defects.setdefault(triple, [Fraction(0)] * L.dim)[m] = value
+    return [(triple, tuple(defect)) for triple, defect in sorted(defects.items())]
 
 
 def change_basis(L: LieAlgebra, matrix: Sequence[Sequence[Rational]]) -> LieAlgebra:
@@ -219,11 +200,12 @@ def _generator_differential(L: LieAlgebra, k: int) -> dict[tuple[int, int], Frac
 def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
     """Chevalley-Eilenberg differential, extended as a degree +1 derivation.
 
-    Each term c theta_I contributes (-1)^t c theta_{I<t} ^ d theta_{I_t} ^
-    theta_{I>t} for every position t, summed into one term map.
-    Ring-generic: coefficients may be rationals or polynomials (the rational
-    structure constants act by scalars).  d o d = 0 precisely when the Jacobi
-    identity holds, which the property suite checks in both directions.
+    Each term c theta_I contributes, for every position t, (-1)^t c
+    theta_{I<t} ^ d theta_{I_t} ^ theta_{I>t} = (-1)^t c theta_{I without I_t}
+    ^ d theta_{I_t} (a degree-2 form commutes), one merge each, summed into
+    one term map.  Ring-generic: coefficients may be rationals or polynomials
+    (the rational structure constants act by scalars).  d o d = 0 precisely
+    when the Jacobi identity holds, which is how `jacobi_check` reads it.
     """
     if form.dim != L.dim:
         raise StructureError("form dimension does not match the algebra")
@@ -234,16 +216,13 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
     out: dict = {}
     for indices, coeff in form.terms.items():
         for t, k in enumerate(indices):
-            pre, post = indices[:t], indices[t + 1 :]
+            rest = indices[:t] + indices[t + 1 :]
             for middle, c in d_theta[k - 1].items():
-                left, sign = _merge_sign(pre, middle)
+                merged, sign = _merge_sign(rest, middle)
                 if not sign:
                     continue
-                merged, sign2 = _merge_sign(left, post)
-                if not sign2:
-                    continue
                 value = c * coeff
-                if sign * sign2 * (-1) ** t < 0:
+                if sign * (-1) ** t < 0:
                     value = -value
                 if merged in out:
                     value = out[merged] + value

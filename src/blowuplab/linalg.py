@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals, and the one place where rational
 vectors become integer ones: `integer_multiple` (D times the vector, D the
 lcm of its denominators) and `primitive` (that multiple over the gcd of its
-entries) feed every integer kernel.  Rank and determinant use fraction-free
-(Bareiss) elimination on rows so cleared (rows of ints are used as they
-are), which keeps intermediate values integral; basis extraction uses
-rational Gauss-Jordan.
+entries) feed every integer kernel.  Rank, row-space membership and
+definiteness use fraction-free (Bareiss) elimination on rows so cleared
+(rows of ints are used as they are), which keeps intermediate values
+integral; basis extraction uses rational Gauss-Jordan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalError, StructureError
@@ -45,8 +45,8 @@ def _as_int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
 def _eliminate(m: list[list[int]], n_pivot_rows: int) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination of the integer matrix m in place,
     choosing pivots among its first n_pivot_rows rows only; every row below
-    them is reduced as well.  Returns the number of pivots and the sign of
-    the row permutation made by the pivot swaps.
+    them is reduced as well.  Returns the number of pivots and the number
+    of row swaps made to find them.
 
     By Sylvester's identity each reduced entry is a minor of the original
     matrix, so every division is exact; a reduced row below the pivot rows
@@ -54,18 +54,18 @@ def _eliminate(m: list[list[int]], n_pivot_rows: int) -> tuple[int, int]:
     pivot rows, and it is zero exactly when that row lies in their span.
     """
     if not m:
-        return 0, 1
+        return 0, 0
     n_rows, n_cols = len(m), len(m[0])
     r = 0
     prev = 1
-    sign = 1
+    swaps = 0
     for col in range(n_cols):
         pivot_row = next((i for i in range(r, n_pivot_rows) if m[i][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            sign = -sign
+            swaps += 1
         pivot = m[r]
         for i in range(r + 1, n_rows):
             row = m[i]
@@ -80,7 +80,7 @@ def _eliminate(m: list[list[int]], n_pivot_rows: int) -> tuple[int, int]:
         r += 1
         if r == n_pivot_rows:
             break
-    return r, sign
+    return r, swaps
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -97,32 +97,16 @@ def rank_and_membership(rows: Sequence[Sequence], vector: Sequence) -> tuple[int
     return r, not any(m[-1])
 
 
-def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant via fraction-free elimination with row pivoting."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise StructureError("determinant needs a square matrix")
-    if n == 0:
-        return Fraction(1)
-    scales, rows = zip(*map(integer_multiple, matrix))
-    # after full Bareiss elimination the last pivot is the determinant of
-    # the row-permuted integer matrix
-    m = list(rows)
-    r, sign = _eliminate(m, n)
-    return Fraction(sign * m[-1][-1], prod(scales)) if r == n else Fraction(0)
-
-
-def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    n = len(matrix)
-    return [det([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n)]
-
-
 def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester test: leading principal minors alternate in sign, starting negative."""
-    minors = leading_principal_minors(matrix)
-    return all(
-        (minor < 0) if k % 2 == 0 else (minor > 0) for k, minor in enumerate(minors)
-    )
+    """Sylvester's test from one fraction-free elimination.  When no row is
+    swapped, the k-th pivot is the k-th leading principal minor of the
+    row-scaled integer matrix, a positive multiple of the original one; a
+    needed swap means a leading minor is zero.  So the matrix is negative
+    definite exactly when the elimination reaches full rank without a swap
+    and its pivots alternate in sign, starting negative."""
+    m = _as_int_rows(matrix)
+    r, swaps = _eliminate(m, len(m))
+    return r == len(m) and not swaps and all((m[k][k] < 0) == (k % 2 == 0) for k in range(r))
 
 
 def rref_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:

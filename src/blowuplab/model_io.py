@@ -356,8 +356,6 @@ def certificate_to_dict(cert: OrderCertificate) -> dict:
         out["certificate"] = cert.certificate
     if cert.witness_point is not None:
         out["witness_point"] = [format_rational(v) for v in cert.witness_point]
-    if cert.note:
-        out["note"] = cert.note
     return out
 
 
@@ -528,8 +526,6 @@ def _analysis_text(report: dict) -> list[str]:
             entry += f" ({cert['certificate']})"
         if "witness_point" in cert:
             entry += f" (vanishes at {_vector_text(cert['witness_point'])})"
-        if "note" in cert:
-            entry += f" [{cert['note']}]"
         lines.append(entry)
     lines.append(f"spinor agreement: {verdict['cross_checks']['spinor_agreement']}")
     spectrum = report["spectrum"]
@@ -564,8 +560,6 @@ def _spinor_text(report: dict) -> list[str]:
             lines.append(f"  certificate: {cert['certificate']}")
         if "witness_point" in cert:
             lines.append(f"  leading form vanishes at: {_vector_text(cert['witness_point'])}")
-        if "note" in cert:
-            lines.append(f"  note: {cert['note']}")
     return lines
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
-from .exterior import GradedForm, GradedVector, _check_insertion, _merge_sign
+from .exterior import GradedForm, GradedVector, _merge_sign
 from .liealg import Covector, LieAlgebra, covector_invariants
 from .linalg import integer_multiple, primitive
 from .rings import Polynomial, PolyRing, Rational
@@ -56,11 +56,6 @@ def shared_linear_poisson(L: LieAlgebra) -> GradedVector:
     return L.memo("linear_poisson", lambda: linear_poisson(L))
 
 
-def volume_form(ring: PolyRing) -> GradedForm:
-    m = len(ring.vars)
-    return GradedForm(m, ring, {tuple(range(1, m + 1)): 1})
-
-
 def spinor(pi: GradedVector) -> GradedForm:
     """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m, from the
     principal Pfaffians of pi: for J of even size 2k with complement I, the
@@ -68,8 +63,12 @@ def spinor(pi: GradedVector) -> GradedForm:
     sorting J followed by I.  Each Pfaffian is expanded along min J over the
     nonzero smaller ones, in integers for D pi (D the lcm of the coefficient
     denominators); Pf(D pi_JJ) = D^k Pf(pi_JJ) is divided by D^k at the end."""
-    lam = volume_form(pi.ring)
-    _check_insertion("spinor", pi, lam, degree=2)
+    if not (isinstance(pi, GradedVector) and isinstance(pi.ring, PolyRing)):
+        raise StructureError("spinor expects a GradedVector over a PolyRing")
+    if pi.dim != len(pi.ring.vars):
+        raise StructureError("spinor needs one ring variable per dimension")
+    if any(len(indices) != 2 for indices in pi.terms):
+        raise DomainError("spinor expects a homogeneous degree-2 vector")
     scale, ints = integer_multiple(c for p in pi.terms.values() for c in p.terms.values())
     ints = iter(ints)
     entries = [(a, b, [(e, next(ints)) for e in p.terms]) for (a, b), p in pi.terms.items()]
@@ -91,11 +90,11 @@ def spinor(pi: GradedVector) -> GradedForm:
         pfaffians.update(level)
     terms = {}
     for J, pf in pfaffians.items():
-        I = tuple(i for i in range(1, lam.dim + 1) if i not in J)
+        I = tuple(i for i in range(1, pi.dim + 1) if i not in J)
         sign, den = _merge_sign(J, I)[1], scale ** (len(J) // 2)
         coeffs = {e: Fraction(sign * c, den) for e, c in pf.items()}
         terms[I] = Polynomial._trusted(pi.ring.vars, coeffs)
-    return GradedForm._trusted(lam.dim, pi.ring, terms)
+    return GradedForm._trusted(pi.dim, pi.ring, terms)
 
 
 def differential_names(ring: PolyRing) -> tuple[str, ...]:
@@ -182,7 +181,6 @@ class OrderCertificate:
     status: str
     certificate: str | None = None
     witness_point: tuple[Fraction, ...] | None = None
-    note: str | None = None
 
 
 def _leading_form(cf: ChartForm) -> tuple[int, GradedForm]:
@@ -247,10 +245,7 @@ def vanishing_order(
     if cf.form.is_zero():
         raise DomainError("the zero form has no vanishing order")
     order, leading = _leading_form(cf)
-    note = None
-    if order == 0 and len(cf.blown) > 1:
-        note = "order 0: transverse-like, outside the invariant-origin setting"
-    undetermined = OrderCertificate(cf.chart, order, leading, "undetermined", note=note)
+    undetermined = OrderCertificate(cf.chart, order, leading, "undetermined")
 
     for indices, poly in leading.terms.items():
         reason = _sign_definite_reason(poly)

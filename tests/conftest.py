@@ -17,8 +17,7 @@ from blowuplab import (
     RATIONALS,
     change_basis,
 )
-from blowuplab.linalg import det
-from reference import diff
+from reference import det, diff
 
 
 def rational(rng: random.Random, bound: int = 8) -> Fraction:

@@ -7,6 +7,10 @@ gives a polynomial's value at a rational point; `rational_chains` and
 `distribution_rows` are the rational per-covector kernels (the wedge chains
 of xi and d xi, the evaluated divisor distribution) that the program now
 runs in integers on the primitive integer multiple of the covector.
+`det` is the exact determinant, `reference_jacobi_check` the Jacobi check
+through the general bracket, and `volume_form` the standard volume form that
+`exp_interior` inserts into; the program derives definiteness, the Jacobi
+defects and the spinor without them.
 
 Insertion of multivectors follows the convention i_{X wedge Y} = i_Y i_X, so
 for an increasing tuple (k_1 < ... < k_p) the single insertions are applied
@@ -17,12 +21,15 @@ in ascending index order.  The series of insertions `exp_interior` is what
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from blowuplab import (
     RATIONALS,
+    DomainError,
     LieAlgebra,
+    PolyRing,
     Polynomial,
+    StructureError,
     blowup_pullback,
     ce_differential,
     covector_form,
@@ -31,7 +38,8 @@ from blowuplab import (
     spinor,
 )
 from blowuplab.charts import BlowupChart
-from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, _check_insertion
+from blowuplab.exterior import GradedForm, GradedVector, IndexTuple
+from blowuplab.linalg import _eliminate, integer_multiple
 from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _leading_form
 from blowuplab.poisson_spinor import preferred_chart
 from blowuplab.sampling import DEFAULT_SEED
@@ -101,6 +109,34 @@ def distribution_rows(L: LieAlgebra, v) -> tuple[int, list[list[Fraction]]]:
     return chart, rows
 
 
+def det(matrix) -> Fraction:
+    """Exact determinant: after full fraction-free elimination of the
+    row-scaled integer matrix, the last pivot is its determinant up to the
+    sign of the row swaps."""
+    scales, rows = zip(*map(integer_multiple, matrix))
+    m = list(rows)
+    r, swaps = _eliminate(m, len(m))
+    return Fraction((-1) ** swaps * m[-1][-1], prod(scales)) if r == len(m) else Fraction(0)
+
+
+def reference_jacobi_check(L: LieAlgebra):
+    """The Jacobi check as it was first written: every cyclic term through
+    the general bracket, with a unit vector as its second argument."""
+    basis = [[Fraction(int(a == b)) for a in range(L.dim)] for b in range(L.dim)]
+    violations = []
+    for i in range(1, L.dim + 1):
+        for j in range(i + 1, L.dim + 1):
+            for k in range(j + 1, L.dim + 1):
+                defect = [Fraction(0)] * L.dim
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    outer = L.bracket(L.bracket_basis(a, b), basis[c - 1])
+                    for m in range(L.dim):
+                        defect[m] += outer[m]
+                if any(defect):
+                    violations.append(((i, j, k), tuple(defect)))
+    return violations
+
+
 def substitute(poly: Polynomial, images) -> Polynomial:
     """Replace each variable by the corresponding image polynomial; all
     images live over one variable list, which the result takes."""
@@ -119,6 +155,21 @@ def substitute(poly: Polynomial, images) -> Polynomial:
             value = value * power_cache[(pos, e)]
         result = result + value
     return result
+
+
+def volume_form(ring: PolyRing) -> GradedForm:
+    """dx_1 ^ ... ^ dx_m over a polynomial ring in m variables."""
+    m = len(ring.vars)
+    return GradedForm(m, ring, {tuple(range(1, m + 1)): 1})
+
+
+def _check_insertion(name: str, v, a, degree: int | None = None):
+    if not isinstance(v, GradedVector) or not isinstance(a, GradedForm):
+        raise StructureError(f"{name} expects (GradedVector, GradedForm)")
+    if v.dim != a.dim or v.ring != a.ring:
+        raise StructureError(f"{name} operands must share dimension and ring")
+    if degree is not None and any(len(indices) != degree for indices in v.terms):
+        raise DomainError(f"{name} expects a homogeneous degree-{degree} vector")
 
 
 def _insert_single(index: int, terms: dict) -> dict:

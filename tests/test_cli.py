@@ -214,6 +214,21 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "catalog", "--filter", "weird")[0] == 64
 
 
+@pytest.mark.parametrize("command", ["analyze", "spinor", "crosscheck"])
+def test_empty_catalog_name_is_a_usage_error(capsys, command):
+    # an empty name is a name, not a missing one: it must not fall through
+    # to reading --input
+    code, out, err = run(capsys, command, "--catalog", "")
+    assert (code, out) == (64, "")
+    assert "unknown catalog name ''" in err
+
+
+def test_empty_catalog_filter_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "catalog", "--filter", "")
+    assert (code, out) == (64, "")
+    assert "--filter expects key=value" in err
+
+
 def test_option_prefixes_are_not_expanded(capsys):
     # "--f" is the bundle's scaling option, not a prefix of "--format"
     code, _, err = run(capsys, "analyze", "--catalog", "so3", "--f", "1")

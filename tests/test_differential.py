@@ -6,14 +6,14 @@ operations and polynomial arithmetic build their results through trusted
 constructors, the rank oracle eliminates integer matrices, the shuffle sign
 of two index tuples comes from one linear merge, a blowup chart pulls forms
 back by rewriting exponents, the line order tests t-buckets of monomials in
-integers, the Jacobi check reads its double brackets off the stored
-constants, and the spinor e^{i_pi} lambda is read off integer principal
+integers, the Jacobi check reads its defects off d o d of the generators,
+and the spinor e^{i_pi} lambda is read off integer principal
 Pfaffians.  Each is checked here against an independent path on
 hypothesis-drawn inputs: the term-by-term derivation of d, the validating
 public constructors, sympy's rank of the rational restricted pairing, the
 substitute-and-wedge and general-bracket bodies the new code replaced, and
-the series of insertions `exp_interior`; `substitute` and `exp_interior` are
-kept in `tests/reference.py`.
+the series of insertions `exp_interior`; `substitute`,
+`reference_jacobi_check` and `exp_interior` are kept in `tests/reference.py`.
 The per-covector kernels run in integers on the primitive integer multiple
 of the covector: the wedge chains of the height and of the powers of d xi,
 and the evaluated divisor distribution.  They are checked against the
@@ -57,17 +57,16 @@ from blowuplab import (
     sl2,
     so3,
     spinor,
-    volume_form,
 )
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart
 from blowuplab.exterior import _merge_sign
 from blowuplab.liealg import _checked_height, _wedge_chain, as_covector, covector_invariants
-from blowuplab.linalg import det, rank, rank_and_membership
+from blowuplab.linalg import rank, rank_and_membership
 from blowuplab.sampling import dual_basis, pairwise_combinations
 from conftest import seeded_matrix, sl3
-from reference import diff, distribution_rows, exp_interior, multi_interior
-from reference import rational_chains, substitute
+from reference import det, diff, distribution_rows, exp_interior, multi_interior
+from reference import rational_chains, reference_jacobi_check, substitute, volume_form
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -511,24 +510,6 @@ def test_trusted_polynomial_results_are_canonical(data, m):
         _polynomial_canonical(result)
     assert divisible.shift_down(position, 2) == a
     assert (a + b) * (a - b) == a**2 - b**2
-
-
-def reference_jacobi_check(L: LieAlgebra):
-    """The Jacobi check as it was first written: every cyclic term through
-    the general bracket, with a unit vector as its second argument."""
-    basis = [[Fraction(int(a == b)) for a in range(L.dim)] for b in range(L.dim)]
-    violations = []
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            for k in range(j + 1, L.dim + 1):
-                defect = [Fraction(0)] * L.dim
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    outer = L.bracket(L.bracket_basis(a, b), basis[c - 1])
-                    for m in range(L.dim):
-                        defect[m] += outer[m]
-                if any(defect):
-                    violations.append(((i, j, k), tuple(defect)))
-    return violations
 
 
 @st.composite

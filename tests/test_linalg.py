@@ -13,16 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from blowuplab import killing_form, sl2, so3
 from blowuplab.linalg import (
-    det,
     in_row_space,
     integer_multiple,
     inverse,
     is_negative_definite,
-    leading_principal_minors,
     primitive,
     rank,
     rref_basis,
 )
+from reference import det
 
 
 def _random_matrix(rng, rows, cols, singularish=False):
@@ -50,16 +49,42 @@ def test_rank_matches_sympy(rng):
         assert rank(m) == _sympy_matrix(m).rank()
 
 
-def test_det_matches_sympy(rng):
-    for trial in range(40):
-        n = rng.randint(1, 5)
-        m = _random_matrix(rng, n, n, singularish=trial % 4 == 0)
-        assert det(m) == Fraction(str(_sympy_matrix(m).det()))
+def _random_symmetric(rng, n, trial):
+    """A symmetric n x n rational matrix: -B^T B (negative semidefinite) for
+    half the trials, a free symmetric matrix for the rest, and for every
+    third trial a zero leading block, so elimination must swap rows."""
+    if trial % 2:
+        b = _random_matrix(rng, n, n, singularish=trial % 10 == 1)
+        m = [[-sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    else:
+        m = _random_matrix(rng, n, n)
+        m = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    if trial % 3 == 0 and n > 1:
+        k = rng.randint(1, n - 1)
+        for i in range(k):
+            for j in range(k):
+                m[i][j] = Fraction(0)
+    return m
+
+
+def test_negative_definite_matches_sympy(rng):
+    outcomes = []
+    for trial in range(240):
+        m = _random_symmetric(rng, rng.randint(1, 5), trial)
+        expected = _sympy_matrix(m).is_negative_definite
+        assert is_negative_definite(m) == expected
+        outcomes.append(expected)
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+    # leading minors 0, 0, 0, 36: the elimination swaps rows twice and its
+    # pivots alternate in sign, so only "no swap" rejects it
+    m = [[0, 0, -2, 2], [0, 0, -3, 0], [-2, -3, 2, -2], [2, 0, -2, 2]]
+    assert [det([row[:k] for row in m[:k]]) for k in range(1, 5)] == [0, 0, 0, 36]
+    assert not is_negative_definite([[Fraction(x) for x in row] for row in m])
 
 
 def test_leading_minors_and_definiteness():
     b_so3 = killing_form(so3())
-    minors = leading_principal_minors(b_so3)
+    minors = [det([row[:k] for row in b_so3[:k]]) for k in range(1, 4)]
     assert minors == [Fraction(-2), Fraction(4), Fraction(-8)]
     assert is_negative_definite(b_so3)
     assert not is_negative_definite(killing_form(sl2()))
