@@ -9,16 +9,19 @@ variable x_c the blowdown map reads
 with every unblown (base) variable fixed.  The divisor in this chart is
 {x~_c = 0}.  Blown variables are renamed with a tilde; base variables keep
 their names.  Pullback of polynomials and forms, and the lift of vector
-fields vanishing at the blown origin, are all exact.
+fields vanishing at the blown origin, are all exact.  A form pullback keeps
+the coefficient type, so chart forms are pulled back as one integer multiple
+over one scale, which rendering divides once.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from bisect import bisect_left
+from operator import add
 
 from .errors import DomainError, InternalError, StructureError
-from .exterior import GradedForm, _sort_indices
+from .exterior import GradedForm
 from .rings import Polynomial, PolyRing
 
 _NAME_RE = re.compile(r"([A-Za-z]+)(.*)")
@@ -34,94 +37,90 @@ def tilde_name(name: str) -> str:
 class BlowupChart:
     """Chart U_chart of the blowup at the origin of the blown variables."""
 
-    __slots__ = ("ring", "chart", "blown", "chart_ring")
+    __slots__ = ("ring", "chart", "blown", "chart_ring", "_base_columns")
 
     def __init__(self, ring: PolyRing, chart: int, blown=None):
         m = len(ring.vars)
         blown = tuple(blown) if blown is not None else tuple(range(1, m + 1))
         if len(set(blown)) != len(blown) or any(not 1 <= v <= m for v in blown):
             raise DomainError(f"invalid blown variable set {blown}")
-        if len(blown) < 1:
-            raise DomainError("at least one variable must be blown up")
-        if chart not in blown:
+        if chart not in blown:  # so no blown set is empty
             raise DomainError(f"chart index {chart} is not a blown variable")
         self.ring = ring
         self.chart = chart
         self.blown = tuple(sorted(blown))
+        self._base_columns = [col for col in range(m) if col + 1 not in self.blown]
         names = tuple(
             tilde_name(name) if (pos + 1) in self.blown else name
             for pos, name in enumerate(ring.vars)
         )
         self.chart_ring = PolyRing(names)
 
-    def _pull_exponents(self, exps: tuple) -> list:
-        """x^a -> x~^e: the chart exponent becomes the total degree in the
-        blown variables, every other exponent is unchanged."""
-        out = list(exps)
-        out[self.chart - 1] = sum(exps[v - 1] for v in self.blown)
-        return out
+    def _pull_exponents(self, exps: tuple, extra: int = 0) -> tuple:
+        """x^a -> x~^e (times x~_chart^extra): the chart exponent becomes the
+        total degree in the blown variables, every other one is unchanged."""
+        col = self.chart - 1
+        degree = sum(exps) - sum([exps[base] for base in self._base_columns])
+        return exps[:col] + (degree + extra,) + exps[col + 1 :]
 
     def pull_polynomial(self, poly: Polynomial) -> Polynomial:
         if poly.vars != self.ring.vars:
             raise StructureError("polynomial does not live on the ambient ring")
         # the exponent map is injective, so no two monomials meet
-        return Polynomial._trusted(
-            self.chart_ring.vars,
-            {tuple(self._pull_exponents(e)): c for e, c in poly.terms.items()},
-        )
+        terms = {self._pull_exponents(e): c for e, c in poly.terms.items()}
+        return Polynomial._trusted(self.chart_ring.vars, terms)
 
-    def _pull_basis_form(self, indices: tuple) -> list:
-        """p* dx_I as (indices, sign, u-exponent shift, raised variable) terms.
+    def _pull_basis_form(self, indices: tuple) -> tuple[int, list]:
+        """p* dx_I as k and (indices, sign, exponent shift) terms, each times u^k.
 
         Each blown dx_v (v != c) pulls back to u dx~_v + x~_v du with
         u = x~_c.  The term keeping every dx~_v carries u^k, k the number of
-        such v in I; when dx_c is not in I already, each one of them may
-        instead become x~_v du, which carries u^(k-1) x~_v.
+        such v in I, and no shift; when dx_c is not in I already, each one of
+        them may instead become x~_v du, which carries u^(k-1) x~_v, the shift
+        u^-1 x~_v.  Putting dx_c in the place of dx_v passes the indices
+        strictly between c and v.
         """
         c = self.chart
-        m = len(self.ring.vars)
-        moved = [v for v in indices if v != c and v in self.blown]
-        k = len(moved)
-        terms = [(indices, 1, k, None)]
+        moved = [v for v in indices if v != c and v - 1 not in self._base_columns]
+        terms = [(indices, 1, None)]
         if c not in indices:
             for v in moved:
-                swapped, sign = _sort_indices(m, [c if j == v else j for j in indices])
-                terms.append((swapped, sign, k - 1, v))
-        return terms
+                pos = indices.index(v)
+                rest = indices[:pos] + indices[pos + 1 :]
+                at = bisect_left(rest, c)
+                shift = [0] * len(self.ring.vars)
+                shift[c - 1], shift[v - 1] = -1, 1
+                sign = -1 if (pos - at) & 1 else 1
+                terms.append((rest[:at] + (c,) + rest[at:], sign, tuple(shift)))
+        return len(moved), terms
 
     def pull_form(self, form: GradedForm) -> GradedForm:
         """p* of a polynomial-coefficient form, one monomial term at a time.
 
         The blowdown is monomial, so coeff * x^a dx_I pulls back to a sum of
-        monomial terms read off the exponents and the index set alone."""
+        monomial terms read off the exponents and the index set alone; the
+        coefficients are only negated and added, so ints stay ints."""
         if form.ring != self.ring:
             raise StructureError("form does not live over the ambient ring")
         m = len(self.ring.vars)
         if form.dim != m:
             raise StructureError("form dimension does not match the ambient ring")
-        col = self.chart - 1
-        out: dict[tuple, dict[tuple, Fraction]] = {}
+        out: dict[tuple, dict] = {}
         for indices, poly in form.terms.items():
-            signed = {1: [(self._pull_exponents(e), coeff) for e, coeff in poly.terms.items()]}
-            for target, sign, shift, raised in self._pull_basis_form(indices):
-                if sign not in signed:  # each coefficient is negated once per form term
-                    signed[sign] = [(exps, -coeff) for exps, coeff in signed[1]]
+            k, basis = self._pull_basis_form(indices)
+            pulled = [(self._pull_exponents(e, k), coeff) for e, coeff in poly.terms.items()]
+            for target, sign, shift in basis:
                 bucket = out.setdefault(target, {})
-                for exps, coeff in signed[sign]:
-                    exps = exps.copy()
-                    exps[col] += shift
-                    if raised is not None:
-                        exps[raised - 1] += 1
-                    key = tuple(exps)
-                    if key in bucket:
-                        coeff = bucket[key] + coeff
-                    bucket[key] = coeff
+                get = bucket.get
+                for exps, coeff in pulled:
+                    key = exps if shift is None else tuple(map(add, exps, shift))
+                    bucket[key] = get(key, 0) + coeff if sign > 0 else get(key, 0) - coeff
         names = self.chart_ring.vars
         terms = {}
         for indices, bucket in out.items():
-            nonzero = {e: c for e, c in bucket.items() if c}
+            nonzero = {e: bucket[e] for e in sorted(bucket) if bucket[e]}
             if nonzero:
-                terms[indices] = Polynomial._trusted(names, nonzero)
+                terms[indices] = Polynomial._trusted(names, nonzero, ordered=True)
         return GradedForm._trusted(m, self.chart_ring, terms)
 
     def lift_vector_field(self, coefficients) -> tuple[Polynomial, ...]:

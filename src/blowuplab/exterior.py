@@ -97,14 +97,15 @@ class _Alternating:
         self.terms = dict(sorted(clean.items(), key=_term_order))
 
     @classmethod
-    def _trusted(cls, dim: int, ring: CoeffRing, terms: dict):
+    def _trusted(cls, dim: int, ring: CoeffRing, terms: dict, ordered: bool = False):
         """Internal constructor for terms that are already canonical: strictly
-        increasing index tuples, coefficients of the ring's own type, no
-        zeros.  Only the key order is restored; callers own the invariants."""
+        increasing index tuples, coefficients of the ring's own type, no zeros.
+        The key order is restored unless `ordered` says it holds; callers own
+        the invariants."""
         self = object.__new__(cls)
         self.dim = dim
         self.ring = ring
-        self.terms = dict(sorted(terms.items(), key=_term_order))
+        self.terms = terms if ordered else dict(sorted(terms.items(), key=_term_order))
         return self
 
     # -- structure -------------------------------------------------------------
@@ -200,7 +201,7 @@ class _Alternating:
         one = self.ring.one()
         minus_one = -one
         for indices, coeff in self.terms.items():
-            body = "∧".join(names[i - 1] for i in indices)
+            body = "∧".join([names[i - 1] for i in indices])
             text = str(coeff)
             if not indices:
                 pieces.append(text)

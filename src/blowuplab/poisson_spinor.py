@@ -41,13 +41,8 @@ def linear_poisson(L: LieAlgebra) -> GradedVector:
     {x_i, x_j} = sum_k c_ijk x_k.
     """
     ring = coordinate_ring(L.dim)
-    entries = {}
-    for (i, j), vec in L._pairs.items():
-        poly = ring.zero()
-        for k, value in enumerate(vec, start=1):
-            if value:
-                poly = poly + ring.variable(k) * value
-        entries[(i, j)] = poly
+    units = [tuple(int(k == j) for k in range(L.dim)) for j in range(L.dim)]
+    entries = {pair: Polynomial(ring.vars, dict(zip(units, vec))) for pair, vec in L._pairs.items()}
     return GradedVector(L.dim, ring, entries)
 
 
@@ -107,36 +102,60 @@ def hamiltonian_field(pi: GradedVector, i: int) -> tuple[Polynomial, ...]:
     return tuple(pi.coefficient((i, j)) for j in range(1, pi.dim + 1))
 
 
+def _divided(form: GradedForm, scale: int) -> GradedForm:
+    if scale == 1:
+        return form
+    polys = {}
+    for indices, p in form.terms.items():
+        divided = {e: Fraction(c, scale) for e, c in p.terms.items()}
+        polys[indices] = Polynomial._trusted(p.vars, divided, ordered=True)
+    return GradedForm._trusted(form.dim, form.ring, polys, ordered=True)
+
+
 @dataclass(frozen=True)
 class ChartForm:
-    """A form in blowup-chart coordinates; the divisor is {chart variable = 0}."""
+    """A form in blowup-chart coordinates; the divisor is {chart variable = 0}.
 
-    form: GradedForm
+    `integer_form` is `scale` times the chart form.  `blowup_pullback` gives
+    it int coefficients, which the orders and the leading form read, and
+    `form` divides once."""
+
+    integer_form: GradedForm
     chart: int
     blown: tuple[int, ...]
+    scale: int = 1
 
     @property
     def ring(self) -> PolyRing:
-        return self.form.ring
+        return self.integer_form.ring
+
+    @property
+    def form(self) -> GradedForm:
+        return _divided(self.integer_form, self.scale)
 
     def render(self) -> str:
         return self.form.render(differential_names(self.ring))
 
 
-def blowup_pullback(
-    form: GradedForm, chart: int, blown: Sequence[int] | None = None
-) -> ChartForm:
+def blowup_pullback(form: GradedForm, chart: int, blown: Sequence[int] | None = None) -> ChartForm:
     """Pull an ambient polynomial form back through the blowdown of chart `chart`.
 
     The blowdown x_c -> x~_c, x_v -> x~_c x~_v, with
     dx_v -> x~_c dx~_v + x~_v dx~_c, is monomial, so each term is mapped by
     rewriting its exponents and indices; unblown (base) variables and their
-    differentials are left untouched.
+    differentials are left untouched.  The form's integer multiple is pulled back.
     """
     if not isinstance(form.ring, PolyRing):
         raise StructureError("blowup pullback needs polynomial coefficients")
     bc = BlowupChart(form.ring, chart, blown)
-    return ChartForm(bc.pull_form(form), chart, bc.blown)
+    scale, ints = integer_multiple([c for p in form.terms.values() for c in p.terms.values()])
+    ints = iter(ints)
+    polys = {
+        I: Polynomial._trusted(p.vars, dict(zip(p.terms, ints)), ordered=True)
+        for I, p in form.terms.items()
+    }
+    integral = GradedForm._trusted(form.dim, form.ring, polys, ordered=True)
+    return ChartForm(bc.pull_form(integral), chart, bc.blown, scale)
 
 
 def shared_pullback(L: LieAlgebra, chart: int) -> ChartForm:
@@ -185,27 +204,25 @@ class OrderCertificate:
 
 def _leading_form(cf: ChartForm) -> tuple[int, GradedForm]:
     """Order = minimal chart-variable valuation over all coefficients; the
-    leading form is the divisor restriction of (chart var)^(-order) * form."""
-    c = cf.chart
-    order = min(poly.valuation(c) for poly in cf.form.terms.values())
+    leading form is the divisor restriction of (chart var)^(-order) times the
+    integer form: its terms of that valuation, chart exponent zeroed."""
+    col = cf.chart - 1
+    polys = cf.integer_form.terms
+    order = min(poly.valuation(cf.chart) for poly in polys.values())
     terms = {}
-    for indices, poly in cf.form.terms.items():
-        restricted = poly.shift_down(c, order).restrict_zero(c)
-        if restricted:
-            terms[indices] = restricted
-    return order, GradedForm(cf.form.dim, cf.ring, terms)
+    for indices, poly in polys.items():
+        kept = {e[:col] + (0,) + e[col + 1 :]: c for e, c in poly.terms.items() if e[col] == order}
+        if kept:
+            terms[indices] = Polynomial._trusted(poly.vars, kept, ordered=True)
+    return order, GradedForm._trusted(cf.integer_form.dim, cf.ring, terms, ordered=True)
 
 
 def _divisor_points(cf: ChartForm, seed: int, samples: int):
     """Up to `samples` chart points on the divisor {chart var = 0}, the free
     coordinates drawn from the seeded point stream."""
-    m = len(cf.ring.vars)
-    free = [pos for pos in range(1, m + 1) if pos != cf.chart]
-    for values in itertools.islice(point_stream(len(free), seed), samples):
-        point = [Fraction(0)] * m
-        for pos, value in zip(free, values):
-            point[pos - 1] = value
-        yield tuple(point)
+    col = cf.chart - 1
+    for values in itertools.islice(point_stream(len(cf.ring.vars) - 1, seed), samples):
+        yield values[:col] + (Fraction(0),) + values[col:]
 
 
 def _integer_terms(*polys: dict) -> list[list[tuple[int, tuple[int, ...], int]]]:
@@ -242,21 +259,17 @@ def vanishing_order(
 ) -> OrderCertificate:
     """Vanishing order and leading form along the divisor, with a syntactic
     nonvanishing certificate, a rational divisor zero, or neither."""
-    if cf.form.is_zero():
+    if cf.integer_form.is_zero():
         raise DomainError("the zero form has no vanishing order")
     order, leading = _leading_form(cf)
-    undetermined = OrderCertificate(cf.chart, order, leading, "undetermined")
+    undetermined = OrderCertificate(cf.chart, order, _divided(leading, cf.scale), "undetermined")
 
     for indices, poly in leading.terms.items():
-        reason = _sign_definite_reason(poly)
-        if reason:
+        if reason := _sign_definite_reason(poly):
             names = differential_names(cf.ring)
             where = "∧".join(names[i - 1] for i in indices) if indices else "1"
-            return replace(
-                undetermined,
-                status="certified",
-                certificate=f"coefficient of {where}: {reason}",
-            )
+            certificate = f"coefficient of {where}: {reason}"
+            return replace(undetermined, status="certified", certificate=certificate)
 
     compiled = [_integer_terms(poly.terms)[0] for poly in leading.terms.values()]
     for point in _divisor_points(cf, seed, samples):
@@ -288,7 +301,7 @@ def line_order(cf: ChartForm, xi: Sequence[Rational]) -> int:
         raise DomainError(f"direction lies outside chart {c} (component {c} is zero)")
     x = primitive(xi)
     lowest = None
-    for poly in cf.form.terms.values():
+    for poly in cf.integer_form.terms.values():
         buckets: dict[int, dict] = {}
         for exps, coeff in poly.terms.items():
             k = exps[c - 1]
@@ -303,7 +316,7 @@ def line_order(cf: ChartForm, xi: Sequence[Rational]) -> int:
     return lowest
 
 
-def preferred_chart(values: Sequence[Fraction]) -> int:
+def preferred_chart(values: Sequence[Rational]) -> int:
     """Chart policy: largest |component|, ties broken by smallest index."""
     best = max(range(len(values)), key=lambda i: (abs(values[i]), -i))
     return best + 1
@@ -409,8 +422,9 @@ def check_line_orders(
     order of the line-restricted pullback spinor equals dim - 1 - height."""
     records = []
     for xi in shared_covectors(L, samples, seed):
-        chart = preferred_chart(xi)
-        got = line_order(shared_pullback(L, chart), xi)
+        x = primitive(xi)  # a positive multiple: the same chart and line
+        chart = preferred_chart(x)
+        got = line_order(shared_pullback(L, chart), x)
         want = L.dim - 1 - covector_invariants(L, xi).height
         records.append(LineOrderRecord(xi, chart, got, want))
     records = tuple(records)

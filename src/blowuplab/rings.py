@@ -7,7 +7,8 @@ exponent tuples to nonzero ``Fraction`` coefficients:
 
 Keys are kept sorted and zero coefficients are never stored, so equal
 polynomials have identical representations.  All arithmetic is exact; float
-literals are rejected everywhere.
+literals are rejected everywhere.  ``int`` coefficients, as in the integer
+chart forms of `poisson_spinor`, stay ints under negation, sums and products.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ def join_signed(pieces: Sequence[str]) -> str:
     no terms render as "0"."""
     if not pieces:
         return "0"
-    out = pieces[0]
+    out = [pieces[0]]
     for piece in pieces[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+        out.append(" - " + piece[1:] if piece.startswith("-") else " + " + piece)
+    return "".join(out)
 
 
 class Polynomial:
@@ -77,13 +78,13 @@ class Polynomial:
         self.terms = dict(sorted(clean.items()))
 
     @classmethod
-    def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
+    def _trusted(cls, variables: tuple, terms: dict, ordered: bool = False) -> "Polynomial":
         """Internal constructor for terms that are already canonical: exponent
-        tuples of the right length, nonzero ``Fraction`` coefficients.  Only
-        the key order is restored; callers own the invariants."""
+        tuples of the right length, nonzero coefficients.  The key order is
+        restored unless `ordered` says it holds; callers own the invariants."""
         self = object.__new__(cls)
         self.vars = variables
-        self.terms = dict(sorted(terms.items()))
+        self.terms = terms if ordered else dict(sorted(terms.items()))
         return self
 
     # -- predicates and accessors ------------------------------------------
@@ -161,38 +162,23 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, Polynomial):
+            return self.vars == other.vars and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return NotImplemented
 
     __hash__ = None
 
     # -- restriction ---------------------------------------------------------
 
     def shift_down(self, position: int, amount: int) -> "Polynomial":
-        """Divide exactly by ``v_position ** amount``."""
-        if amount == 0:
-            return self
+        """Divide exactly by ``v_position ** amount``, which keeps the key order."""
         col = position - 1
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[col] < amount:
-                raise DomainError(
-                    f"{self} is not divisible by {self.vars[col]}^{amount}"
-                )
-            new = list(exps)
-            new[col] -= amount
-            out[tuple(new)] = coeff
-        return Polynomial._trusted(self.vars, out)
-
-    def restrict_zero(self, position: int) -> "Polynomial":
-        """Set variable ``position`` to zero."""
-        col = position - 1
-        return Polynomial._trusted(
-            self.vars, {e: c for e, c in self.terms.items() if e[col] == 0}
-        )
+        if any(exps[col] < amount for exps in self.terms):
+            raise DomainError(f"{self} is not divisible by {self.vars[col]}^{amount}")
+        out = {e[:col] + (e[col] - amount,) + e[col + 1 :]: c for e, c in self.terms.items()}
+        return Polynomial._trusted(self.vars, out, ordered=True)
 
     # -- rendering ------------------------------------------------------------
 
@@ -201,22 +187,21 @@ class Polynomial:
         # variables dominating (so "1 + x2^2 + x3^2" renders in that order);
         # the stored keys ascend lexicographically, so a stable sort of their
         # reverse on degree alone gives it
+        names = self.vars
         rendered = []
         for exps in sorted(reversed(self.terms), key=sum):
             coeff = self.terms[exps]
-            factors = [
-                self.vars[i] if e == 1 else f"{self.vars[i]}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            if not factors:
+            monomial = "*".join(
+                [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
+            )
+            if not monomial:
                 rendered.append(format_rational(coeff))
             elif coeff == 1:
-                rendered.append("*".join(factors))
+                rendered.append(monomial)
             elif coeff == -1:
-                rendered.append("-" + "*".join(factors))
+                rendered.append("-" + monomial)
             else:
-                rendered.append("*".join([format_rational(coeff)] + factors))
+                rendered.append(f"{format_rational(coeff)}*{monomial}")
         return join_signed(rendered)
 
     def __repr__(self) -> str:
@@ -266,7 +251,7 @@ class PolyRing:
             raise StructureError(f"variable position {position} out of range")
         exps = [0] * len(self.vars)
         exps[position - 1] = 1
-        return Polynomial(self.vars, {tuple(exps): 1})
+        return Polynomial._trusted(self.vars, {tuple(exps): Fraction(1)})
 
     def named(self, name: str) -> Polynomial:
         if name not in self.vars:

@@ -2,8 +2,9 @@
 
 `substitute` is the pullback as first written (substitute into every
 coefficient) and `diff` the partial derivative the Poisson-bracket checks
-apply; `term` builds one basis term of a form or multivector.  `evaluate`
-gives a polynomial's value at a rational point; `rational_chains` and
+apply; `term` builds one basis term of a form or multivector.
+`restrict_zero` sets one variable to zero, and `evaluate` gives a
+polynomial's value at a rational point; `rational_chains` and
 `distribution_rows` are the rational per-covector kernels (the wedge chains
 of xi and d xi, the evaluated divisor distribution) that the program now
 runs in integers on the primitive integer multiple of the covector.
@@ -60,6 +61,12 @@ def diff(poly: Polynomial, position: int) -> Polynomial:
             new[col] -= 1
             out[tuple(new)] = coeff * exps[col]
     return Polynomial._trusted(poly.vars, out)
+
+
+def restrict_zero(poly: Polynomial, position: int) -> Polynomial:
+    """Set variable `position` (1-based) to zero."""
+    col = position - 1
+    return Polynomial._trusted(poly.vars, {e: c for e, c in poly.terms.items() if e[col] == 0})
 
 
 def evaluate(poly: Polynomial, values) -> Fraction:

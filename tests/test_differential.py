@@ -19,6 +19,10 @@ of the covector: the wedge chains of the height and of the powers of d xi,
 and the evaluated divisor distribution.  They are checked against the
 rational chains and the rationally evaluated rows of `tests/reference.py`
 on seeded conjugates, with covector entries up to 10^6/10^6.
+A blowup chart pulls back one integer multiple of a form over one scale,
+which `ChartForm.form`, rendering and the certificate's leading form divide
+once; that path is checked against `BlowupChart.pull_form` on the rational
+form, on random forms over partial blowups and on seeded conjugates' spinors.
 The real-root kernel behind the constructed height witnesses (gcd,
 square-free part, Sturm counts, isolating intervals, the rational-root test)
 is checked against sympy's polynomial arithmetic and real roots.
@@ -45,6 +49,7 @@ from blowuplab import (
     Polynomial,
     RATIONALS,
     abelian,
+    blowup_pullback,
     ce_differential,
     change_basis,
     covector_form,
@@ -54,18 +59,21 @@ from blowuplab import (
     height,
     jacobi_check,
     line_order,
+    linear_poisson,
     sl2,
     so3,
     spinor,
+    vanishing_order,
 )
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart
 from blowuplab.exterior import _merge_sign
 from blowuplab.liealg import _checked_height, _wedge_chain, as_covector, covector_invariants
 from blowuplab.linalg import rank, rank_and_membership
-from blowuplab.sampling import dual_basis, pairwise_combinations
-from conftest import seeded_matrix, sl3
-from reference import det, diff, distribution_rows, exp_interior, multi_interior
+from blowuplab.poisson_spinor import differential_names
+from blowuplab.sampling import dual_basis, pairwise_combinations, shared_covectors
+from conftest import seeded_conjugate, seeded_matrix, sl3
+from reference import det, diff, distribution_rows, exp_interior, multi_interior, restrict_zero
 from reference import rational_chains, reference_jacobi_check, substitute, volume_form
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -485,6 +493,70 @@ def test_line_restriction_matches_substitution(data, m):
         assert line_order(cf, xi) == min(poly.valuation(1) for poly in line.terms.values())
 
 
+def _assert_same_chart_paths(form: GradedForm, blown, lines=()):
+    """The integer chart path (`blowup_pullback`: one integer multiple over
+    one scale, divided once) against the rational one (`BlowupChart.pull_form`
+    on the rational form, held at scale 1): the same exact form in the same
+    key order, the same rendered bytes, the same certificate and the same
+    order on each line whose direction lies in the chart."""
+    for chart in blown:
+        got = blowup_pullback(form, chart, blown)
+        want = ChartForm(BlowupChart(form.ring, chart, blown).pull_form(form), chart, got.blown)
+        ints = [c for p in got.integer_form.terms.values() for c in p.terms.values()]
+        assert all(type(c) is int for c in ints)
+        assert got.form == want.form and list(got.form.terms) == list(want.form.terms)
+        for indices, poly in got.form.terms.items():
+            assert list(poly.terms) == list(want.form.terms[indices].terms)
+        assert got.render() == want.render()
+        if want.form.is_zero():
+            continue
+        a, b = vanishing_order(got, samples=30), vanishing_order(want, samples=30)
+        event(f"status {a.status}")
+        assert (a.chart, a.order, a.status) == (b.chart, b.order, b.status)
+        assert a.certificate == b.certificate and a.witness_point == b.witness_point
+        assert a.leading == b.leading
+        names = differential_names(a.leading.ring)
+        assert a.leading.render(names) == b.leading.render(names)
+        for xi in lines:
+            if not xi[chart - 1]:
+                continue
+            try:
+                expected = line_order(want, xi)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    line_order(got, xi)
+            else:
+                assert line_order(got, xi) == expected
+
+
+@settings(SETTINGS, max_examples=120)
+@given(data=st.data(), setup=blowup_setups())
+def test_integer_chart_path_matches_the_rational_pullback(data, setup):
+    ring, blown, form = setup
+    # scale the form by 1/d so that its coefficients share a denominator above 1
+    form = form.scale(Fraction(1, data.draw(st.integers(1, 7))))
+    m = len(ring.vars)
+    scale = lcm(*(c.denominator for p in form.terms.values() for c in p.terms.values()))
+    event(f"scale above 1: {scale > 1}")
+    event(f"partial blowup: {len(blown) < m}")
+    lines = ()
+    if blown == tuple(range(1, m + 1)):
+        lines = data.draw(st.lists(st.lists(rationals, min_size=m, max_size=m), max_size=4))
+    _assert_same_chart_paths(form, blown, lines)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(
+    L=st.sampled_from([so3(), sl2(), heis3(), diagonal_affine(2), so4()]), seed=st.integers(1, 5)
+)
+def test_integer_chart_path_matches_the_rational_pullback_on_seeded_conjugates(L, seed):
+    L = seeded_conjugate(L, seed)
+    phi = spinor(linear_poisson(L))
+    denominators = {c.denominator for p in phi.terms.values() for c in p.terms.values()}
+    event(f"spinor scale above 1: {denominators != {1}}")
+    _assert_same_chart_paths(phi, tuple(range(1, L.dim + 1)), shared_covectors(L, 12, seed))
+
+
 @SETTINGS
 @given(data=st.data(), m=st.integers(1, 3))
 def test_trusted_polynomial_results_are_canonical(data, m):
@@ -505,7 +577,7 @@ def test_trusted_polynomial_results_are_canonical(data, m):
         a * c,
         a**2,
         divisible.shift_down(position, 2),
-        a.restrict_zero(position),
+        restrict_zero(a, position),
     ):
         _polynomial_canonical(result)
     assert divisible.shift_down(position, 2) == a
