@@ -12,8 +12,7 @@ with zero violations on every input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .charts import BlowupChart
@@ -86,8 +85,7 @@ def distribution_at(L: LieAlgebra, v: Sequence) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class OrbitRankRecord:
+class OrbitRankRecord(NamedTuple):
     v: Covector
     invariants: HeightReport
     distribution_rank: int
@@ -98,8 +96,7 @@ class OrbitRankRecord:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class OrbitRankReport:
+class OrbitRankReport(NamedTuple):
     samples: int
     records: tuple[OrbitRankRecord, ...]
     mismatches: tuple[OrbitRankRecord, ...]

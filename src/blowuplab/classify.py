@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg, realroots
 from .errors import DisagreementError, WitnessSearchError
@@ -35,8 +35,7 @@ _SLICE_LINES = 8
 _T = PolyRing(("t",))
 
 
-@dataclass(frozen=True)
-class RealRootWitness:
+class RealRootWitness(NamedTuple):
     """The covector base + alpha*direction, of exact height `height`, at the
     one real root alpha of the monic polynomial g(t) in the interval (lo, hi]."""
 
@@ -47,8 +46,7 @@ class RealRootWitness:
     height: int
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     """Outcome of the constant-height decision.
 
     kind is one of "abelian", "diagonal_affine", "so3",
@@ -235,8 +233,7 @@ def classify_constant_height(
     return ClassificationVerdict("not_constant_height", None, None, witnesses, heights)
 
 
-@dataclass(frozen=True)
-class HeightSpectrum:
+class HeightSpectrum(NamedTuple):
     counts: dict[int, int]
     witnesses: dict[int, Covector]
     samples: int

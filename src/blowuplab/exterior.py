@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import StructureError
-from .rings import CoeffRing, join_signed
+from .rings import CoeffRing, Polynomial, join_signed
 
 IndexTuple = tuple[int, ...]
 
@@ -200,9 +200,10 @@ class _Alternating:
         pieces = []
         one = self.ring.one()
         minus_one = -one
+        monomials: dict = {}  # shared by the coefficients of this one call
         for indices, coeff in self.terms.items():
             body = "∧".join([names[i - 1] for i in indices])
-            text = str(coeff)
+            text = coeff.render(monomials) if isinstance(coeff, Polynomial) else str(coeff)
             if not indices:
                 pieces.append(text)
             elif coeff == one:

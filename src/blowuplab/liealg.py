@@ -14,10 +14,9 @@ which the fixtures assert verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import DisagreementError, DomainError, JacobiError, StructureError
@@ -348,8 +347,7 @@ def height(L: LieAlgebra, xi: Sequence) -> int:
     return _checked_height(L, _require_nonzero(L, xi))[0]
 
 
-@dataclass(frozen=True)
-class HeightReport:
+class HeightReport(NamedTuple):
     """Every per-covector invariant.
 
     height is checked by two oracles (wedge chain and pairing rank);

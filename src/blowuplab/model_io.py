@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .blowup_geometry import OrbitRankRecord, OrbitRankReport
 from .classify import ClassificationVerdict, HeightSpectrum, RealRootWitness
@@ -49,8 +48,7 @@ MAX_DIM = 12
 _METADATA_KEYS = ("expected_verdict", "expected_height", "note")
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(NamedTuple):
     """Parsed algebra document: sparse i<j brackets plus optional metadata."""
 
     name: str
@@ -249,8 +247,7 @@ def scaled_so3_bundle(f: str) -> GradedVector:
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     dim: int
     kind: str  # "algebra" | "bundle"
@@ -472,7 +469,7 @@ def _orbit_record_json(record: OrbitRankRecord) -> dict:
 
 
 def catalog_to_dict(entries: list[CatalogEntry]) -> dict:
-    return {"command": "catalog", "entries": [asdict(e) for e in entries]}
+    return {"command": "catalog", "entries": [e._asdict() for e in entries]}
 
 
 # -- text views: each reads one report document --------------------------------------

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
@@ -112,8 +111,7 @@ def _divided(form: GradedForm, scale: int) -> GradedForm:
     return GradedForm._trusted(form.dim, form.ring, polys, ordered=True)
 
 
-@dataclass(frozen=True)
-class ChartForm:
+class ChartForm(NamedTuple):
     """A form in blowup-chart coordinates; the divisor is {chart variable = 0}.
 
     `integer_form` is `scale` times the chart form.  `blowup_pullback` gives
@@ -184,8 +182,7 @@ def _sign_definite_reason(poly: Polynomial) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class OrderCertificate:
+class OrderCertificate(NamedTuple):
     """Divisor-adic vanishing order with a nonvanishing verdict for the leading form.
 
     status is "certified" (a syntactic certificate proves the restricted
@@ -269,12 +266,12 @@ def vanishing_order(
             names = differential_names(cf.ring)
             where = "∧".join(names[i - 1] for i in indices) if indices else "1"
             certificate = f"coefficient of {where}: {reason}"
-            return replace(undetermined, status="certified", certificate=certificate)
+            return undetermined._replace(status="certified", certificate=certificate)
 
     compiled = [_integer_terms(poly.terms)[0] for poly in leading.terms.values()]
     for point in _divisor_points(cf, seed, samples):
         if _all_vanish(compiled, point):
-            return replace(undetermined, status="falsified", witness_point=point)
+            return undetermined._replace(status="falsified", witness_point=point)
     return undetermined
 
 
@@ -325,8 +322,7 @@ def preferred_chart(values: Sequence[Rational]) -> int:
 # -- lift verdict ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftVerdict:
+class LiftVerdict(NamedTuple):
     """Certified liftability outcome with its cross-check against the spinor.
 
     kind: "lifts_as_poisson" (constant height 0), "lifts_as_dirac_only"
@@ -396,8 +392,7 @@ def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) ->
 # -- cross-oracle suites ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineOrderRecord:
+class LineOrderRecord(NamedTuple):
     xi: Covector
     chart: int
     order: int
@@ -408,8 +403,7 @@ class LineOrderRecord:
         return self.order == self.expected
 
 
-@dataclass(frozen=True)
-class LineOrderReport:
+class LineOrderReport(NamedTuple):
     samples: int
     records: tuple[LineOrderRecord, ...]
     mismatches: tuple[LineOrderRecord, ...]

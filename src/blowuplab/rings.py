@@ -14,9 +14,8 @@ chart forms of `poisson_spinor`, stay ints under negation, sums and products.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import DomainError, ParseError, StructureError
 
@@ -183,6 +182,12 @@ class Polynomial:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
+        return self.render({})
+
+    def render(self, monomials: dict) -> str:
+        """The text of the polynomial.  `monomials` maps exponent tuples to
+        their text and is filled as it goes, so polynomials over the same
+        variables rendered together build each monomial's text once."""
         # graded order: total degree first, then lexicographic with earlier
         # variables dominating (so "1 + x2^2 + x3^2" renders in that order);
         # the stored keys ascend lexicographically, so a stable sort of their
@@ -191,9 +196,11 @@ class Polynomial:
         rendered = []
         for exps in sorted(reversed(self.terms), key=sum):
             coeff = self.terms[exps]
-            monomial = "*".join(
-                [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
-            )
+            monomial = monomials.get(exps)
+            if monomial is None:
+                monomial = monomials[exps] = "*".join(
+                    [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
+                )
             if not monomial:
                 rendered.append(format_rational(coeff))
             elif coeff == 1:
@@ -208,9 +215,11 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-@dataclass(frozen=True)
-class Rationals:
-    """The coefficient ring of arbitrary-precision rational numbers."""
+class Rationals(NamedTuple):
+    """The coefficient ring of arbitrary-precision rational numbers.  Its one
+    field makes it a nonempty tuple: an empty one would test false."""
+
+    name: str = "Q"
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -226,15 +235,20 @@ class Rationals:
         raise StructureError(f"cannot coerce {value!r} into the rational ring")
 
 
-@dataclass(frozen=True)
-class PolyRing:
-    """Polynomials over an ordered tuple of named variables, rational coefficients."""
-
+# a NamedTuple body cannot define __new__, so PolyRing validates in a subclass
+class _Variables(NamedTuple):
     vars: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(set(self.vars)) != len(self.vars):
-            raise StructureError(f"duplicate variable names: {self.vars}")
+
+class PolyRing(_Variables):
+    """Polynomials over an ordered tuple of named variables, rational coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, vars: tuple[str, ...]):
+        if len(set(vars)) != len(vars):
+            raise StructureError(f"duplicate variable names: {vars}")
+        return super().__new__(cls, vars)
 
     def zero(self) -> Polynomial:
         return Polynomial(self.vars)

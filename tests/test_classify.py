@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -103,13 +102,13 @@ def test_real_root_certificates_verify_and_tampering_is_rejected(L):
     lo, hi = w.interval
     bumped = (w.g[0] + 1,) + w.g[1:]
     tampered = [
-        replace(w, g=bumped),
-        replace(w, g=realroots.trim([-hi, 1])),  # t - hi: one root, but no divisor
-        replace(w, interval=(hi + 10**6, hi + 2 * 10**6)),  # no root
-        replace(w, interval=(lo - 10**6, hi + 10**6)),  # both roots
-        replace(w, base=(w.base[0] + 1,) + w.base[1:]),
-        replace(w, direction=w.base),
-        replace(w, height=1),
+        w._replace(g=bumped),
+        w._replace(g=realroots.trim([-hi, 1])),  # t - hi: one root, but no divisor
+        w._replace(interval=(hi + 10**6, hi + 2 * 10**6)),  # no root
+        w._replace(interval=(lo - 10**6, hi + 10**6)),  # both roots
+        w._replace(base=(w.base[0] + 1,) + w.base[1:]),
+        w._replace(direction=w.base),
+        w._replace(height=1),
     ]
     for bad in tampered:
         assert not verify_real_root_witness(L, bad, 1), bad

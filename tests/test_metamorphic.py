@@ -20,7 +20,6 @@ height 0.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -67,7 +66,7 @@ def test_sl3_verdict_is_invariant_under_rational_change_of_basis():
     low = verdict.witnesses[0]
     assert isinstance(low, RealRootWitness) and verdict.witness_heights == (2, 3)
     assert verify_real_root_witness(L, low, 3)
-    assert not verify_real_root_witness(L, replace(low, height=1), 3)
+    assert not verify_real_root_witness(L, low._replace(height=1), 3)
 
 
 @pytest.mark.parametrize("base", [so3, sl2], ids=["e3", "sl2_x_sl2_ab"])

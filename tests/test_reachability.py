@@ -4,10 +4,12 @@ What `blowuplab` supports is defined once: a fixed list of command lines,
 covering every command, documents, the bundle fixture and the usage, parse
 and Jacobi error paths, together with the `## Library` example of README.md.
 Both run under a profile hook, and every function and method defined in
-`src/` must be called by one of them.  Three kinds are excepted: methods a
-dataclass generates (their code has no source file in the package),
-`__repr__`, and the console entry `cli.run`, which `tests/test_console.py`
-runs in a subprocess.
+`src/` must be called by one of them.  Two kinds are excepted: `__repr__`,
+and the console entry `cli.run`, which `tests/test_console.py` runs in a
+subprocess.  The methods a NamedTuple record gets (`_replace`, `_asdict`,
+`__new__`, ...) are not excepted but out of view: `collections` defines them,
+outside the package.  A method written in `src/`, a ring's `__new__` or a
+`__hash__` alike, is judged.
 """
 
 from __future__ import annotations

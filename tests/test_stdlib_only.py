@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and its command
+line does not load `dataclasses` or `inspect` at start-up."""
 
 from __future__ import annotations
 
@@ -37,3 +38,22 @@ def test_every_module_imports_only_the_standard_library():
         if name != "blowuplab" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+# Each command line starts a fresh interpreter, and importing either of these
+# (dataclasses pulls in inspect, ast, dis and tokenize) costs every one of them.
+STARTUP_PROBE = """
+import json, sys
+before = set(sys.modules)
+import blowuplab.cli
+print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env,
+        check=True, timeout=60,
+    )
+    assert json.loads(proc.stdout) == []
