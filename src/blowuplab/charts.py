@@ -118,9 +118,9 @@ class BlowupChart:
         names = self.chart_ring.vars
         terms = {}
         for indices, bucket in out.items():
-            nonzero = {e: bucket[e] for e in sorted(bucket) if bucket[e]}
+            nonzero = {e: c for e, c in bucket.items() if c}
             if nonzero:
-                terms[indices] = Polynomial._trusted(names, nonzero, ordered=True)
+                terms[indices] = Polynomial._trusted(names, nonzero)
         return GradedForm._trusted(m, self.chart_ring, terms)
 
     def lift_vector_field(self, coefficients) -> tuple[Polynomial, ...]:

@@ -9,8 +9,9 @@ Commands:
 
 Exit codes: 0 ok, 1 parse error, 2 Jacobi violation, 3 internal disagreement
 (independent computations conflict, which signals a bug, not a mathematical
-outcome), 64 usage error.  A fixed seed gives byte-identical machine output;
-the BLOWUPLAB_SEED environment variable overrides the default seed 1729.
+outcome), 64 usage error.  --samples above MAX_SAMPLES (10,000) is a usage
+error.  A fixed seed gives byte-identical machine output; the BLOWUPLAB_SEED
+environment variable overrides the default seed 1729.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .liealg import LieAlgebra
 from .model_io import (
+    MAX_SAMPLES,
     SCALED_SO3_BLOWN,
     analysis_to_dict,
     catalog_algebra,
@@ -140,6 +142,8 @@ def _checked_seed(args) -> int:
     """The effective seed, after checking --samples."""
     if args.samples < 1:
         raise UsageError("--samples must be a positive integer")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples {args.samples} exceeds the limit of {MAX_SAMPLES}")
     return args.seed if args.seed is not None else _default_seed()
 
 

@@ -17,22 +17,18 @@ IndexTuple = tuple[int, ...]
 
 
 def _sort_indices(dim: int, indices: Sequence[int]):
-    """Sort an index tuple, returning (sorted tuple, permutation sign) or sign 0."""
-    idx = list(indices)
-    for i in idx:
+    """Sort an index tuple, returning (sorted tuple, permutation sign) or sign 0
+    on a repeat: each index is merged into the sorted ones before it."""
+    for i in indices:
         if not 1 <= i <= dim:
             raise StructureError(f"index {i} out of range 1..{dim}")
-    if len(set(idx)) != len(idx):
-        return (), 0
-    sign = 1
-    # insertion sort; tuples are tiny
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(idx), sign
+    out, sign = (), 1
+    for i in indices:
+        out, step = _merge_sign(out, (i,))
+        if not step:
+            return (), 0
+        sign *= step
+    return out, sign
 
 
 def _merge_sign(left: IndexTuple, right: IndexTuple):
@@ -64,11 +60,6 @@ def _merge_sign(left: IndexTuple, right: IndexTuple):
     return tuple(merged), -1 if inversions & 1 else 1
 
 
-def _term_order(item):
-    indices = item[0]
-    return len(indices), indices
-
-
 class _Alternating:
     """Shared implementation of graded forms and graded multivectors."""
 
@@ -94,18 +85,17 @@ class _Alternating:
                     clean.pop(sorted_idx, None)
                 else:
                     clean[sorted_idx] = coeff
-        self.terms = dict(sorted(clean.items(), key=_term_order))
+        self.terms = clean
 
     @classmethod
-    def _trusted(cls, dim: int, ring: CoeffRing, terms: dict, ordered: bool = False):
+    def _trusted(cls, dim: int, ring: CoeffRing, terms: dict):
         """Internal constructor for terms that are already canonical: strictly
         increasing index tuples, coefficients of the ring's own type, no zeros.
-        The key order is restored unless `ordered` says it holds; callers own
-        the invariants."""
+        The terms are kept in any order; callers own the invariants."""
         self = object.__new__(cls)
         self.dim = dim
         self.ring = ring
-        self.terms = terms if ordered else dict(sorted(terms.items(), key=_term_order))
+        self.terms = terms
         return self
 
     # -- structure -------------------------------------------------------------
@@ -122,6 +112,11 @@ class _Alternating:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def ordered_terms(self) -> list:
+        """The (indices, coefficient) items by degree, then index tuple: the
+        one order in which terms are printed and searched."""
+        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
 
     def coefficient(self, indices: Sequence[int]):
         sorted_idx, sign = _sort_indices(self.dim, indices)
@@ -201,7 +196,7 @@ class _Alternating:
         one = self.ring.one()
         minus_one = -one
         monomials: dict = {}  # shared by the coefficients of this one call
-        for indices, coeff in self.terms.items():
+        for indices, coeff in self.ordered_terms():
             body = "∧".join([names[i - 1] for i in indices])
             text = coeff.render(monomials) if isinstance(coeff, Polynomial) else str(coeff)
             if not indices:
@@ -218,7 +213,7 @@ class _Alternating:
 
     def __repr__(self):
         kind = type(self).__name__
-        return f"{kind}(dim={self.dim}, terms={{{', '.join(f'{i}: {c}' for i, c in self.terms.items())}}})"
+        return f"{kind}(dim={self.dim}, terms={{{', '.join(f'{i}: {c}' for i, c in self.ordered_terms())}}})"
 
 
 class GradedForm(_Alternating):

@@ -41,9 +41,11 @@ from .poisson_spinor import (
 from .rings import Polynomial, PolyRing, format_rational, parse_rational
 
 SCHEMA_VERSION = 1
-# The work budget, the largest dimension of a document or catalog algebra: the
-# spinor has 2^(dim-1) coefficients, and a larger dimension is refused up front.
+# The work budget, refused up front: the largest dimension of a document or
+# catalog algebra (the spinor has 2^(dim-1) coefficients), and the largest
+# sample count (the covectors are drawn whole before any output).
 MAX_DIM = 12
+MAX_SAMPLES = 10_000
 
 _METADATA_KEYS = ("expected_verdict", "expected_height", "note")
 

@@ -107,8 +107,8 @@ def _divided(form: GradedForm, scale: int) -> GradedForm:
     polys = {}
     for indices, p in form.terms.items():
         divided = {e: Fraction(c, scale) for e, c in p.terms.items()}
-        polys[indices] = Polynomial._trusted(p.vars, divided, ordered=True)
-    return GradedForm._trusted(form.dim, form.ring, polys, ordered=True)
+        polys[indices] = Polynomial._trusted(p.vars, divided)
+    return GradedForm._trusted(form.dim, form.ring, polys)
 
 
 class ChartForm(NamedTuple):
@@ -149,10 +149,10 @@ def blowup_pullback(form: GradedForm, chart: int, blown: Sequence[int] | None = 
     scale, ints = integer_multiple([c for p in form.terms.values() for c in p.terms.values()])
     ints = iter(ints)
     polys = {
-        I: Polynomial._trusted(p.vars, dict(zip(p.terms, ints)), ordered=True)
+        I: Polynomial._trusted(p.vars, dict(zip(p.terms, ints)))
         for I, p in form.terms.items()
     }
-    integral = GradedForm._trusted(form.dim, form.ring, polys, ordered=True)
+    integral = GradedForm._trusted(form.dim, form.ring, polys)
     return ChartForm(bc.pull_form(integral), chart, bc.blown, scale)
 
 
@@ -210,8 +210,8 @@ def _leading_form(cf: ChartForm) -> tuple[int, GradedForm]:
     for indices, poly in polys.items():
         kept = {e[:col] + (0,) + e[col + 1 :]: c for e, c in poly.terms.items() if e[col] == order}
         if kept:
-            terms[indices] = Polynomial._trusted(poly.vars, kept, ordered=True)
-    return order, GradedForm._trusted(cf.integer_form.dim, cf.ring, terms, ordered=True)
+            terms[indices] = Polynomial._trusted(poly.vars, kept)
+    return order, GradedForm._trusted(cf.integer_form.dim, cf.ring, terms)
 
 
 def _divisor_points(cf: ChartForm, seed: int, samples: int):
@@ -261,7 +261,7 @@ def vanishing_order(
     order, leading = _leading_form(cf)
     undetermined = OrderCertificate(cf.chart, order, _divided(leading, cf.scale), "undetermined")
 
-    for indices, poly in leading.terms.items():
+    for indices, poly in leading.ordered_terms():
         if reason := _sign_definite_reason(poly):
             names = differential_names(cf.ring)
             where = "∧".join(names[i - 1] for i in indices) if indices else "1"

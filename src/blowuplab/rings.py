@@ -5,10 +5,11 @@ exponent tuples to nonzero ``Fraction`` coefficients:
 
     x1^2*x2 + 3/2   ->   {(0, 0): Fraction(3, 2), (2, 1): Fraction(1)}
 
-Keys are kept sorted and zero coefficients are never stored, so equal
-polynomials have identical representations.  All arithmetic is exact; float
-literals are rejected everywhere.  ``int`` coefficients, as in the integer
-chart forms of `poisson_spinor`, stay ints under negation, sums and products.
+Zero coefficients are never stored, so equal polynomials have equal term
+dicts, which are canonical in content: keys are kept in any order, and only
+rendering orders them.  All arithmetic is exact; float literals are rejected
+everywhere.  ``int`` coefficients, as in the integer chart forms of
+`poisson_spinor`, stay ints under negation, sums and products.
 """
 
 from __future__ import annotations
@@ -74,16 +75,16 @@ class Polynomial:
                         clean[exps] = acc
                     else:
                         clean.pop(exps, None)
-        self.terms = dict(sorted(clean.items()))
+        self.terms = clean
 
     @classmethod
-    def _trusted(cls, variables: tuple, terms: dict, ordered: bool = False) -> "Polynomial":
+    def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
         """Internal constructor for terms that are already canonical: exponent
-        tuples of the right length, nonzero coefficients.  The key order is
-        restored unless `ordered` says it holds; callers own the invariants."""
+        tuples of the right length, nonzero coefficients, in any order.
+        Callers own the invariants."""
         self = object.__new__(cls)
         self.vars = variables
-        self.terms = terms if ordered else dict(sorted(terms.items()))
+        self.terms = terms
         return self
 
     # -- predicates and accessors ------------------------------------------
@@ -172,12 +173,12 @@ class Polynomial:
     # -- restriction ---------------------------------------------------------
 
     def shift_down(self, position: int, amount: int) -> "Polynomial":
-        """Divide exactly by ``v_position ** amount``, which keeps the key order."""
+        """Divide exactly by ``v_position ** amount``."""
         col = position - 1
         if any(exps[col] < amount for exps in self.terms):
             raise DomainError(f"{self} is not divisible by {self.vars[col]}^{amount}")
         out = {e[:col] + (e[col] - amount,) + e[col + 1 :]: c for e, c in self.terms.items()}
-        return Polynomial._trusted(self.vars, out, ordered=True)
+        return Polynomial._trusted(self.vars, out)
 
     # -- rendering ------------------------------------------------------------
 
@@ -189,12 +190,11 @@ class Polynomial:
         their text and is filled as it goes, so polynomials over the same
         variables rendered together build each monomial's text once."""
         # graded order: total degree first, then lexicographic with earlier
-        # variables dominating (so "1 + x2^2 + x3^2" renders in that order);
-        # the stored keys ascend lexicographically, so a stable sort of their
-        # reverse on degree alone gives it
+        # variables dominating (so "1 + x2^2 + x3^2" renders in that order):
+        # a stable sort on degree alone of the keys in descending order
         names = self.vars
         rendered = []
-        for exps in sorted(reversed(self.terms), key=sum):
+        for exps in sorted(sorted(self.terms, reverse=True), key=sum):
             coeff = self.terms[exps]
             monomial = monomials.get(exps)
             if monomial is None:

@@ -1,10 +1,12 @@
-"""Shared helpers: deterministic random generators for forms and polynomials."""
+"""Shared helpers: deterministic random generators for forms and polynomials,
+and the benchmark's algebra builders as Lie algebras."""
 
 from __future__ import annotations
 
-import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,10 @@ from blowuplab import (
     change_basis,
 )
 from reference import det, diff
+
+# the builders use fractions only and never import blowuplab
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import generators as gen  # noqa: E402
 
 
 def rational(rng: random.Random, bound: int = 8) -> Fraction:
@@ -80,64 +86,10 @@ def random_polynomial(rng, ring: PolyRing, max_terms=4, max_degree=3):
     return poly
 
 
-def matrix_algebra(name: str, matrices, coordinates) -> LieAlgebra:
-    """The span of square matrices under the commutator; coordinates(m)
-    gives the coefficients of m in the basis `matrices`."""
-    size = range(len(matrices[0]))
-    brackets = {}
-    for p, q in itertools.combinations(range(len(matrices)), 2):
-        a, b = matrices[p], matrices[q]
-        commutator = [
-            [sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in size) for j in size] for i in size
-        ]
-        coords = coordinates(commutator)
-        if any(coords):
-            brackets[(p + 1, q + 1)] = {k + 1: v for k, v in enumerate(coords) if v}
-    return LieAlgebra(len(matrices), brackets, name=name)
-
-
-def _unit(n: int, r: int, c: int) -> list[list[int]]:
-    return [[int((i, j) == (r, c)) for j in range(n)] for i in range(n)]
-
-
-def _minus(a, b):
-    return [[x - y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
-
-
-def sl3() -> LieAlgebra:
-    """sl(3) on the basis E_ij (i != j), E_11 - E_22, E_22 - E_33."""
-    units = [(i, j) for i in range(3) for j in range(3) if i != j]
-    diagonals = [_minus(_unit(3, h, h), _unit(3, h + 1, h + 1)) for h in range(2)]
-
-    def coordinates(m):
-        # diag(a, b, c) with a + b + c = 0 is a (E_11 - E_22) - c (E_22 - E_33)
-        return [m[i][j] for i, j in units] + [m[0][0], -m[2][2]]
-
-    return matrix_algebra("sl3", [_unit(3, *u) for u in units] + diagonals, coordinates)
-
-
-def gl(n: int) -> LieAlgebra:
-    """gl(n) on the matrix units E_rc, row-major."""
-    units = [_unit(n, r, c) for r in range(n) for c in range(n)]
-    return matrix_algebra(f"gl{n}", units, lambda m: [v for row in m for v in row])
-
-
-def so(n: int) -> LieAlgebra:
-    """so(n) on A_rc = E_rc - E_cr, r < c."""
-    pairs = list(itertools.combinations(range(n), 2))
-    basis = [_minus(_unit(n, r, c), _unit(n, c, r)) for r, c in pairs]
-    return matrix_algebra(f"so{n}", basis, lambda m: [m[r][c] for r, c in pairs])
-
-
-def heis(m: int) -> LieAlgebra:
-    """The Heisenberg algebra of dimension 2m+1: [x_i, y_i] = z."""
-    return LieAlgebra(2 * m + 1, {(i, m + i): {2 * m + 1: 1} for i in range(1, m + 1)},
-                      name=f"heis{2 * m + 1}")
-
-
-def filiform(n: int) -> LieAlgebra:
-    """The model filiform algebra: [e_1, e_i] = e_(i+1) for 2 <= i < n."""
-    return LieAlgebra(n, {(1, i): {i + 1: 1} for i in range(2, n)}, name=f"filiform{n}")
+def as_lie(alg: "gen.Algebra") -> LieAlgebra:
+    """A table of `bench/generators.py`, the one table of test algebras, as
+    a LieAlgebra with the same name."""
+    return LieAlgebra(alg.dim, alg.table, name=alg.name)
 
 
 def adjoint_extension(L: LieAlgebra) -> LieAlgebra:

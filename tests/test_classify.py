@@ -28,12 +28,12 @@ from blowuplab import (
 )
 from blowuplab.classify import RealRootWitness, verify_real_root_witness
 from blowuplab.linalg import is_negative_definite
-from conftest import seeded_conjugate, so
+from conftest import as_lie, gen, seeded_conjugate
 from reference import det
 
 # the real form of sl2 whose height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has
 # real points but no rational ones
-ANISOTROPIC_SL2 = LieAlgebra(3, {(1, 2): {3: -3}, (2, 3): {1: 1}, (1, 3): {2: -1}})
+ANISOTROPIC_SL2 = as_lie(gen.anisotropic_sl2())
 # a rational conjugate of sl2 whose nearest rational drop point is (-2, 5, -8)
 # in the dual basis, far down a small-integer sweep
 LATE_SL2 = change_basis(
@@ -146,7 +146,7 @@ def test_so5_is_decided_by_the_first_draw_without_the_slice(monkeypatch):
         raise AssertionError("the slice phase ran")
 
     monkeypatch.setattr(classify_mod, "_slice_witness", fail)
-    verdict = classify_constant_height(so(5))
+    verdict = classify_constant_height(as_lie(gen.so(5)))
     assert verdict.kind == "not_constant_height"
     assert verdict.witness_heights == (3, 4)
 

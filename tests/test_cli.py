@@ -204,6 +204,17 @@ def test_jacobi_error_exit_code(tmp_path, capsys):
     assert "(1, 2, 3)" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "spinor", "crosscheck"])
+def test_samples_above_the_budget_exit_64_at_once(capsys, command):
+    # the covectors are drawn whole, so an unbounded count would exhaust memory
+    samples = "9" * 25
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--catalog", "so3", "--samples", samples)
+    assert time.perf_counter() - start < 1.0
+    assert code == 64 and not out
+    assert err == f"usage error: --samples {samples} exceeds the limit of 10000\n"
+
+
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "crosscheck", "--catalog", "so3", "--samples", "0")[0] == 64
     assert run(capsys, "analyze", "--catalog", "nosuch")[0] == 64

@@ -7,7 +7,8 @@ and prefix-like ones, and values that are empty, zero, negative, not a
 number, fractional or 25 digits long; catalog names valid and invalid;
 `--input` paths to a valid document, a Jacobi-broken one, a missing file, a
 directory and a file that is not UTF-8; and malformed bundle scalings.
-`--samples` only ever takes values up to 3, and `-h`, which exits through
+`--samples` takes values up to 3 or a 25-digit one, which the samples
+budget refuses before any covector is drawn, and `-h`, which exits through
 argparse, is left out.
 """
 
@@ -38,7 +39,7 @@ OPTION_VALUES = {
     "--catalog": CATALOG_NAMES,
     "--input": PATHS,
     "--seed": ODD_VALUES + ["7"],
-    "--samples": ["", "0", "-1", "x", "2.5", "1", "3"],
+    "--samples": ["", "0", "-1", "x", "2.5", "1", "3", "9" * 25],
     "--format": ODD_VALUES + ["human", "machine"],
     "--chart": ODD_VALUES + ["1", "3"],
     "--f": SCALINGS,

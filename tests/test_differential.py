@@ -4,7 +4,8 @@ Fast paths replaced slower ones: the Chevalley-Eilenberg differential sums
 its terms into one map from cached generator differentials, the exterior
 operations and polynomial arithmetic build their results through trusted
 constructors, the rank oracle eliminates integer matrices, the shuffle sign
-of two index tuples comes from one linear merge, a blowup chart pulls forms
+of two index tuples comes from one linear merge (and sorting one index tuple
+merges in one index at a time), a blowup chart pulls forms
 back by rewriting exponents, the line order tests t-buckets of monomials in
 integers, the Jacobi check reads its defects off d o d of the generators,
 and the spinor e^{i_pi} lambda is read off integer principal
@@ -31,6 +32,7 @@ is checked against sympy's polynomial arithmetic and real roots.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -48,6 +50,7 @@ from blowuplab import (
     PolyRing,
     Polynomial,
     RATIONALS,
+    StructureError,
     abelian,
     blowup_pullback,
     ce_differential,
@@ -67,12 +70,12 @@ from blowuplab import (
 )
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart
-from blowuplab.exterior import _merge_sign
+from blowuplab.exterior import _merge_sign, _sort_indices
 from blowuplab.liealg import _checked_height, _wedge_chain, as_covector, covector_invariants
 from blowuplab.linalg import rank, rank_and_membership
 from blowuplab.poisson_spinor import differential_names
 from blowuplab.sampling import dual_basis, pairwise_combinations, shared_covectors
-from conftest import seeded_conjugate, seeded_matrix, sl3
+from conftest import as_lie, gen, seeded_conjugate, seeded_matrix
 from reference import det, diff, distribution_rows, exp_interior, multi_interior, restrict_zero
 from reference import rational_chains, reference_jacobi_check, substitute, volume_form
 
@@ -233,12 +236,24 @@ def test_height_is_half_the_sympy_rank_of_the_restricted_pairing(data):
 
 def _canonical(result):
     """The public constructor's reading of a result's terms, which it must
-    leave unchanged: same terms, same key order, ring-typed coefficients."""
+    leave unchanged: same terms, same key order, ring-typed coefficients.
+    Terms are canonical in content only, so a rebuild from the terms in
+    reverse order (polynomial coefficients reversed too) renders the same."""
     rebuilt = type(result)(result.dim, result.ring, result.terms)
     assert rebuilt == result
     assert list(rebuilt.terms) == list(result.terms)
     kind = Fraction if result.ring == RATIONALS else Polynomial
     assert all(type(c) is kind for c in result.terms.values())
+    backwards = type(result)(
+        result.dim,
+        result.ring,
+        {
+            i: Polynomial(c.vars, dict(reversed(c.terms.items()))) if kind is Polynomial else c
+            for i, c in reversed(result.terms.items())
+        },
+    )
+    names = tuple(f"b{i}" for i in range(1, result.dim + 1))
+    assert backwards == result and backwards.render(names) == result.render(names)
 
 
 @SETTINGS
@@ -327,6 +342,36 @@ def test_merge_sign_matches_reference(pair):
     got = _merge_sign(left, right)
     event(f"sign={got[1]}")
     assert got == reference_merge_sign(left, right)
+    assert type(got[0]) is tuple
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data(), dim=st.integers(0, 8))
+def test_sort_indices_matches_inversion_count(data, dim):
+    """The sorted tuple and the parity of a brute-force inversion count, sign
+    0 on a repeated index, and a StructureError on an index outside 1..dim
+    (checked before repeats)."""
+    indices = data.draw(st.permutations(range(1, dim + 1)))[: data.draw(st.integers(0, dim))]
+    extra = data.draw(st.sampled_from(("none", "repeat", "out of range")))
+    if extra == "repeat" and indices:
+        indices.insert(data.draw(st.integers(0, len(indices))), data.draw(st.sampled_from(indices)))
+    elif extra == "out of range":
+        indices.insert(
+            data.draw(st.integers(0, len(indices))), data.draw(st.sampled_from((-1, 0, dim + 1)))
+        )
+    if any(not 1 <= i <= dim for i in indices):
+        event("out of range")
+        with pytest.raises(StructureError):
+            _sort_indices(dim, indices)
+        return
+    got = _sort_indices(dim, indices)
+    if len(set(indices)) < len(indices):
+        event("repeat")
+        assert got == ((), 0)
+        return
+    inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
+    event(f"sign={(-1) ** inversions}")
+    assert got == (tuple(sorted(indices)), (-1) ** inversions)
     assert type(got[0]) is tuple
 
 
@@ -420,21 +465,21 @@ def reference_pull_form(bc: BlowupChart, form: GradedForm) -> GradedForm:
 
 
 def _polynomial_canonical(poly: Polynomial):
-    """Sorted exponent keys, no zero coefficient, Fraction coefficients, and
-    the validating constructor reads the terms back unchanged."""
+    """No zero coefficient, Fraction coefficients, the validating constructor
+    reads the terms back unchanged, and a rebuild from the terms in reverse
+    order renders the same: terms are canonical in content only."""
     keys = list(poly.terms)
-    assert keys == sorted(keys)
     assert all(len(e) == len(poly.vars) and min(e, default=0) >= 0 for e in keys)
     assert all(type(c) is Fraction and c for c in poly.terms.values())
     rebuilt = Polynomial(poly.vars, poly.terms)
     assert rebuilt == poly and list(rebuilt.terms) == keys
+    backwards = Polynomial(poly.vars, dict(reversed(poly.terms.items())))
+    assert backwards == poly and str(backwards) == str(poly)
 
 
 def _same_form(got: GradedForm, want: GradedForm, names):
     assert got == want
-    assert list(got.terms) == list(want.terms)
-    for indices, poly in got.terms.items():
-        assert list(poly.terms) == list(want.terms[indices].terms)
+    for poly in got.terms.values():
         _polynomial_canonical(poly)
     assert got.render(names) == want.render(names)
     _canonical(got)
@@ -452,7 +497,7 @@ def test_pullback_by_exponent_matches_substitute_and_wedge(setup):
         for poly in form.terms.values():
             got = bc.pull_polynomial(poly)
             want = substitute(poly, images)
-            assert got == want and list(got.terms) == list(want.terms)
+            assert got == want
             assert str(got) == str(want)
             _polynomial_canonical(got)
 
@@ -718,7 +763,7 @@ def test_rational_root_finds_exactly_sympy_rational_roots(roots, extra, lead):
 
 # sl3 first: the draws lean towards the first entry, and it is the hardest
 KERNEL_BASES = {
-    "sl3": sl3,
+    "sl3": lambda: as_lie(gen.sl(3)),
     "so3": so3,
     "sl2": sl2,
     "heis3": heis3,

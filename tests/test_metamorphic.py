@@ -36,7 +36,7 @@ from blowuplab import (
     so3,
 )
 from blowuplab.classify import RealRootWitness, verify_real_root_witness
-from conftest import adjoint_extension, gl, seeded_conjugate, sl3
+from conftest import adjoint_extension, as_lie, gen, seeded_conjugate
 
 
 def _summary(verdict):
@@ -56,11 +56,11 @@ def test_verdict_is_invariant_under_rational_change_of_basis(build, seed):
 
 
 def test_sl3_verdict_is_invariant_under_rational_change_of_basis():
-    L = seeded_conjugate(sl3(), 1)
+    L = seeded_conjugate(as_lie(gen.sl(3)), 1)
     start = time.perf_counter()
     verdict = classify_constant_height(L)
     assert time.perf_counter() - start < 5.0
-    assert _summary(verdict) == _summary(classify_constant_height(sl3()))
+    assert _summary(verdict) == _summary(classify_constant_height(as_lie(gen.sl(3))))
     # a generic covector of sl3 has height 3; the drop on a Cartan slice is
     # to a non-regular element, of height 2, and no other height passes
     low = verdict.witnesses[0]
@@ -83,7 +83,7 @@ def test_semidirect_verdict_is_invariant_under_rational_change_of_basis(base, se
 
 def test_gl3_line_orders_hold_after_rational_change_of_basis():
     # on a dense conjugate every sampled line's t-order is dim - 1 - height
-    assert not check_line_orders(seeded_conjugate(gl(3), 1), samples=48).mismatches
+    assert not check_line_orders(seeded_conjugate(as_lie(gen.gl(3)), 1), samples=48).mismatches
 
 
 def _table(L: LieAlgebra, scale=1) -> dict:

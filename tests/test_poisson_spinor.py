@@ -229,6 +229,16 @@ def test_vanishing_order_abelian_volume():
     assert cert.leading == GradedForm(3, cert.leading.ring, {(1, 2, 3): 1})
 
 
+def test_certificate_names_the_first_coefficient_in_print_order():
+    # both leading coefficients are nonzero constants; whichever order the
+    # terms are stored in, the certificate names the degree-0 one, printed first
+    ring = PolyRing(("x~1", "x~2"))
+    for terms in ({(): 2, (1, 2): 3}, {(1, 2): 3, (): 2}):
+        form = GradedForm(2, ring, {i: ring.const(c) for i, c in terms.items()})
+        cert = vanishing_order(ChartForm(form, 1, (1, 2)))
+        assert cert.certificate == "coefficient of 1: nonzero constant"
+
+
 def test_vanishing_order_zero_form_rejected():
     ring = PolyRing(("x1", "x2"))
     cf = blowup_pullback(GradedForm(2, ring), 1)

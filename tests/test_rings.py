@@ -35,17 +35,17 @@ def test_polynomial_canonical_no_zero_terms():
     q = Polynomial(("x", "y"), {(1, 0): -1})
     assert (p + q).terms == {(0, 1): Fraction(2)}
     assert not (p - p)
-    assert list((p + q).terms) == sorted((p + q).terms)
 
 
-def test_polynomial_keys_sorted_after_arithmetic(rng):
+def test_polynomial_terms_canonical_after_arithmetic(rng):
     for _ in range(30):
         p = random_polynomial(rng, XY)
         q = random_polynomial(rng, XY)
         prod = p * q
-        assert list(prod.terms) == sorted(prod.terms)
         assert all(c != 0 for c in prod.terms.values())
         assert all(isinstance(c, Fraction) for c in prod.terms.values())
+        backwards = Polynomial(XY.vars, dict(reversed(prod.terms.items())))
+        assert backwards == prod and str(backwards) == str(prod)
 
 
 def _to_sympy(poly: Polynomial, symbols):

@@ -24,7 +24,7 @@ from blowuplab.exterior import GradedForm
 from blowuplab.model_io import serialize_algebra
 from blowuplab.rings import Polynomial
 from blowuplab.sampling import dual_basis, pairwise_combinations
-from conftest import adjoint_extension, filiform, gl, heis, seeded_conjugate, sl3, so
+from conftest import adjoint_extension, as_lie, gen, seeded_conjugate
 
 SAMPLES = 30
 DIM = 3  # sl2
@@ -83,8 +83,9 @@ def test_witness_search_decides_without_random_draws(monkeypatch):
         raise AssertionError("the witness search drew past its first random covector")
 
     monkeypatch.setattr(classify_mod, "random_covectors", one_draw)
-    algebras = [sl2(), heis3(), heis(2), filiform(5), sl3(), so(4), gl(3)]
-    for build in (heis3, sl2, lambda: so(4), lambda: adjoint_extension(so3())):
+    tables = [gen.heis(5), gen.filiform(5), gen.sl(3), gen.so(4), gen.gl(3)]
+    algebras = [sl2(), heis3()] + [as_lie(table) for table in tables]
+    for build in (heis3, sl2, lambda: as_lie(gen.so(4)), lambda: adjoint_extension(so3())):
         algebras += [seeded_conjugate(build(), seed) for seed in (1, 2)]
     for L in algebras:
         verdict = classify_mod.classify_constant_height(L)
@@ -149,7 +150,7 @@ def test_analyze_draws_the_sampled_covectors_once_per_command(capsys):
 
 
 def test_pullback_and_line_restriction_read_exponents_only():
-    L = sl3()
+    L = as_lie(gen.sl(3))
     assert L.jacobi_violations() == []
     phi = poisson_spinor.spinor(poisson_spinor.linear_poisson(L))
     profile, pulled = _profiled(
