@@ -30,7 +30,6 @@ from .errors import (
 from .exterior import GradedForm, GradedVector
 from .blowup_geometry import (
     OrbitRankReport,
-    distribution_at,
     orbit_rank_crosscheck,
 )
 from .liealg import (
@@ -72,7 +71,6 @@ from .poisson_spinor import (
     check_line_orders,
     hamiltonian_field,
     lift_verdict,
-    line_order,
     linear_poisson,
     spinor,
     vanishing_order,

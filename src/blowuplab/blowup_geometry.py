@@ -12,22 +12,15 @@ with zero violations on every input.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import linalg
 from .charts import BlowupChart
-from .errors import DomainError, InternalError, StructureError
-from .liealg import (
-    Covector,
-    HeightReport,
-    LieAlgebra,
-    as_covector,
-    covector_invariants,
-    invariant_failures,
-)
+from .errors import InternalError
+from .liealg import Covector, HeightReport, LieAlgebra, invariant_failures, sampled_covectors
 from .poisson_spinor import _integer_terms, _integer_value, hamiltonian_field
 from .poisson_spinor import preferred_chart, shared_linear_poisson
-from .sampling import DEFAULT_SEED, shared_covectors
+from .sampling import DEFAULT_SEED
 
 
 def _compiled_lifts(L: LieAlgebra, chart: int):
@@ -46,24 +39,18 @@ def _compiled_lifts(L: LieAlgebra, chart: int):
     return L.memo(("lifts", chart), build)
 
 
-def distribution_at(L: LieAlgebra, v: Sequence) -> int:
+def _distribution_rank(L: LieAlgebra, x: tuple[int, ...]) -> int:
     """The rank of the span of lifted Hamiltonian fields of v-annihilating
-    covectors at [v].
+    covectors at [v], for x the primitive integer multiple of v.
 
     Works with the linear part of the bivector, which determines the
     distribution: covectors are taken constant, and the annihilator of v is
     spanned by dx_j - (v_j / v_c) dx_c for j != c in the chart c of largest
-    |v component|.  Evaluated in integers at the primitive integer multiple
-    x of v: the lifted fields at the divisor point x / x_c (chart entry
-    zeroed) come out as at[j] = D q^top times their values, q = x_c, and the
-    rows q at[j] - x_j at[c] are the annihilator fields times q D q^top.
+    |v component|.  Evaluated in integers at x: the lifted fields at the
+    divisor point x / x_c (chart entry zeroed) come out as at[j] = D q^top
+    times their values, q = x_c, and the rows q at[j] - x_j at[c] are the
+    annihilator fields times q D q^top.
     """
-    v = as_covector(v)
-    if len(v) != L.dim:
-        raise StructureError("direction vector length does not match the algebra")
-    if not any(v):
-        raise DomainError("direction vector must be nonzero")
-    x = linalg.primitive(v)
     chart = preferred_chart(x)
     q = x[chart - 1]
     point = list(x)
@@ -115,9 +102,9 @@ def orbit_rank_crosscheck(
     class.  Identities hold pointwise on any algebra; global constancy of
     the height is reported separately."""
     records = []
-    for v in shared_covectors(L, samples, seed):
-        inv = covector_invariants(L, v)
-        rank = distribution_at(L, v)
+    for sample in sampled_covectors(L, samples, seed):
+        inv = sample.invariants
+        rank = _distribution_rank(L, sample.x)
         failures = []
         if rank != 2 * inv.height:
             failures.append(f"distribution rank {rank} != 2*height {2 * inv.height}")
@@ -125,7 +112,7 @@ def orbit_rank_crosscheck(
         if rank != expected_rank:
             failures.append(f"distribution rank {rank} != orbit-dim rule {expected_rank}")
         failures.extend(invariant_failures(inv))
-        records.append(OrbitRankRecord(v, inv, rank, tuple(failures)))
+        records.append(OrbitRankRecord(sample.xi, inv, rank, tuple(failures)))
     records = tuple(records)
     mismatches = tuple(r for r in records if not r.ok)
     heights = tuple(sorted({r.invariants.height for r in records}))

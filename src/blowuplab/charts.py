@@ -129,7 +129,8 @@ class BlowupChart:
         Valid when every variable is blown (blowup at the origin of the whole
         space).  The lifted coefficient of the divisor direction is p*(a_c);
         for k != c it is (p*(a_k) - x~_k p*(a_c)) / x~_c, whose exactness is
-        verified rather than assumed.
+        verified rather than assumed: the terms are combined and divided
+        directly, and a term not divisible by x~_c raises.
         """
         m = len(self.ring.vars)
         if self.blown != tuple(range(1, m + 1)):
@@ -140,20 +141,21 @@ class BlowupChart:
         for a in coeffs:
             if a.constant_value():
                 raise DomainError("vector field must vanish at the blown origin")
-        c = self.chart
+        col = self.chart - 1
         pulled = [self.pull_polynomial(a) for a in coeffs]
         lifted = []
-        for k in range(1, m + 1):
-            if k == c:
-                lifted.append(pulled[c - 1])
-                continue
-            numerator = pulled[k - 1] - self.chart_ring.variable(k) * pulled[c - 1]
-            try:
-                lifted.append(numerator.shift_down(c, 1))
-            except DomainError as exc:
-                raise InternalError(
-                    f"lift of a vanishing vector field was not polynomial: {exc}"
-                ) from exc
-        if lifted[c - 1] and lifted[c - 1].valuation(c) < 1:
+        for k, poly in enumerate(pulled):
+            terms = poly.terms
+            if k != col:
+                # p*(a_k) - x~_k p*(a_c), then every exponent of x~_c lowered by one
+                terms = dict(terms)
+                for e, coeff in pulled[col].terms.items():
+                    key = e[:k] + (e[k] + 1,) + e[k + 1 :]
+                    terms[key] = terms.get(key, 0) - coeff
+                if any(coeff and not e[col] for e, coeff in terms.items()):
+                    raise InternalError("lift of a vanishing vector field was not polynomial")
+                terms = {e[:col] + (e[col] - 1,) + e[col + 1 :]: c for e, c in terms.items() if c}
+            lifted.append(Polynomial._trusted(poly.vars, terms))
+        if lifted[col] and lifted[col].valuation(self.chart) < 1:
             raise InternalError("lifted field is not tangent to the divisor")
         return tuple(lifted)

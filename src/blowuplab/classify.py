@@ -25,10 +25,10 @@ from typing import NamedTuple
 from . import linalg, realroots
 from .errors import DisagreementError, WitnessSearchError
 from .liealg import Covector, LieAlgebra, as_covector, ce_differential, covector_form
-from .liealg import covector_invariants, derived_algebra, height, killing_form
+from .liealg import derived_algebra, height, killing_form, sampled_covectors
 from .rings import PolyRing
 from .sampling import DEFAULT_SEED, dual_basis, pairwise_combinations, random_covectors
-from .sampling import random_vector, shared_covectors
+from .sampling import random_vector
 
 WITNESS_CAP = 10_000
 _SLICE_LINES = 8
@@ -245,8 +245,8 @@ def sample_height_spectrum(
     """Heights of the first `samples` covectors of the deterministic stream."""
     counts: dict[int, int] = {}
     witnesses: dict[int, Covector] = {}
-    for xi in shared_covectors(L, samples, seed):
-        k = covector_invariants(L, xi).height
+    for sample in sampled_covectors(L, samples, seed):
+        k = sample.invariants.height
         counts[k] = counts.get(k, 0) + 1
-        witnesses.setdefault(k, xi)
+        witnesses.setdefault(k, sample.xi)
     return HeightSpectrum(dict(sorted(counts.items())), witnesses, samples)

@@ -48,6 +48,7 @@ from .model_io import (
 from .poisson_spinor import (
     blowup_pullback,
     check_line_orders,
+    integral_form,
     lift_verdict,
     linear_poisson,
     spinor,
@@ -179,10 +180,10 @@ def cmd_spinor(args) -> int:
     if args.chart is not None and args.chart not in blown:
         raise UsageError(f"--chart must be one of {blown}")
     charts = [args.chart] if args.chart is not None else list(blown)
-    phi = spinor(pi)
+    scale, phi = integral_form(spinor(pi))
     pulled = []
     for chart in charts:
-        cf = blowup_pullback(phi, chart, blown)
+        cf = blowup_pullback(phi, chart, blown, scale)
         pulled.append((cf, vanishing_order(cf, seed=seed, samples=args.samples)))
     sys.stdout.write(emit_report(args.fmt, spinor_to_dict, name, seed, pulled))
     return EXIT_OK

@@ -14,6 +14,7 @@ which the fixtures assert verbatim.
 
 from __future__ import annotations
 
+import itertools
 from enum import IntEnum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -22,6 +23,7 @@ from . import linalg
 from .errors import DisagreementError, DomainError, JacobiError, StructureError
 from .exterior import GradedForm, _merge_sign
 from .rings import CoeffRing, RATIONALS, Rational
+from .sampling import DEFAULT_SEED, covector_stream
 
 Covector = tuple[Fraction, ...]
 
@@ -307,33 +309,30 @@ def _height_by_rank(pairing: list[list[int]], x: tuple[int, ...]) -> int:
     return r // 2
 
 
-def _integer_form(form: GradedForm) -> GradedForm:
-    """D times a rational form, D the lcm of its denominators, with int
-    coefficients for the integer wedge chains (the ring stays the rationals,
-    whose arithmetic ints share)."""
-    ints = linalg.integer_multiple(form.terms.values())[1]
-    return GradedForm._trusted(form.dim, form.ring, dict(zip(form.terms, ints)))
+def _checked_height(L: LieAlgebra, x: tuple[int, ...]):
+    """The height of the covector xi with primitive integer multiple x = s xi
+    (s > 0) by iterated wedging, cross-checked against the rank of the skew
+    pairing on ker xi (a mismatch raises, since the two must agree), with
+    the integer 2-form omega and the pairing matrix both oracles read.
 
-
-def _checked_height(L: LieAlgebra, xi: Covector):
-    """The height of xi by iterated wedging, cross-checked against the rank of
-    the skew pairing on ker xi (a mismatch raises, since the two must agree),
-    with D d x, the primitive integer vector x of xi and its pairing matrix.
-
-    The wedge chain runs in integers on x = s xi (s > 0) and on D d x, D the
-    lcm of the denominators of d x: x ^ (D d x)^j = s^(j+1) D^j xi ^ (d xi)^j
-    is zero exactly when xi ^ (d xi)^j is."""
-    x = linalg.primitive(xi)
-    form = covector_form(L, x)
-    omega = _integer_form(ce_differential(L, form))
-    by_wedge = _wedge_chain(_integer_form(form), omega)
+    The pairing matrix is D s A(xi) (see `_pairing_matrix`), so its upper
+    triangle is omega = D s d xi.  The wedge chain runs in integers on x and
+    omega: x ^ omega^j = s^(j+1) (D s)^j xi ^ (d xi)^j is zero exactly when
+    xi ^ (d xi)^j is."""
     pairing = _pairing_matrix(L, x)
+    n = L.dim
+    upper = {
+        (i + 1, j + 1): row[j] for i, row in enumerate(pairing) for j in range(i + 1, n) if row[j]
+    }
+    omega = GradedForm._trusted(n, RATIONALS, upper)
+    form = GradedForm._trusted(n, RATIONALS, {(i + 1,): v for i, v in enumerate(x) if v})
+    by_wedge = _wedge_chain(form, omega)
     by_rank = _height_by_rank(pairing, x)
     if by_wedge != by_rank:
         raise DisagreementError(
-            f"height oracles disagree on {xi}: wedge {by_wedge}, rank {by_rank}"
+            f"height oracles disagree on {x}: wedge {by_wedge}, rank {by_rank}"
         )
-    return by_wedge, omega, x, pairing
+    return by_wedge, omega, pairing
 
 
 def height(L: LieAlgebra, xi: Sequence) -> int:
@@ -344,7 +343,7 @@ def height(L: LieAlgebra, xi: Sequence) -> int:
     Nothing is stored, so a search over many candidates stays flat in memory;
     `covector_invariants` gives the full, once-per-algebra record.
     """
-    return _checked_height(L, _require_nonzero(L, xi))[0]
+    return _checked_height(L, linalg.primitive(_require_nonzero(L, xi)))[0]
 
 
 class HeightReport(NamedTuple):
@@ -366,10 +365,11 @@ class HeightReport(NamedTuple):
     radial_in_orbit: bool
 
 
-def _build_invariants(L: LieAlgebra, xi: Covector) -> HeightReport:
-    k, omega, x, pairing = _checked_height(L, xi)
+def _build_invariants(L: LieAlgebra, x: tuple[int, ...]) -> HeightReport:
+    """The invariant record of the covector with primitive integer multiple x."""
+    k, omega, pairing = _checked_height(L, x)
     # r is the largest power with (d xi)^r != 0, read off the integer multiple
-    # omega of d x: type ONE iff (d xi)^{k+1} = 0, and the class is 2k+1 when
+    # omega of d xi: type ONE iff (d xi)^{k+1} = 0, and the class is 2k+1 when
     # r equals k, else 2k+2
     r = _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {(): 1}), omega)
     etype = ElementType.ONE if r <= k else ElementType.TWO
@@ -385,7 +385,36 @@ def _build_invariants(L: LieAlgebra, xi: Covector) -> HeightReport:
 def covector_invariants(L: LieAlgebra, xi: Sequence) -> HeightReport:
     """The invariant record of xi, computed once per algebra and covector."""
     xi = _require_nonzero(L, xi)
-    return L.memo(("invariants", xi), lambda: _build_invariants(L, xi))
+    return L.memo(("invariants", xi), lambda: _build_invariants(L, linalg.primitive(xi)))
+
+
+class SampledCovector(NamedTuple):
+    """A sampled covector, its primitive integer multiple and its invariants."""
+
+    xi: Covector
+    x: tuple[int, ...]
+    invariants: HeightReport
+
+
+def sampled_covectors(
+    L: LieAlgebra, samples: int, seed: int = DEFAULT_SEED
+) -> tuple[SampledCovector, ...]:
+    """The first `samples` covectors of the stream for L, the points that
+    every per-sample suite visits, each with its primitive integer multiple
+    and invariant record: built once per algebra, sample count and seed and
+    kept in `L.memo`, so the suites of one command read one draw and no
+    covector is converted or hashed again."""
+    if samples < 1:
+        raise DomainError("samples must be positive")
+
+    def build():
+        records = []
+        for xi in itertools.islice(covector_stream(L.dim, seed), samples):
+            x = linalg.primitive(xi)
+            records.append(SampledCovector(xi, x, _build_invariants(L, x)))
+        return tuple(records)
+
+    return L.memo(("samples", samples, seed), build)
 
 
 def invariant_failures(record: HeightReport) -> list[str]:

@@ -22,10 +22,10 @@ from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
 from .exterior import GradedForm, GradedVector, _merge_sign
-from .liealg import Covector, LieAlgebra, covector_invariants
-from .linalg import integer_multiple, primitive
+from .liealg import Covector, LieAlgebra, sampled_covectors
+from .linalg import integer_multiple
 from .rings import Polynomial, PolyRing, Rational
-from .sampling import DEFAULT_SEED, point_stream, shared_covectors
+from .sampling import DEFAULT_SEED, point_stream
 
 
 def coordinate_ring(n: int, base: Sequence[str] = ()) -> PolyRing:
@@ -50,6 +50,18 @@ def shared_linear_poisson(L: LieAlgebra) -> GradedVector:
     return L.memo("linear_poisson", lambda: linear_poisson(L))
 
 
+def integral_form(form: GradedForm | GradedVector) -> tuple[int, GradedForm | GradedVector]:
+    """(D, D * form) for a polynomial form or multivector, D the lcm of its
+    coefficient denominators; the multiple has int coefficients."""
+    scale, ints = integer_multiple([c for p in form.terms.values() for c in p.terms.values()])
+    ints = iter(ints)
+    polys = {
+        I: Polynomial._trusted(p.vars, dict(zip(p.terms, ints)))
+        for I, p in form.terms.items()
+    }
+    return scale, form._trusted(form.dim, form.ring, polys)
+
+
 def spinor(pi: GradedVector) -> GradedForm:
     """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m, from the
     principal Pfaffians of pi: for J of even size 2k with complement I, the
@@ -63,9 +75,8 @@ def spinor(pi: GradedVector) -> GradedForm:
         raise StructureError("spinor needs one ring variable per dimension")
     if any(len(indices) != 2 for indices in pi.terms):
         raise DomainError("spinor expects a homogeneous degree-2 vector")
-    scale, ints = integer_multiple(c for p in pi.terms.values() for c in p.terms.values())
-    ints = iter(ints)
-    entries = [(a, b, [(e, next(ints)) for e in p.terms]) for (a, b), p in pi.terms.items()]
+    scale, integral = integral_form(pi)
+    entries = [(a, b, list(p.terms.items())) for (a, b), p in integral.terms.items()]
     level = pfaffians = {(): {(0,) * len(pi.ring.vars): 1}}
     while level:
         grown: dict[tuple[int, ...], dict] = {}
@@ -135,32 +146,32 @@ class ChartForm(NamedTuple):
         return self.form.render(differential_names(self.ring))
 
 
-def blowup_pullback(form: GradedForm, chart: int, blown: Sequence[int] | None = None) -> ChartForm:
+def blowup_pullback(
+    form: GradedForm, chart: int, blown: Sequence[int] | None = None, scale: int | None = None
+) -> ChartForm:
     """Pull an ambient polynomial form back through the blowdown of chart `chart`.
 
     The blowdown x_c -> x~_c, x_v -> x~_c x~_v, with
     dx_v -> x~_c dx~_v + x~_v dx~_c, is monomial, so each term is mapped by
     rewriting its exponents and indices; unblown (base) variables and their
-    differentials are left untouched.  The form's integer multiple is pulled back.
+    differentials are left untouched.  The form's integer multiple is pulled
+    back: `integral_form(form)`, or `form` itself when `scale` is given, for a
+    form already that multiple, so that one conversion serves every chart.
     """
     if not isinstance(form.ring, PolyRing):
         raise StructureError("blowup pullback needs polynomial coefficients")
     bc = BlowupChart(form.ring, chart, blown)
-    scale, ints = integer_multiple([c for p in form.terms.values() for c in p.terms.values()])
-    ints = iter(ints)
-    polys = {
-        I: Polynomial._trusted(p.vars, dict(zip(p.terms, ints)))
-        for I, p in form.terms.items()
-    }
-    integral = GradedForm._trusted(form.dim, form.ring, polys)
-    return ChartForm(bc.pull_form(integral), chart, bc.blown, scale)
+    if scale is None:
+        scale, form = integral_form(form)
+    return ChartForm(bc.pull_form(form), chart, bc.blown, scale)
 
 
 def shared_pullback(L: LieAlgebra, chart: int) -> ChartForm:
     """The spinor of the linear Poisson bivector of L pulled back through
-    chart `chart` of the origin blowup, built once per algebra and chart."""
-    phi = L.memo("spinor", lambda: spinor(shared_linear_poisson(L)))
-    return L.memo(("pullback", chart), lambda: blowup_pullback(phi, chart))
+    chart `chart` of the origin blowup, built once per algebra and chart
+    from one integer multiple of the spinor."""
+    scale, phi = L.memo("spinor", lambda: integral_form(spinor(shared_linear_poisson(L))))
+    return L.memo(("pullback", chart), lambda: blowup_pullback(phi, chart, scale=scale))
 
 
 # -- vanishing order along the divisor ----------------------------------------
@@ -278,39 +289,33 @@ def vanishing_order(
 # -- order along a projective line ---------------------------------------------
 
 
-def line_order(cf: ChartForm, xi: Sequence[Rational]) -> int:
-    """t-adic order of a chart form restricted to the line through direction
-    xi (xi_chart != 0), where x~_chart = t and x~_j = xi_j / xi_chart.
-
-    Only the order is computed.  Each coefficient's monomials below the
-    lowest order found so far are bucketed by their t-exponent, and the
-    buckets are tested lowest first, in integers at the primitive integer
-    multiple x of xi: a bucket evaluated at x over powers of x_chart is
-    nonzero exactly when it is nonzero at the ratios.
-    """
-    m = len(cf.ring.vars)
-    if cf.blown != tuple(range(1, m + 1)):
-        raise DomainError("line restriction requires a full origin blowup")
-    if len(xi) != m:
-        raise StructureError("direction vector has wrong length")
-    c = cf.chart
-    if xi[c - 1] == 0:
-        raise DomainError(f"direction lies outside chart {c} (component {c} is zero)")
-    x = primitive(xi)
-    lowest = None
+def _line_table(cf: ChartForm) -> list[tuple[int, list]]:
+    """The monomials of each coefficient of the integer chart form grouped
+    by their chart exponent k, as (k, compiled group) pairs over every
+    coefficient, lowest k first; one `_integer_terms` call compiles them all."""
+    col = cf.chart - 1
+    groups: list[tuple[int, dict]] = []
     for poly in cf.integer_form.terms.values():
-        buckets: dict[int, dict] = {}
+        by_exponent: dict[int, dict] = {}
         for exps, coeff in poly.terms.items():
-            k = exps[c - 1]
-            if lowest is None or k < lowest:
-                buckets.setdefault(k, {})[exps] = coeff
-        for k in sorted(buckets):
-            if _integer_value(_integer_terms(buckets[k])[0], x, x[c - 1]):
-                lowest = k
-                break
-    if lowest is None:
-        raise DomainError("the restriction to this line vanishes identically")
-    return lowest
+            by_exponent.setdefault(exps[col], {})[exps] = coeff
+        groups += by_exponent.items()
+    groups.sort(key=lambda group: group[0])
+    return list(zip([k for k, _ in groups], _integer_terms(*(terms for _, terms in groups))))
+
+
+def _order_on_line(table, x: tuple[int, ...], chart: int) -> int:
+    """The t-adic order of a chart form restricted to the line through the
+    integer direction x (x_chart != 0), where x~_chart = t and x~_j =
+    x_j / x_chart: the least k whose group in the form's line-order table
+    is nonzero there, testing groups lowest first.  A group evaluated at x
+    over powers of x_chart is nonzero exactly when it is nonzero at the
+    ratios."""
+    q = x[chart - 1]
+    for k, compiled in table:
+        if _integer_value(compiled, x, q):
+            return k
+    raise DomainError("the restriction to this line vanishes identically")
 
 
 def preferred_chart(values: Sequence[Rational]) -> int:
@@ -415,12 +420,13 @@ def check_line_orders(
     """Primary cross-oracle identity: for each sampled covector, the t-adic
     order of the line-restricted pullback spinor equals dim - 1 - height."""
     records = []
-    for xi in shared_covectors(L, samples, seed):
-        x = primitive(xi)  # a positive multiple: the same chart and line
-        chart = preferred_chart(x)
-        got = line_order(shared_pullback(L, chart), x)
-        want = L.dim - 1 - covector_invariants(L, xi).height
-        records.append(LineOrderRecord(xi, chart, got, want))
+    for sample in sampled_covectors(L, samples, seed):
+        # x is a positive multiple of xi: the same chart and line
+        chart = preferred_chart(sample.x)
+        table = L.memo(("line_table", chart), lambda: _line_table(shared_pullback(L, chart)))
+        got = _order_on_line(table, sample.x, chart)
+        want = L.dim - 1 - sample.invariants.height
+        records.append(LineOrderRecord(sample.xi, chart, got, want))
     records = tuple(records)
     mismatches = tuple(r for r in records if not r.ok)
     return LineOrderReport(samples, records, mismatches)

@@ -170,16 +170,6 @@ class Polynomial:
 
     __hash__ = None
 
-    # -- restriction ---------------------------------------------------------
-
-    def shift_down(self, position: int, amount: int) -> "Polynomial":
-        """Divide exactly by ``v_position ** amount``."""
-        col = position - 1
-        if any(exps[col] < amount for exps in self.terms):
-            raise DomainError(f"{self} is not divisible by {self.vars[col]}^{amount}")
-        out = {e[:col] + (e[col] - amount,) + e[col + 1 :]: c for e, c in self.terms.items()}
-        return Polynomial._trusted(self.vars, out)
-
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -11,12 +11,9 @@ visit them before luck is needed.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from typing import Iterator
-
-from .errors import DomainError
 
 DEFAULT_SEED = 1729
 
@@ -65,19 +62,6 @@ def covector_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction
     yield from dual_basis(n)
     yield from pairwise_combinations(n)
     yield from random_covectors(n, seed)
-
-
-def shared_covectors(L, samples: int, seed: int = DEFAULT_SEED) -> tuple[tuple[Fraction, ...], ...]:
-    """The first `samples` covectors of the stream for the algebra L, the
-    points that every per-sample suite visits: drawn once per algebra,
-    sample count and seed, and kept in `L.memo`, so the suites of one
-    command read one draw."""
-    if samples < 1:
-        raise DomainError("samples must be positive")
-    return L.memo(
-        ("covectors", samples, seed),
-        lambda: tuple(itertools.islice(covector_stream(L.dim, seed), samples)),
-    )
 
 
 def point_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:

@@ -8,6 +8,17 @@ polynomial's value at a rational point; `rational_chains` and
 `distribution_rows` are the rational per-covector kernels (the wedge chains
 of xi and d xi, the evaluated divisor distribution) that the program now
 runs in integers on the primitive integer multiple of the covector.
+`line_order` and `distribution_at` run the program's per-sample kernels
+(the line-order table of a chart form, the integer distribution rank) on
+any chart form or direction, as the commands run them on the primitive
+integer multiples of the sampled covectors.
+`shift_down` divides exactly by a power of one variable, `polynomial_lift`
+is the lift of a vector field through a chart in `Polynomial` arithmetic,
+`bucketed_line_order` the line order that buckets and compiles a chart
+form's monomials for every direction, and `integer_differential` the
+integer d x that the height kernel once built through `ce_differential`;
+the program now lifts on term dicts, reads line orders off one compiled
+table per chart and takes d xi from the pairing matrix.
 `det` is the exact determinant, `reference_jacobi_check` the Jacobi check
 through the general bracket, and `volume_form` the standard volume form that
 `exp_interior` inserts into; the program derives definiteness, the Jacobi
@@ -26,6 +37,7 @@ from math import factorial, prod
 
 from blowuplab import (
     RATIONALS,
+    ChartForm,
     DomainError,
     LieAlgebra,
     PolyRing,
@@ -38,11 +50,12 @@ from blowuplab import (
     linear_poisson,
     spinor,
 )
+from blowuplab.blowup_geometry import _distribution_rank
 from blowuplab.charts import BlowupChart
 from blowuplab.exterior import GradedForm, GradedVector, IndexTuple
-from blowuplab.linalg import _eliminate, integer_multiple
-from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _leading_form
-from blowuplab.poisson_spinor import preferred_chart
+from blowuplab.linalg import _eliminate, integer_multiple, primitive
+from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _integer_value
+from blowuplab.poisson_spinor import _leading_form, _line_table, _order_on_line, preferred_chart
 from blowuplab.sampling import DEFAULT_SEED
 
 
@@ -103,7 +116,7 @@ def distribution_rows(L: LieAlgebra, v) -> tuple[int, list[list[Fraction]]]:
     chart = preferred_chart(v)
     pi = linear_poisson(L)
     bc = BlowupChart(pi.ring, chart)
-    fields = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
+    fields = [polynomial_lift(bc, hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
     ratios = [a / v[chart - 1] for a in v]
     point = ratios.copy()
     point[chart - 1] = Fraction(0)
@@ -114,6 +127,87 @@ def distribution_rows(L: LieAlgebra, v) -> tuple[int, list[list[Fraction]]]:
         if j != chart - 1
     ]
     return chart, rows
+
+
+def shift_down(poly: Polynomial, position: int, amount: int) -> Polynomial:
+    """Divide exactly by ``v_position ** amount``."""
+    col = position - 1
+    if any(exps[col] < amount for exps in poly.terms):
+        raise DomainError(f"{poly} is not divisible by {poly.vars[col]}^{amount}")
+    out = {e[:col] + (e[col] - amount,) + e[col + 1 :]: c for e, c in poly.terms.items()}
+    return Polynomial._trusted(poly.vars, out)
+
+
+def polynomial_lift(bc: BlowupChart, coefficients) -> tuple[Polynomial, ...]:
+    """The lift of sum_j a_j d/dx_j through a full-blowup chart as first
+    written, in `Polynomial` arithmetic: p*(a_c) for the divisor direction,
+    (p*(a_k) - x~_k p*(a_c)) / x~_c for k != c."""
+    coeffs = [bc.ring.coerce(a) for a in coefficients]
+    c = bc.chart
+    pulled = [bc.pull_polynomial(a) for a in coeffs]
+    return tuple(
+        pulled[c - 1]
+        if k == c
+        else shift_down(pulled[k - 1] - bc.chart_ring.variable(k) * pulled[c - 1], c, 1)
+        for k in range(1, len(coeffs) + 1)
+    )
+
+
+def line_order(cf: ChartForm, xi) -> int:
+    """t-adic order of a chart form restricted to the line through direction
+    xi (xi_chart != 0), where x~_chart = t and x~_j = xi_j / xi_chart: the
+    program's line-order kernel on the form's table, at the primitive
+    integer multiple of xi."""
+    m = len(cf.ring.vars)
+    if cf.blown != tuple(range(1, m + 1)):
+        raise DomainError("line restriction requires a full origin blowup")
+    if len(xi) != m:
+        raise StructureError("direction vector has wrong length")
+    c = cf.chart
+    if xi[c - 1] == 0:
+        raise DomainError(f"direction lies outside chart {c} (component {c} is zero)")
+    return _order_on_line(_line_table(cf), primitive(xi), c)
+
+
+def distribution_at(L: LieAlgebra, v) -> int:
+    """The rank of the lifted distribution at the divisor point [v]: the
+    program's per-sample kernel at the primitive integer multiple of v."""
+    if len(v) != L.dim:
+        raise StructureError("direction vector length does not match the algebra")
+    if not any(v):
+        raise DomainError("direction vector must be nonzero")
+    return _distribution_rank(L, primitive(v))
+
+
+def bucketed_line_order(cf: ChartForm, xi) -> int:
+    """The line order as first written: per coefficient, the monomials below
+    the lowest order found so far are bucketed by their t-exponent, and each
+    sample compiles and tests the buckets lowest first."""
+    c = cf.chart
+    x = primitive(xi)
+    lowest = None
+    for poly in cf.integer_form.terms.values():
+        buckets: dict[int, dict] = {}
+        for exps, coeff in poly.terms.items():
+            k = exps[c - 1]
+            if lowest is None or k < lowest:
+                buckets.setdefault(k, {})[exps] = coeff
+        for k in sorted(buckets):
+            if _integer_value(_integer_terms(buckets[k])[0], x, x[c - 1]):
+                lowest = k
+                break
+    if lowest is None:
+        raise DomainError("the restriction to this line vanishes identically")
+    return lowest
+
+
+def integer_differential(L: LieAlgebra, x) -> GradedForm:
+    """D d x for an integer covector x as the height kernel first built it:
+    the Chevalley-Eilenberg differential of the rational form x, times the
+    lcm D of its denominators, with int coefficients."""
+    dx = ce_differential(L, covector_form(L, x))
+    ints = integer_multiple(dx.terms.values())[1]
+    return GradedForm._trusted(dx.dim, dx.ring, dict(zip(dx.terms, ints)))
 
 
 def det(matrix) -> Fraction:

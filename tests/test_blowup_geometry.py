@@ -12,7 +12,6 @@ from blowuplab import (
     PolyRing,
     abelian,
     diagonal_affine,
-    distribution_at,
     hamiltonian_field,
     heis3,
     height,
@@ -25,7 +24,7 @@ from blowuplab.charts import BlowupChart
 from blowuplab.linalg import rref_basis
 
 from conftest import apply_field, random_polynomial, random_vector_field
-from reference import distribution_rows, restrict_zero
+from reference import distribution_at, distribution_rows, restrict_zero
 
 
 def test_lift_of_scaled_coordinate_field():

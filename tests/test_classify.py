@@ -34,16 +34,9 @@ from reference import det
 # the real form of sl2 whose height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has
 # real points but no rational ones
 ANISOTROPIC_SL2 = as_lie(gen.anisotropic_sl2())
-# a rational conjugate of sl2 whose nearest rational drop point is (-2, 5, -8)
-# in the dual basis, far down a small-integer sweep
-LATE_SL2 = change_basis(
-    sl2(),
-    [
-        [Fraction(-5, 6), Fraction(1, 3), Fraction(4, 5)],
-        [Fraction(1, 3), Fraction(-5, 6), Fraction(4, 3)],
-        [Fraction(-5, 4), Fraction(2), Fraction(-1, 2)],
-    ],
-)
+# the benchmark's sl2_late: a rational conjugate of sl2 whose nearest rational
+# drop point is (-2, 5, -8) in the dual basis, far down a small-integer sweep
+LATE_SL2 = as_lie(gen.late_witness_sl2())
 
 
 def test_structural_verdicts():

@@ -9,6 +9,7 @@ import pytest
 
 from blowuplab import serialize_algebra, so3
 from blowuplab.cli import main
+from conftest import gen
 
 
 def run(capsys, *argv):
@@ -364,15 +365,15 @@ def test_failing_orbit_record_carries_its_reasons_in_both_formats(capsys, monkey
 
     # the first sample's distribution rank is off by two, so that record
     # fails the rank identities and the others pass
-    real = geometry.distribution_at
+    real = geometry._distribution_rank
     calls = []
 
-    def skewed(L, v):
-        rank = real(L, v)
-        calls.append(v)
+    def skewed(L, x):
+        rank = real(L, x)
+        calls.append(x)
         return rank + 2 if len(calls) == 1 else rank
 
-    monkeypatch.setattr(geometry, "distribution_at", skewed)
+    monkeypatch.setattr(geometry, "_distribution_rank", skewed)
     argv = ("crosscheck", "--catalog", "so3", "--samples", "5")
     code, out, err = run(capsys, *argv, "--format", "machine")
     assert code == 3
@@ -393,10 +394,7 @@ def test_failing_orbit_record_carries_its_reasons_in_both_formats(capsys, monkey
 
 
 # height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has real points but no rational ones
-ANISOTROPIC_SL2 = (
-    "schema_version: 1\nname: aniso\ndimension: 3\n"
-    "bracket: 1 2 3 -3\nbracket: 2 3 1 1\nbracket: 1 3 2 -1\n"
-)
+ANISOTROPIC_SL2 = gen.to_document(gen.anisotropic_sl2())
 
 
 def test_witness_search_cap_exits_3(tmp_path, capsys, monkeypatch):

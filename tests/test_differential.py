@@ -20,6 +20,12 @@ of the covector: the wedge chains of the height and of the powers of d xi,
 and the evaluated divisor distribution.  They are checked against the
 rational chains and the rationally evaluated rows of `tests/reference.py`
 on seeded conjugates, with covector entries up to 10^6/10^6.
+The height kernel reads d xi off the integer pairing matrix, the lifts of
+vector fields are built on term dicts, and the line orders read one
+compiled table per chart; they are checked against the integer d x of
+`ce_differential`, the `Polynomial`-arithmetic lift and the per-direction
+bucketing of `tests/reference.py`, on the same seeded conjugates and on
+random vanishing vector fields.
 A blowup chart pulls back one integer multiple of a form over one scale,
 which `ChartForm.form`, rendering and the certificate's leading form divide
 once; that path is checked against `BlowupChart.pull_form` on the rational
@@ -55,13 +61,13 @@ from blowuplab import (
     blowup_pullback,
     ce_differential,
     change_basis,
+    check_line_orders,
     covector_form,
     diagonal_affine,
-    distribution_at,
+    hamiltonian_field,
     heis3,
     height,
     jacobi_check,
-    line_order,
     linear_poisson,
     sl2,
     so3,
@@ -71,13 +77,16 @@ from blowuplab import (
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart
 from blowuplab.exterior import _merge_sign, _sort_indices
-from blowuplab.liealg import _checked_height, _wedge_chain, as_covector, covector_invariants
-from blowuplab.linalg import rank, rank_and_membership
-from blowuplab.poisson_spinor import differential_names
-from blowuplab.sampling import dual_basis, pairwise_combinations, shared_covectors
+from blowuplab.liealg import _checked_height, _wedge_chain, covector_invariants
+from blowuplab.linalg import primitive, rank, rank_and_membership
+from blowuplab.poisson_spinor import _line_table, _order_on_line, differential_names
+from blowuplab.poisson_spinor import preferred_chart, shared_pullback
+from blowuplab.sampling import covector_stream, dual_basis, pairwise_combinations
 from conftest import as_lie, gen, seeded_conjugate, seeded_matrix
-from reference import det, diff, distribution_rows, exp_interior, multi_interior, restrict_zero
-from reference import rational_chains, reference_jacobi_check, substitute, volume_form
+from reference import bucketed_line_order, det, diff, distribution_at, distribution_rows
+from reference import exp_interior, integer_differential, line_order, multi_interior
+from reference import polynomial_lift, rational_chains, reference_jacobi_check, restrict_zero
+from reference import shift_down, substitute, volume_form
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -599,7 +608,8 @@ def test_integer_chart_path_matches_the_rational_pullback_on_seeded_conjugates(L
     phi = spinor(linear_poisson(L))
     denominators = {c.denominator for p in phi.terms.values() for c in p.terms.values()}
     event(f"spinor scale above 1: {denominators != {1}}")
-    _assert_same_chart_paths(phi, tuple(range(1, L.dim + 1)), shared_covectors(L, 12, seed))
+    lines = list(itertools.islice(covector_stream(L.dim, seed), 12))
+    _assert_same_chart_paths(phi, tuple(range(1, L.dim + 1)), lines)
 
 
 @SETTINGS
@@ -621,11 +631,11 @@ def test_trusted_polynomial_results_are_canonical(data, m):
         (a + b) * (a - b),
         a * c,
         a**2,
-        divisible.shift_down(position, 2),
+        shift_down(divisible, position, 2),
         restrict_zero(a, position),
     ):
         _polynomial_canonical(result)
-    assert divisible.shift_down(position, 2) == a
+    assert shift_down(divisible, position, 2) == a
     assert (a + b) * (a - b) == a**2 - b**2
 
 
@@ -806,7 +816,7 @@ def test_integer_height_and_power_match_the_rational_chains(case):
     L, xi = case
     k, r = rational_chains(L, xi)
     event(f"{L.name} k={k} r={r}")
-    height_, omega, _, _ = _checked_height(L, as_covector(xi))
+    height_, omega, _ = _checked_height(L, primitive(xi))
     assert (height_, _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {(): 1}), omega)) == (k, r)
     record = covector_invariants(L, xi)
     assert (record.height, record.cartan_class) == (k, k + r + 1)
@@ -820,3 +830,109 @@ def test_integer_distribution_rank_matches_the_rational_rows(case):
     expected = sympy.Matrix(rows).rank()
     event(f"{L.name} rank={expected}")
     assert distribution_at(L, v) == expected
+
+
+# -- shared per-sample inputs against the paths they replaced ------------------------
+
+
+@settings(SETTINGS, max_examples=100)
+@given(case=kernel_cases())
+def test_pairing_differential_matches_the_ce_differential(case):
+    """The height kernel reads d xi off the pairing matrix; it is a positive
+    integer multiple of the D d x that `ce_differential` gives, and both
+    give the same height k and top power r."""
+    L, xi = case
+    x = primitive(xi)
+    k, omega, _ = _checked_height(L, x)
+    reference = integer_differential(L, x)
+    assert omega.terms.keys() == reference.terms.keys()
+    if reference.terms:
+        first = next(iter(reference.terms))
+        ratio = Fraction(omega.terms[first], reference.terms[first])
+        assert ratio > 0
+        assert all(omega.terms[i] == ratio * c for i, c in reference.terms.items())
+    one = GradedForm._trusted(L.dim, RATIONALS, {(): 1})
+    form = GradedForm._trusted(L.dim, RATIONALS, {(i + 1,): v for i, v in enumerate(x) if v})
+    r = _wedge_chain(one, omega)
+    event(f"{L.name} k={k} r={r}")
+    assert (k, r) == (_wedge_chain(form, reference), _wedge_chain(one, reference))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(data=st.data(), case=kernel_cases())
+def test_line_order_table_matches_the_bucketed_reference(data, case):
+    """One compiled table per chart, read lowest group first, gives the
+    order that bucketing and compiling the chart form per direction gives,
+    at the direction's preferred chart and at one other chart."""
+    L, xi = case
+    x = primitive(xi)
+    other = data.draw(st.sampled_from([c for c in range(1, L.dim + 1) if x[c - 1]]))
+    for chart in {preferred_chart(x), other}:
+        cf = shared_pullback(L, chart)
+        try:
+            expected = bucketed_line_order(cf, xi)
+        except DomainError:
+            event("restriction vanishes")
+            with pytest.raises(DomainError):
+                _order_on_line(_line_table(cf), x, chart)
+        else:
+            event(f"{L.name} order={expected}")
+            assert _order_on_line(_line_table(cf), x, chart) == expected
+
+
+@pytest.mark.parametrize("name", list(KERNEL_BASES))
+def test_checked_line_orders_match_the_bucketed_reference(name):
+    """The same on the per-chart tables the commands read, at every sample
+    `check_line_orders` checks."""
+    for seed in (1, 2, 3):
+        L = kernel_conjugate(name, seed)[0]
+        for record in check_line_orders(L, 20, seed).records:
+            cf = shared_pullback(L, record.chart)
+            assert record.order == bucketed_line_order(cf, record.xi)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(name=st.sampled_from(list(KERNEL_BASES)), seed=st.integers(1, 3))
+def test_term_lift_matches_the_polynomial_lift_on_hamiltonian_fields(name, seed):
+    """Lifting on term dicts gives the polynomials that `Polynomial`
+    arithmetic gives, for every Hamiltonian field of dx_i in every chart."""
+    L = kernel_conjugate(name, seed)[0]
+    pi = linear_poisson(L)
+    for chart in range(1, L.dim + 1):
+        bc = BlowupChart(pi.ring, chart)
+        for i in range(1, L.dim + 1):
+            field = hamiltonian_field(pi, i)
+            got, want = bc.lift_vector_field(field), polynomial_lift(bc, field)
+            assert got == want
+            assert [str(p) for p in got] == [str(p) for p in want]
+
+
+@st.composite
+def vanishing_fields(draw):
+    """A chart of the origin blowup of m <= 4 variables and a vector field
+    with rational coefficients vanishing at the origin: linear, plus at
+    times a few terms of degree two."""
+    m = draw(st.integers(1, 4))
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, m + 1)))
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    field = []
+    for _ in range(m):
+        terms = {unit: draw(rationals) for unit in units}
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            terms[tuple(map(sum, zip(units[a], units[b])))] = draw(rationals)
+        field.append(Polynomial(ring.vars, terms))
+    return BlowupChart(ring, draw(st.integers(1, m))), field
+
+
+@settings(SETTINGS, max_examples=120)
+@given(case=vanishing_fields())
+def test_term_lift_matches_the_polynomial_lift_on_vanishing_fields(case):
+    """The same on random fields of up to four variables, in every chart."""
+    bc, field = case
+    got, want = bc.lift_vector_field(field), polynomial_lift(bc, field)
+    event(f"zero field: {not any(field)}")
+    assert got == want
+    assert [str(p) for p in got] == [str(p) for p in want]
+    for poly in got:
+        _polynomial_canonical(poly)

@@ -29,6 +29,7 @@ import pytest
 
 from blowuplab.cli import main
 from blowuplab.model_io import render_text
+from conftest import gen
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,10 +102,7 @@ def test_catalog_output_matches_golden(capsys, argv, golden):
     assert capsys.readouterr().out == expected
 
 
-ANISOTROPIC_SL2 = (
-    "schema_version: 1\nname: aniso_sl2\ndimension: 3\n"
-    "bracket: 1 2 3 -3\nbracket: 2 3 1 1\nbracket: 1 3 2 -1\n"
-)
+ANISOTROPIC_SL2 = gen.to_document(gen.anisotropic_sl2())
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from blowuplab import (
     heis3,
     height,
     lift_verdict,
-    line_order,
     linear_poisson,
     scaled_so3_bundle,
     sl2,
@@ -37,7 +36,7 @@ from blowuplab.poisson_spinor import preferred_chart
 from blowuplab.sampling import covector_stream
 
 from conftest import random_polynomial
-from reference import diff, evaluate, perturbed_orders, volume_form
+from reference import diff, evaluate, line_order, perturbed_orders, volume_form
 
 
 # -- linear Poisson bivector ----------------------------------------------------

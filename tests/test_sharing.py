@@ -1,14 +1,18 @@
 """Each shared quantity of one analysis is computed once.
 
 `analyze` runs four suites over the same algebra and the same sampled
-covectors.  The linear Poisson bivector, its spinor and chart pullbacks, the
-lifted Hamiltonian fields, the sampled covectors and each covector's
-invariant record are built once per algebra and read by every suite; the witness search alone calls the plain
+covectors.  The linear Poisson bivector, its spinor (converted to integers
+once) and chart pullbacks, the lifted Hamiltonian fields, one line-order
+table per chart, and one record per sampled covector (the covector, its
+primitive integer multiple and its invariant record) are built once per
+algebra and read by every suite; the witness search alone calls the plain
 height oracle, one call per candidate, and past its first draw it leaves its
-random draws to the inputs that need them.  A chart pullback rewrites
-exponents and a line order evaluates monomials in integers, so neither
-wedges or multiplies polynomials, and the line orders build none.  Call counts come from
-cProfile, so they count every call whatever name it goes through.
+random draws to the inputs that need them.  Both height oracles read d xi
+off the integer pairing matrix, so the Chevalley-Eilenberg differential
+runs only in the Jacobi check.  A chart pullback rewrites exponents and a
+line order evaluates compiled monomials in integers, so neither wedges or
+multiplies polynomials, and the line orders build none.  Call counts come
+from cProfile, so they count every call whatever name it goes through.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import pstats
 from fractions import Fraction
 
 import blowuplab.classify as classify_mod
-from blowuplab import change_basis, charts, heis3, liealg, poisson_spinor, sampling, sl2, so3
+from blowuplab import change_basis, charts, heis3, liealg, linalg, poisson_spinor, sampling
+from blowuplab import sl2, so3
 from blowuplab.cli import main
 from blowuplab.exterior import GradedForm
 from blowuplab.model_io import serialize_algebra
@@ -64,8 +69,13 @@ def test_analyze_shares_every_per_algebra_quantity(capsys, monkeypatch):
     assert _calls(profile, charts.BlowupChart.pull_form) == DIM
     assert _calls(profile, charts.BlowupChart.lift_vector_field) <= DIM * DIM
     assert _calls(profile, liealg.height) == len(candidates)
-    # plus d(d theta_m) for every generator, once, in the Jacobi check
-    assert _calls(profile, liealg.ce_differential) <= SAMPLES + len(candidates) + 2 * DIM
+    # d theta_m and d(d theta_m) for every generator, once, in the Jacobi check
+    assert _calls(profile, liealg.ce_differential) <= 2 * DIM
+    # one primitive integer multiple per sampled covector and per candidate
+    assert _calls(profile, linalg.primitive) == SAMPLES + len(candidates)
+    # per chart: the lifted fields and the line-order table, one call each,
+    # and each leading coefficient of the spinor pullback; none per sample
+    assert _calls(profile, poisson_spinor._integer_terms) <= 3 * DIM
 
 
 def test_witness_search_decides_without_random_draws(monkeypatch):
@@ -98,8 +108,8 @@ def test_witness_search_decides_without_random_draws(monkeypatch):
 
 def test_height_kernel_tables_are_built_once_per_algebra(capsys, tmp_path):
     """The generator differentials d theta_k and the integer structure
-    constants are per-algebra tables: every covector of one analysis, the
-    witness candidates included, reads the same copy."""
+    constants are per-algebra tables: the Jacobi check reads the one, every
+    covector of one analysis, the witness candidates included, the other."""
     conjugator = [
         [1, Fraction(1, 2), 0],
         [0, 1, Fraction(-1, 3)],
@@ -163,7 +173,8 @@ def test_pullback_and_line_restriction_read_exponents_only():
 
     profile, report = _profiled(lambda: poisson_spinor.check_line_orders(L, samples=5))
     assert not report.mismatches
-    assert _calls(profile, poisson_spinor.line_order) == 5
+    assert _calls(profile, poisson_spinor._order_on_line) == 5
+    assert 1 <= _calls(profile, poisson_spinor._line_table) <= L.dim
 
     # once the pullbacks are cached, the line orders build no polynomial
     for chart in range(1, L.dim + 1):
