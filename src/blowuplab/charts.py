@@ -17,11 +17,10 @@ over one scale, which rendering divides once.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from operator import add
 
 from .errors import DomainError, InternalError, StructureError
-from .exterior import GradedForm
+from .exterior import GradedForm, index_bit
 from .rings import Polynomial, PolyRing
 
 _NAME_RE = re.compile(r"([A-Za-z]+)(.*)")
@@ -37,7 +36,7 @@ def tilde_name(name: str) -> str:
 class BlowupChart:
     """Chart U_chart of the blowup at the origin of the blown variables."""
 
-    __slots__ = ("ring", "chart", "blown", "chart_ring", "_base_columns")
+    __slots__ = ("ring", "chart", "blown", "chart_ring", "_base_columns", "_blown_mask")
 
     def __init__(self, ring: PolyRing, chart: int, blown=None):
         m = len(ring.vars)
@@ -50,6 +49,7 @@ class BlowupChart:
         self.chart = chart
         self.blown = tuple(sorted(blown))
         self._base_columns = [col for col in range(m) if col + 1 not in self.blown]
+        self._blown_mask = sum(index_bit(v) for v in self.blown)
         names = tuple(
             tilde_name(name) if (pos + 1) in self.blown else name
             for pos, name in enumerate(ring.vars)
@@ -70,29 +70,29 @@ class BlowupChart:
         terms = {self._pull_exponents(e): c for e, c in poly.terms.items()}
         return Polynomial._trusted(self.chart_ring.vars, terms)
 
-    def _pull_basis_form(self, indices: tuple) -> tuple[int, list]:
-        """p* dx_I as k and (indices, sign, exponent shift) terms, each times u^k.
+    def _pull_basis_form(self, mask: int) -> tuple[int, list]:
+        """p* dx_I as k and (index mask, sign, exponent shift) terms, each times u^k.
 
         Each blown dx_v (v != c) pulls back to u dx~_v + x~_v du with
         u = x~_c.  The term keeping every dx~_v carries u^k, k the number of
         such v in I, and no shift; when dx_c is not in I already, each one of
         them may instead become x~_v du, which carries u^(k-1) x~_v, the shift
-        u^-1 x~_v.  Putting dx_c in the place of dx_v passes the indices
-        strictly between c and v.
+        u^-1 x~_v.  Putting dx_c in place of dx_v gives the mask I ^ bit(v) |
+        bit(c), signed by the parity of the indices of I strictly between c, v.
         """
-        c = self.chart
-        moved = [v for v in indices if v != c and v - 1 not in self._base_columns]
-        terms = [(indices, 1, None)]
-        if c not in indices:
-            for v in moved:
-                pos = indices.index(v)
-                rest = indices[:pos] + indices[pos + 1 :]
-                at = bisect_left(rest, c)
-                shift = [0] * len(self.ring.vars)
-                shift[c - 1], shift[v - 1] = -1, 1
-                sign = -1 if (pos - at) & 1 else 1
-                terms.append((rest[:at] + (c,) + rest[at:], sign, tuple(shift)))
-        return len(moved), terms
+        c = index_bit(self.chart)
+        moved = mask & self._blown_mask & ~c
+        terms = [(mask, 1, None)]
+        bits = 0 if mask & c else moved
+        while bits:
+            v = bits & -bits
+            bits ^= v
+            shift = [0] * len(self.ring.vars)
+            shift[self.chart - 1], shift[v.bit_length() - 1] = -1, 1
+            rest = mask ^ v
+            sign = -1 if (rest & ((c - 1) ^ (v - 1))).bit_count() & 1 else 1
+            terms.append((rest | c, sign, tuple(shift)))
+        return moved.bit_count(), terms
 
     def pull_form(self, form: GradedForm) -> GradedForm:
         """p* of a polynomial-coefficient form, one monomial term at a time.
@@ -105,9 +105,9 @@ class BlowupChart:
         m = len(self.ring.vars)
         if form.dim != m:
             raise StructureError("form dimension does not match the ambient ring")
-        out: dict[tuple, dict] = {}
-        for indices, poly in form.terms.items():
-            k, basis = self._pull_basis_form(indices)
+        out: dict[int, dict] = {}
+        for mask, poly in form.terms.items():
+            k, basis = self._pull_basis_form(mask)
             pulled = [(self._pull_exponents(e, k), coeff) for e, coeff in poly.terms.items()]
             for target, sign, shift in basis:
                 bucket = out.setdefault(target, {})
@@ -117,10 +117,10 @@ class BlowupChart:
                     bucket[key] = get(key, 0) + coeff if sign > 0 else get(key, 0) - coeff
         names = self.chart_ring.vars
         terms = {}
-        for indices, bucket in out.items():
+        for mask, bucket in out.items():
             nonzero = {e: c for e, c in bucket.items() if c}
             if nonzero:
-                terms[indices] = Polynomial._trusted(names, nonzero)
+                terms[mask] = Polynomial._trusted(names, nonzero)
         return GradedForm._trusted(m, self.chart_ring, terms)
 
     def lift_vector_field(self, coefficients) -> tuple[Polynomial, ...]:

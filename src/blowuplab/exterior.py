@@ -1,9 +1,12 @@
 """Sparse exterior algebra over an n-dimensional space, exact coefficients.
 
-Elements are stored as maps from strictly increasing 1-based index tuples to
-nonzero ring coefficients; mixed degrees are allowed.  ``GradedForm`` indexes
-the dual basis (wedge products of the theta_i / dx_i), ``GradedVector`` the
-basis multivectors (wedge products of the e_i).
+Elements map index masks to nonzero ring coefficients, mixed degrees
+allowed: the basis element with indices i_1 < ... < i_k has the mask with
+bit i - 1 set for each index i.  Every sign is one rule, `wedge_sign`: the
+parity of the count of index bits passed over.  Index tuples appear only at
+the boundary: the validating constructor, `coefficient` and `ordered_terms`.
+``GradedForm`` indexes the dual basis (wedge products of the theta_i /
+dx_i), ``GradedVector`` the basis multivectors (wedge products of the e_i).
 """
 
 from __future__ import annotations
@@ -16,48 +19,41 @@ from .rings import CoeffRing, Polynomial, join_signed
 IndexTuple = tuple[int, ...]
 
 
-def _sort_indices(dim: int, indices: Sequence[int]):
-    """Sort an index tuple, returning (sorted tuple, permutation sign) or sign 0
-    on a repeat: each index is merged into the sorted ones before it."""
+def index_bit(i: int) -> int:
+    """The mask of the single index i."""
+    return 1 << (i - 1)
+
+
+def mask_indices(mask: int) -> IndexTuple:
+    """The strictly increasing index tuple of a mask."""
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+
+
+def wedge_sign(left: int, right: int) -> int:
+    """The sign of e_left ^ e_right against e_(left | right), for disjoint
+    masks: each bit of `right` passes the bits of `left` above it."""
+    swaps = 0
+    while right:
+        low = right & -right
+        swaps += (left & -low).bit_count()
+        right ^= low
+    return -1 if swaps & 1 else 1
+
+
+def _indices_mask(dim: int, indices: Sequence[int]) -> tuple[int, int]:
+    """(mask, sorting sign) of an index sequence, built one index at a time
+    by `wedge_sign`, or (0, 0) on a repeat; every index is range-checked first."""
     for i in indices:
         if not 1 <= i <= dim:
             raise StructureError(f"index {i} out of range 1..{dim}")
-    out, sign = (), 1
+    mask, sign = 0, 1
     for i in indices:
-        out, step = _merge_sign(out, (i,))
-        if not step:
-            return (), 0
-        sign *= step
-    return out, sign
-
-
-def _merge_sign(left: IndexTuple, right: IndexTuple):
-    """Shuffle sign for merging two strictly increasing tuples, or 0 if they meet.
-
-    One linear merge: each entry of `right` that goes before the remaining
-    entries of `left` passes over all of them."""
-    if not left:
-        return right, 1
-    if not right:
-        return left, 1
-    merged = []
-    inversions = 0
-    i = j = 0
-    n_left, n_right = len(left), len(right)
-    while i < n_left and j < n_right:
-        a, b = left[i], right[j]
-        if a < b:
-            merged.append(a)
-            i += 1
-        elif b < a:
-            merged.append(b)
-            inversions += n_left - i
-            j += 1
-        else:
-            return (), 0
-    merged += left[i:]
-    merged += right[j:]
-    return tuple(merged), -1 if inversions & 1 else 1
+        bit = index_bit(i)
+        if mask & bit:
+            return 0, 0
+        sign *= wedge_sign(mask, bit)
+        mask |= bit
+    return mask, sign
 
 
 class _Alternating:
@@ -70,27 +66,25 @@ class _Alternating:
             raise StructureError("dimension must be nonnegative")
         self.dim = dim
         self.ring = ring
-        clean: dict[IndexTuple, object] = {}
+        clean: dict[int, object] = {}
         if terms:
             for indices, coeff in terms.items():
-                sorted_idx, sign = _sort_indices(dim, indices)
+                mask, sign = _indices_mask(dim, indices)
                 if sign == 0:
                     continue
-                coeff = ring.coerce(coeff)
-                if sign < 0:
-                    coeff = -coeff
-                if sorted_idx in clean:
-                    coeff = clean[sorted_idx] + coeff
+                coeff = ring.coerce(coeff) if sign > 0 else -ring.coerce(coeff)
+                if mask in clean:
+                    coeff = clean[mask] + coeff
                 if not coeff:
-                    clean.pop(sorted_idx, None)
+                    clean.pop(mask, None)
                 else:
-                    clean[sorted_idx] = coeff
+                    clean[mask] = coeff
         self.terms = clean
 
     @classmethod
     def _trusted(cls, dim: int, ring: CoeffRing, terms: dict):
-        """Internal constructor for terms that are already canonical: strictly
-        increasing index tuples, coefficients of the ring's own type, no zeros.
+        """Internal constructor for terms that are already canonical: index
+        masks below 2^dim, coefficients of the ring's own type, no zeros.
         The terms are kept in any order; callers own the invariants."""
         self = object.__new__(cls)
         self.dim = dim
@@ -114,15 +108,16 @@ class _Alternating:
         return not self.terms
 
     def ordered_terms(self) -> list:
-        """The (indices, coefficient) items by degree, then index tuple: the
-        one order in which terms are printed and searched."""
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
+        """The (index tuple, coefficient) items by degree, then index tuple:
+        the one order in which terms are printed and searched."""
+        items = [(mask_indices(mask), c) for mask, c in self.terms.items()]
+        return sorted(items, key=lambda item: (len(item[0]), item[0]))
 
     def coefficient(self, indices: Sequence[int]):
-        sorted_idx, sign = _sort_indices(self.dim, indices)
+        mask, sign = _indices_mask(self.dim, indices)
         if sign == 0:
             return self.ring.zero()
-        coeff = self.terms.get(sorted_idx, self.ring.zero())
+        coeff = self.terms.get(mask, self.ring.zero())
         return coeff if sign > 0 else -coeff
 
     # -- linear operations -------------------------------------------------------
@@ -130,13 +125,13 @@ class _Alternating:
     def __add__(self, other):
         self._require_compatible(other)
         merged = dict(self.terms)
-        for indices, coeff in other.terms.items():
-            if indices in merged:
-                coeff = merged[indices] + coeff
+        for mask, coeff in other.terms.items():
+            if mask in merged:
+                coeff = merged[mask] + coeff
                 if not coeff:
-                    del merged[indices]
+                    del merged[mask]
                     continue
-            merged[indices] = coeff
+            merged[mask] = coeff
         return self._trusted(self.dim, self.ring, merged)
 
     def __neg__(self):
@@ -170,15 +165,13 @@ class _Alternating:
 
     def wedge(self, other):
         self._require_compatible(other)
-        out: dict[IndexTuple, object] = {}
+        out: dict[int, object] = {}
         for left, lc in self.terms.items():
             for right, rc in other.terms.items():
-                merged, sign = _merge_sign(left, right)
-                if sign == 0:
+                if left & right:
                     continue
-                coeff = lc * rc
-                if sign < 0:
-                    coeff = -coeff
+                merged = left | right
+                coeff = lc * rc if wedge_sign(left, right) > 0 else -(lc * rc)
                 if merged in out:
                     coeff = out[merged] + coeff
                 if not coeff:

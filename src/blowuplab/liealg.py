@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import DisagreementError, DomainError, JacobiError, StructureError
-from .exterior import GradedForm, _merge_sign
+from .exterior import GradedForm, index_bit, wedge_sign
 from .rings import CoeffRing, RATIONALS, Rational
 from .sampling import DEFAULT_SEED, covector_stream
 
@@ -29,7 +29,7 @@ Covector = tuple[Fraction, ...]
 
 
 def as_covector(values: Sequence[Rational]) -> Covector:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    return tuple(RATIONALS.coerce(v) for v in values)
 
 
 class LieAlgebra:
@@ -64,7 +64,7 @@ class LieAlgebra:
             for k, value in components.items():
                 if not 1 <= k <= dim:
                     raise StructureError(f"bracket target index {k} out of range")
-                vector[k - 1] = Fraction(value)
+                vector[k - 1] = RATIONALS.coerce(value)
             if i == j:
                 if any(vector):
                     raise StructureError(f"[b_{i}, b_{i}] must vanish")
@@ -99,8 +99,8 @@ class LieAlgebra:
 
     def bracket(self, u: Sequence[Rational], v: Sequence[Rational]) -> list[Fraction]:
         """[u, v] for arbitrary coordinate vectors."""
-        u = [Fraction(x) for x in u]
-        v = [Fraction(x) for x in v]
+        u = [RATIONALS.coerce(x) for x in u]
+        v = [RATIONALS.coerce(x) for x in v]
         if len(u) != self.dim or len(v) != self.dim:
             raise StructureError("vector length does not match the algebra dimension")
         out = [Fraction(0)] * self.dim
@@ -159,15 +159,15 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[tuple[int, int, int], tuple[Fracti
     defects: dict[tuple[int, int, int], list[Fraction]] = {}
     for m in range(L.dim):
         theta = covector_form(L, [int(i == m) for i in range(L.dim)])
-        for triple, value in ce_differential(L, ce_differential(L, theta)).terms.items():
+        for triple, value in ce_differential(L, ce_differential(L, theta)).ordered_terms():
             defects.setdefault(triple, [Fraction(0)] * L.dim)[m] = value
     return [(triple, tuple(defect)) for triple, defect in sorted(defects.items())]
 
 
 def change_basis(L: LieAlgebra, matrix: Sequence[Sequence[Rational]]) -> LieAlgebra:
     """Structure constants in the basis b'_j = sum_i matrix[i][j] b_i."""
-    cols = [[Fraction(matrix[i][j]) for i in range(L.dim)] for j in range(L.dim)]
-    inv = linalg.inverse([[Fraction(matrix[i][j]) for j in range(L.dim)] for i in range(L.dim)])
+    rows = [[RATIONALS.coerce(matrix[i][j]) for j in range(L.dim)] for i in range(L.dim)]
+    cols, inv = list(zip(*rows)), linalg.inverse(rows)
     if inv is None:
         raise DomainError("change of basis requires an invertible matrix")
     brackets = {}
@@ -189,13 +189,13 @@ def covector_form(L: LieAlgebra, xi: Sequence, ring: CoeffRing = RATIONALS) -> G
     for i in range(L.dim):
         value = ring.coerce(xi[i])
         if value:
-            terms[(i + 1,)] = value
+            terms[index_bit(i + 1)] = value
     return GradedForm._trusted(L.dim, ring, terms)
 
 
-def _generator_differential(L: LieAlgebra, k: int) -> dict[tuple[int, int], Fraction]:
+def _generator_differential(L: LieAlgebra, k: int) -> dict[int, Fraction]:
     """The terms of d theta_k, with rational coefficients."""
-    return {key: -vec[k - 1] for key, vec in L._pairs.items() if vec[k - 1]}
+    return {index_bit(i) | index_bit(j): -v[k - 1] for (i, j), v in L._pairs.items() if v[k - 1]}
 
 
 def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
@@ -203,10 +203,11 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
 
     Each term c theta_I contributes, for every position t, (-1)^t c
     theta_{I<t} ^ d theta_{I_t} ^ theta_{I>t} = (-1)^t c theta_{I without I_t}
-    ^ d theta_{I_t} (a degree-2 form commutes), one merge each, summed into
-    one term map.  Ring-generic: coefficients may be rationals or polynomials
-    (the rational structure constants act by scalars).  d o d = 0 precisely
-    when the Jacobi identity holds, which is how `jacobi_check` reads it.
+    ^ d theta_{I_t} (a degree-2 form commutes), t the number of indices of I
+    below I_t, one wedge sign each, summed into one term map.  Ring-generic:
+    coefficients may be rationals or polynomials (the rational structure
+    constants act by scalars).  d o d = 0 precisely when the Jacobi identity
+    holds, which is how `jacobi_check` reads it.
     """
     if form.dim != L.dim:
         raise StructureError("form dimension does not match the algebra")
@@ -215,16 +216,18 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
         "d_theta", lambda: tuple(_generator_differential(L, k) for k in range(1, L.dim + 1))
     )
     out: dict = {}
-    for indices, coeff in form.terms.items():
-        for t, k in enumerate(indices):
-            rest = indices[:t] + indices[t + 1 :]
-            for middle, c in d_theta[k - 1].items():
-                merged, sign = _merge_sign(rest, middle)
-                if not sign:
+    for mask, coeff in form.terms.items():
+        bits = mask
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            rest = mask ^ bit
+            parity = -1 if (mask & (bit - 1)).bit_count() & 1 else 1  # (-1)^t
+            for middle, c in d_theta[bit.bit_length() - 1].items():
+                if rest & middle:
                     continue
-                value = c * coeff
-                if sign * (-1) ** t < 0:
-                    value = -value
+                merged = rest | middle
+                value = c * coeff if wedge_sign(rest, middle) == parity else -(c * coeff)
                 if merged in out:
                     value = out[merged] + value
                 out[merged] = value
@@ -322,10 +325,11 @@ def _checked_height(L: LieAlgebra, x: tuple[int, ...]):
     pairing = _pairing_matrix(L, x)
     n = L.dim
     upper = {
-        (i + 1, j + 1): row[j] for i, row in enumerate(pairing) for j in range(i + 1, n) if row[j]
+        index_bit(i + 1) | index_bit(j + 1): row[j]
+        for i, row in enumerate(pairing) for j in range(i + 1, n) if row[j]
     }
     omega = GradedForm._trusted(n, RATIONALS, upper)
-    form = GradedForm._trusted(n, RATIONALS, {(i + 1,): v for i, v in enumerate(x) if v})
+    form = GradedForm._trusted(n, RATIONALS, {index_bit(i + 1): v for i, v in enumerate(x) if v})
     by_wedge = _wedge_chain(form, omega)
     by_rank = _height_by_rank(pairing, x)
     if by_wedge != by_rank:
@@ -371,7 +375,7 @@ def _build_invariants(L: LieAlgebra, x: tuple[int, ...]) -> HeightReport:
     # r is the largest power with (d xi)^r != 0, read off the integer multiple
     # omega of d xi: type ONE iff (d xi)^{k+1} = 0, and the class is 2k+1 when
     # r equals k, else 2k+2
-    r = _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {(): 1}), omega)
+    r = _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {0: 1}), omega)
     etype = ElementType.ONE if r <= k else ElementType.TWO
     cls = 2 * k + 1 if r == k else 2 * k + 2
     # one elimination of [A; x] pivoting on A's rows only: the pivot count is

@@ -13,7 +13,6 @@ rational divisor point, or reported as undetermined, never guessed.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Sequence
@@ -21,7 +20,7 @@ from typing import NamedTuple, Sequence
 from .charts import BlowupChart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
-from .exterior import GradedForm, GradedVector, _merge_sign
+from .exterior import GradedForm, GradedVector, wedge_sign
 from .liealg import Covector, LieAlgebra, sampled_covectors
 from .linalg import integer_multiple
 from .rings import Polynomial, PolyRing, Rational
@@ -65,27 +64,29 @@ def integral_form(form: GradedForm | GradedVector) -> tuple[int, GradedForm | Gr
 def spinor(pi: GradedVector) -> GradedForm:
     """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m, from the
     principal Pfaffians of pi: for J of even size 2k with complement I, the
-    coefficient of dx_I is sign(J I) Pf(pi_JJ), the sign of the permutation
-    sorting J followed by I.  Each Pfaffian is expanded along min J over the
-    nonzero smaller ones, in integers for D pi (D the lcm of the coefficient
-    denominators); Pf(D pi_JJ) = D^k Pf(pi_JJ) is divided by D^k at the end."""
+    coefficient of dx_I is sign(J I) Pf(pi_JJ), the `wedge_sign` of the masks
+    of J and I.  Each Pfaffian is expanded along min J, the lowest bit of J,
+    over the nonzero smaller ones, in integers for D pi (D the lcm of the
+    coefficient denominators); Pf(D pi_JJ) = D^k Pf(pi_JJ) is divided by
+    D^k at the end."""
     if not (isinstance(pi, GradedVector) and isinstance(pi.ring, PolyRing)):
         raise StructureError("spinor expects a GradedVector over a PolyRing")
     if pi.dim != len(pi.ring.vars):
         raise StructureError("spinor needs one ring variable per dimension")
-    if any(len(indices) != 2 for indices in pi.terms):
+    if any(mask.bit_count() != 2 for mask in pi.terms):
         raise DomainError("spinor expects a homogeneous degree-2 vector")
     scale, integral = integral_form(pi)
-    entries = [(a, b, list(p.terms.items())) for (a, b), p in integral.terms.items()]
-    level = pfaffians = {(): {(0,) * len(pi.ring.vars): 1}}
+    # each pair a < b as the bits of a and b
+    entries = [(ab & -ab, ab & (ab - 1), list(p.terms.items())) for ab, p in integral.terms.items()]
+    level = pfaffians = {0: {(0,) * len(pi.ring.vars): 1}}
     while level:
-        grown: dict[tuple[int, ...], dict] = {}
+        grown: dict[int, dict] = {}
         for rest, pf in level.items():
             for a, b, entry in entries:
-                if rest and a >= rest[0] or b in rest:
+                if rest & ((a << 1) - 1 | b):  # a must lie below min J, b outside J
                     continue
-                below = bisect_left(rest, b)  # b sits at position 2 + below in J
-                acc = grown.setdefault((a,) + rest[:below] + (b,) + rest[below:], {})
+                below = (rest & (b - 1)).bit_count()  # b sits at position 2 + below in J
+                acc = grown.setdefault(rest | a | b, {})
                 for e1, c1 in entry:
                     c1 = -c1 if below & 1 else c1
                     for e2, c2 in pf.items():
@@ -93,12 +94,11 @@ def spinor(pi: GradedVector) -> GradedForm:
                         acc[e] = acc.get(e, 0) + c1 * c2
         level = {J: pf for J, acc in grown.items() if (pf := {e: c for e, c in acc.items() if c})}
         pfaffians.update(level)
-    terms = {}
+    full, terms = (1 << pi.dim) - 1, {}
     for J, pf in pfaffians.items():
-        I = tuple(i for i in range(1, pi.dim + 1) if i not in J)
-        sign, den = _merge_sign(J, I)[1], scale ** (len(J) // 2)
+        sign, den = wedge_sign(J, full ^ J), scale ** (J.bit_count() // 2)
         coeffs = {e: Fraction(sign * c, den) for e, c in pf.items()}
-        terms[I] = Polynomial._trusted(pi.ring.vars, coeffs)
+        terms[full ^ J] = Polynomial._trusted(pi.ring.vars, coeffs)
     return GradedForm._trusted(pi.dim, pi.ring, terms)
 
 
@@ -116,9 +116,9 @@ def _divided(form: GradedForm, scale: int) -> GradedForm:
     if scale == 1:
         return form
     polys = {}
-    for indices, p in form.terms.items():
+    for mask, p in form.terms.items():
         divided = {e: Fraction(c, scale) for e, c in p.terms.items()}
-        polys[indices] = Polynomial._trusted(p.vars, divided)
+        polys[mask] = Polynomial._trusted(p.vars, divided)
     return GradedForm._trusted(form.dim, form.ring, polys)
 
 
@@ -218,10 +218,10 @@ def _leading_form(cf: ChartForm) -> tuple[int, GradedForm]:
     polys = cf.integer_form.terms
     order = min(poly.valuation(cf.chart) for poly in polys.values())
     terms = {}
-    for indices, poly in polys.items():
+    for mask, poly in polys.items():
         kept = {e[:col] + (0,) + e[col + 1 :]: c for e, c in poly.terms.items() if e[col] == order}
         if kept:
-            terms[indices] = Polynomial._trusted(poly.vars, kept)
+            terms[mask] = Polynomial._trusted(poly.vars, kept)
     return order, GradedForm._trusted(cf.integer_form.dim, cf.ring, terms)
 
 

@@ -68,7 +68,7 @@ class Polynomial:
                 exps = tuple(exps)
                 if len(exps) != len(self.vars) or any(e < 0 for e in exps):
                     raise StructureError(f"bad exponent tuple {exps} for variables {self.vars}")
-                coeff = Fraction(coeff)
+                coeff = RATIONALS.coerce(coeff)
                 if coeff:
                     acc = clean.get(exps, Fraction(0)) + coeff
                     if acc:

@@ -24,16 +24,24 @@ through the general bracket, and `volume_form` the standard volume form that
 `exp_interior` inserts into; the program derives definiteness, the Jacobi
 defects and the spinor without them.
 
+`_merge_sign` and `_sort_indices` are the shuffle sign and the sorting sign
+on increasing index tuples, as the exterior algebra computed them before its
+terms were keyed by index masks.
+
 Insertion of multivectors follows the convention i_{X wedge Y} = i_Y i_X, so
 for an increasing tuple (k_1 < ... < k_p) the single insertions are applied
-in ascending index order.  The series of insertions `exp_interior` is what
-`poisson_spinor.spinor` reads off principal Pfaffians instead.
+in ascending index order.  The insertions run on index tuples read off
+`ordered_terms()` and build their result through the validating
+constructor, independently of the program's index masks.  The series of
+insertions `exp_interior` is what `poisson_spinor.spinor` reads off
+principal Pfaffians instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+from typing import Sequence
 
 from blowuplab import (
     RATIONALS,
@@ -57,6 +65,50 @@ from blowuplab.linalg import _eliminate, integer_multiple, primitive
 from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _integer_value
 from blowuplab.poisson_spinor import _leading_form, _line_table, _order_on_line, preferred_chart
 from blowuplab.sampling import DEFAULT_SEED
+
+
+def _sort_indices(dim: int, indices: Sequence[int]):
+    """Sort an index tuple, returning (sorted tuple, permutation sign) or sign 0
+    on a repeat: each index is merged into the sorted ones before it."""
+    for i in indices:
+        if not 1 <= i <= dim:
+            raise StructureError(f"index {i} out of range 1..{dim}")
+    out, sign = (), 1
+    for i in indices:
+        out, step = _merge_sign(out, (i,))
+        if not step:
+            return (), 0
+        sign *= step
+    return out, sign
+
+
+def _merge_sign(left: IndexTuple, right: IndexTuple):
+    """Shuffle sign for merging two strictly increasing tuples, or 0 if they meet.
+
+    One linear merge: each entry of `right` that goes before the remaining
+    entries of `left` passes over all of them."""
+    if not left:
+        return right, 1
+    if not right:
+        return left, 1
+    merged = []
+    inversions = 0
+    i = j = 0
+    n_left, n_right = len(left), len(right)
+    while i < n_left and j < n_right:
+        a, b = left[i], right[j]
+        if a < b:
+            merged.append(a)
+            i += 1
+        elif b < a:
+            merged.append(b)
+            inversions += n_left - i
+            j += 1
+        else:
+            return (), 0
+    merged += left[i:]
+    merged += right[j:]
+    return tuple(merged), -1 if inversions & 1 else 1
 
 
 def term(cls, dim: int, indices, coeff=1, ring=RATIONALS):
@@ -269,7 +321,7 @@ def _check_insertion(name: str, v, a, degree: int | None = None):
         raise StructureError(f"{name} expects (GradedVector, GradedForm)")
     if v.dim != a.dim or v.ring != a.ring:
         raise StructureError(f"{name} operands must share dimension and ring")
-    if degree is not None and any(len(indices) != degree for indices in v.terms):
+    if degree is not None and any(len(indices) != degree for indices, _ in v.ordered_terms()):
         raise DomainError(f"{name} expects a homogeneous degree-{degree} vector")
 
 
@@ -301,8 +353,9 @@ def multi_interior(w: GradedVector, a: GradedForm) -> GradedForm:
     """Insertion of a multivector: i_{X wedge Y} = i_Y i_X, extended linearly."""
     _check_insertion("multi_interior", w, a)
     total: dict[IndexTuple, object] = {}
-    for indices, wc in w.terms.items():
-        current = a.terms
+    terms = dict(a.ordered_terms())
+    for indices, wc in w.ordered_terms():
+        current = terms
         for index in indices:  # ascending order realises i_{k_p} ... i_{k_1}
             current = _insert_single(index, current)
             if not current:
@@ -315,7 +368,7 @@ def multi_interior(w: GradedVector, a: GradedForm) -> GradedForm:
                 total.pop(idx, None)
             else:
                 total[idx] = value
-    return GradedForm._trusted(a.dim, a.ring, total)
+    return GradedForm(a.dim, a.ring, total)
 
 
 def exp_interior(pi: GradedVector, lam: GradedForm) -> GradedForm:

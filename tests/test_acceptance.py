@@ -109,7 +109,7 @@ def test_criterion_2_sl2():
         cone = ring.parse("-xi1^2 - xi2^2 + xi3^2")
         coefficient = product.coefficient((1, 2, 3))
         assert coefficient == cone or coefficient == -cone
-        assert all(len(i) == 3 for i in product.terms)  # nothing in other degrees
+        assert all(len(i) == 3 for i, _ in product.ordered_terms())  # nothing in other degrees
 
 
 def test_criterion_3_classification_table():

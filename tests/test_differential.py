@@ -3,18 +3,20 @@
 Fast paths replaced slower ones: the Chevalley-Eilenberg differential sums
 its terms into one map from cached generator differentials, the exterior
 operations and polynomial arithmetic build their results through trusted
-constructors, the rank oracle eliminates integer matrices, the shuffle sign
-of two index tuples comes from one linear merge (and sorting one index tuple
-merges in one index at a time), a blowup chart pulls forms
-back by rewriting exponents, the line order tests t-buckets of monomials in
-integers, the Jacobi check reads its defects off d o d of the generators,
-and the spinor e^{i_pi} lambda is read off integer principal
-Pfaffians.  Each is checked here against an independent path on
+constructors, the rank oracle eliminates integer matrices, terms are keyed
+by index masks whose shuffle sign counts the bits each index passes (and
+sorting one index sequence builds its mask one index at a time, by the same
+rule), a blowup chart pulls forms back by rewriting exponents, the line
+order tests t-buckets of monomials in integers, the Jacobi check reads its
+defects off d o d of the generators, and the spinor e^{i_pi} lambda is read
+off integer principal Pfaffians.  Each is checked here against an independent path on
 hypothesis-drawn inputs: the term-by-term derivation of d, the validating
 public constructors, sympy's rank of the rational restricted pairing, the
-substitute-and-wedge and general-bracket bodies the new code replaced, and
-the series of insertions `exp_interior`; `substitute`,
-`reference_jacobi_check` and `exp_interior` are kept in `tests/reference.py`.
+substitute-and-wedge and general-bracket bodies the new code replaced, the
+tuple merges `_merge_sign` and `_sort_indices` with a set-based inversion
+count, and the series of insertions `exp_interior`; `substitute`,
+`reference_jacobi_check`, the tuple merges and `exp_interior` are kept in
+`tests/reference.py`.
 The per-covector kernels run in integers on the primitive integer multiple
 of the covector: the wedge chains of the height and of the powers of d xi,
 and the evaluated divisor distribution.  They are checked against the
@@ -44,7 +46,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from blowuplab import (
@@ -76,9 +78,10 @@ from blowuplab import (
 )
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart
-from blowuplab.exterior import _merge_sign, _sort_indices
+from blowuplab.exterior import _indices_mask, index_bit, mask_indices, wedge_sign
 from blowuplab.liealg import _checked_height, _wedge_chain, covector_invariants
 from blowuplab.linalg import primitive, rank, rank_and_membership
+from blowuplab.model_io import MAX_DIM
 from blowuplab.poisson_spinor import _line_table, _order_on_line, differential_names
 from blowuplab.poisson_spinor import preferred_chart, shared_pullback
 from blowuplab.sampling import covector_stream, dual_basis, pairwise_combinations
@@ -86,7 +89,7 @@ from conftest import as_lie, gen, seeded_conjugate, seeded_matrix
 from reference import bucketed_line_order, det, diff, distribution_at, distribution_rows
 from reference import exp_interior, integer_differential, line_order, multi_interior
 from reference import polynomial_lift, rational_chains, reference_jacobi_check, restrict_zero
-from reference import shift_down, substitute, volume_form
+from reference import _merge_sign, _sort_indices, shift_down, substitute, volume_form
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -171,15 +174,16 @@ def reference_ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
         )
 
     result = GradedForm(n, ring)
-    for indices, coeff in form.terms.items():
+    for indices, coeff in form.ordered_terms():
         for t, k in enumerate(indices):
             pre = GradedForm(n, ring, {indices[:t]: 1})
             post = GradedForm(n, ring, {indices[t + 1 :]: 1})
-            piece = GradedForm(n, ring, pre.wedge(d_theta(k)).wedge(post).scale(coeff).terms)
+            piece = pre.wedge(d_theta(k)).wedge(post).scale(coeff)
+            piece = GradedForm(n, ring, dict(piece.ordered_terms()))
             if t % 2:
-                piece = GradedForm(n, ring, {i: -c for i, c in piece.terms.items()})
-            merged = dict(result.terms)
-            for i, c in piece.terms.items():
+                piece = GradedForm(n, ring, {i: -c for i, c in piece.ordered_terms()})
+            merged = dict(result.ordered_terms())
+            for i, c in piece.ordered_terms():
                 merged[i] = merged.get(i, ring.zero()) + c
             result = GradedForm(n, ring, merged)
     return result
@@ -246,9 +250,13 @@ def test_height_is_half_the_sympy_rank_of_the_restricted_pairing(data):
 def _canonical(result):
     """The public constructor's reading of a result's terms, which it must
     leave unchanged: same terms, same key order, ring-typed coefficients.
-    Terms are canonical in content only, so a rebuild from the terms in
-    reverse order (polynomial coefficients reversed too) renders the same."""
-    rebuilt = type(result)(result.dim, result.ring, result.terms)
+    The constructor reads index tuples, so each mask key is turned into its
+    tuple in the order the terms were produced.  Terms are canonical in
+    content only, so a rebuild from the terms in reverse order (polynomial
+    coefficients reversed too) renders the same."""
+    rebuilt = type(result)(
+        result.dim, result.ring, {mask_indices(i): c for i, c in result.terms.items()}
+    )
     assert rebuilt == result
     assert list(rebuilt.terms) == list(result.terms)
     kind = Fraction if result.ring == RATIONALS else Polynomial
@@ -257,7 +265,9 @@ def _canonical(result):
         result.dim,
         result.ring,
         {
-            i: Polynomial(c.vars, dict(reversed(c.terms.items()))) if kind is Polynomial else c
+            mask_indices(i): Polynomial(c.vars, dict(reversed(c.terms.items())))
+            if kind is Polynomial
+            else c
             for i, c in reversed(result.terms.items())
         },
     )
@@ -331,11 +341,16 @@ def reference_merge_sign(left, right):
     return tuple(sorted(left + right)), (-1) ** inversions
 
 
+def _mask(indices) -> int:
+    """The index mask of a set of indices, summed bit by bit."""
+    return sum(1 << (i - 1) for i in set(indices))
+
+
 @st.composite
 def index_pairs(draw):
     """Two strictly increasing tuples, disjoint unless a shared index is
     put in on purpose."""
-    pool = sorted(draw(st.sets(st.integers(1, 10), max_size=8)))
+    pool = sorted(draw(st.sets(st.integers(1, MAX_DIM), max_size=8)))
     sides = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
     left = [i for i, side in zip(pool, sides) if side]
     right = [i for i, side in zip(pool, sides) if not side]
@@ -346,20 +361,33 @@ def index_pairs(draw):
 
 @SETTINGS
 @given(pair=index_pairs())
+@example(pair=((1, MAX_DIM), (2, MAX_DIM - 1)))
+@example(pair=((MAX_DIM,), (1,)))
+@example(pair=((1, MAX_DIM), (MAX_DIM,)))
 def test_merge_sign_matches_reference(pair):
+    """The wedge sign of two disjoint masks, and the mask and tuple of their
+    union, against the set-based inversion count and the tuple merge."""
     left, right = pair
+    want = reference_merge_sign(left, right)
     got = _merge_sign(left, right)
     event(f"sign={got[1]}")
-    assert got == reference_merge_sign(left, right)
+    assert got == want
     assert type(got[0]) is tuple
+    a, b = _mask(left), _mask(right)
+    assert (mask_indices(a), mask_indices(b)) == (left, right)
+    if a & b:
+        assert want[1] == 0
+        return
+    assert (mask_indices(a | b), wedge_sign(a, b)) == want
 
 
 @settings(SETTINGS, max_examples=200)
-@given(data=st.data(), dim=st.integers(0, 8))
+@given(data=st.data(), dim=st.integers(0, MAX_DIM))
 def test_sort_indices_matches_inversion_count(data, dim):
-    """The sorted tuple and the parity of a brute-force inversion count, sign
-    0 on a repeated index, and a StructureError on an index outside 1..dim
-    (checked before repeats)."""
+    """The mask of an index sequence, with the parity of a brute-force
+    inversion count, sign 0 on a repeated index, and a StructureError on an
+    index outside 1..dim (checked before repeats), against the tuple sort
+    too."""
     indices = data.draw(st.permutations(range(1, dim + 1)))[: data.draw(st.integers(0, dim))]
     extra = data.draw(st.sampled_from(("none", "repeat", "out of range")))
     if extra == "repeat" and indices:
@@ -371,17 +399,39 @@ def test_sort_indices_matches_inversion_count(data, dim):
     if any(not 1 <= i <= dim for i in indices):
         event("out of range")
         with pytest.raises(StructureError):
+            _indices_mask(dim, indices)
+        with pytest.raises(StructureError):
             _sort_indices(dim, indices)
         return
     got = _sort_indices(dim, indices)
+    mask, sign = _indices_mask(dim, indices)
     if len(set(indices)) < len(indices):
         event("repeat")
         assert got == ((), 0)
+        assert (mask, sign) == (0, 0)
         return
     inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
     event(f"sign={(-1) ** inversions}")
     assert got == (tuple(sorted(indices)), (-1) ** inversions)
     assert type(got[0]) is tuple
+    assert (mask, sign) == (_mask(indices), (-1) ** inversions)
+    assert mask_indices(mask) == got[0]
+
+
+def test_mask_helpers_at_the_ends_of_the_index_range():
+    """Indices 1 and MAX_DIM: their bits, the sign of passing one over the
+    other, a repeat of the top index, and range errors just outside."""
+    top = MAX_DIM
+    assert (index_bit(1), index_bit(top)) == (1, 1 << (top - 1))
+    assert mask_indices(index_bit(1) | index_bit(top)) == (1, top)
+    assert wedge_sign(index_bit(top), index_bit(1)) == -1
+    assert wedge_sign(index_bit(1), index_bit(top)) == 1
+    assert _indices_mask(top, (top, 1)) == (index_bit(1) | index_bit(top), -1)
+    assert _indices_mask(top, (1, top, top)) == (0, 0)
+    assert _indices_mask(top, tuple(range(top, 0, -1))) == ((1 << top) - 1, 1)
+    for bad in ((0,), (top + 1,), (top, top, top + 1)):
+        with pytest.raises(StructureError):
+            _indices_mask(top, bad)
 
 
 @st.composite
@@ -465,7 +515,7 @@ def reference_pull_form(bc: BlowupChart, form: GradedForm) -> GradedForm:
     images, differentials = reference_images(bc)
     m = len(bc.ring.vars)
     result = GradedForm(m, bc.chart_ring)
-    for indices, coeff in form.terms.items():
+    for indices, coeff in form.ordered_terms():
         piece = GradedForm(m, bc.chart_ring, {(): substitute(coeff, images)})
         for j in indices:
             piece = piece.wedge(differentials[j - 1])
@@ -523,7 +573,7 @@ def reference_restrict_to_line(cf: ChartForm, xi) -> GradedForm:
         for pos in range(1, m + 1)
     ]
     return GradedForm(
-        m, t_ring, {indices: substitute(poly, images) for indices, poly in cf.form.terms.items()}
+        m, t_ring, {indices: substitute(poly, images) for indices, poly in cf.form.ordered_terms()}
     )
 
 
@@ -817,7 +867,7 @@ def test_integer_height_and_power_match_the_rational_chains(case):
     k, r = rational_chains(L, xi)
     event(f"{L.name} k={k} r={r}")
     height_, omega, _ = _checked_height(L, primitive(xi))
-    assert (height_, _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {(): 1}), omega)) == (k, r)
+    assert (height_, _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {0: 1}), omega)) == (k, r)
     record = covector_invariants(L, xi)
     assert (record.height, record.cartan_class) == (k, k + r + 1)
 
@@ -851,8 +901,8 @@ def test_pairing_differential_matches_the_ce_differential(case):
         ratio = Fraction(omega.terms[first], reference.terms[first])
         assert ratio > 0
         assert all(omega.terms[i] == ratio * c for i, c in reference.terms.items())
-    one = GradedForm._trusted(L.dim, RATIONALS, {(): 1})
-    form = GradedForm._trusted(L.dim, RATIONALS, {(i + 1,): v for i, v in enumerate(x) if v})
+    one = GradedForm._trusted(L.dim, RATIONALS, {0: 1})
+    form = GradedForm._trusted(L.dim, RATIONALS, {index_bit(i + 1): v for i, v in enumerate(x) if v})
     r = _wedge_chain(one, omega)
     event(f"{L.name} k={k} r={r}")
     assert (k, r) == (_wedge_chain(form, reference), _wedge_chain(one, reference))

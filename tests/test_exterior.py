@@ -130,8 +130,9 @@ def test_exp_interior_top_component_and_degree_steps(rng):
         pi = random_homogeneous(rng, dim, 2, cls=GradedVector)
         lam = term(GradedForm, dim, tuple(range(1, dim + 1)), rational(rng) or 1)
         result = exp_interior(pi, lam)
-        assert {i: c for i, c in result.terms.items() if len(i) == dim} == lam.terms
-        assert all((dim - len(i)) % 2 == 0 for i in result.terms)
+        top = [(i, c) for i, c in result.ordered_terms() if len(i) == dim]
+        assert top == lam.ordered_terms()
+        assert all((dim - len(i)) % 2 == 0 for i, _ in result.ordered_terms())
 
 
 def test_polynomial_coefficient_closure(rng):

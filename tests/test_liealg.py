@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,41 @@ def test_antisymmetry_enforced_eagerly():
     # consistent duplicate halves are accepted
     L = LieAlgebra(3, {(1, 2): {3: 1}, (2, 1): {3: -1}})
     assert L.bracket_basis(2, 1) == [0, 0, -1]
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", Decimal("0.5")], ids=repr)
+def test_inexact_values_rejected(bad):
+    """Structure constants, bracket arguments, basis changes and covectors
+    are exact: a float, a string or a Decimal raises a StructureError that
+    names the value, instead of being read as a nearby rational."""
+    L = so3()
+    unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for build in (
+        lambda: LieAlgebra(3, {(1, 2): {3: bad}}),
+        lambda: L.bracket([bad, 0, 0], [0, 1, 0]),
+        lambda: L.bracket([0, 1, 0], [bad, 0, 0]),
+        lambda: change_basis(L, [[bad, 0, 0]] + unit[1:]),
+        lambda: height(L, [bad, 1, 0]),
+    ):
+        with pytest.raises(StructureError, match="cannot coerce") as info:
+            build()
+        assert repr(bad) in str(info.value)
+
+
+def test_exact_values_accepted():
+    """ints and Fractions give the same algebra, brackets and basis change."""
+    ints = LieAlgebra(3, {(1, 2): {3: 2}, (2, 3): {1: -1}})
+    fracs = LieAlgebra(3, {(1, 2): {3: Fraction(4, 2)}, (2, 3): {1: Fraction(-1)}})
+    assert ints._pairs == fracs._pairs == {(1, 2): (0, 0, 2), (2, 3): (-1, 0, 0)}
+    assert all(type(v) is Fraction for vec in ints._pairs.values() for v in vec)
+    L = so3()
+    assert L.bracket([1, 0, 0], [0, 1, 0]) == [0, 0, 1]
+    assert L.bracket([Fraction(1), 0, 0], [0, Fraction(1, 1), 0]) == [0, 0, 1]
+    matrix = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+    exact = [[Fraction(v) for v in row] for row in matrix]
+    assert change_basis(L, matrix)._pairs == change_basis(L, exact)._pairs
+    assert change_basis(L, matrix).bracket_basis(1, 2) == [0, 0, Fraction(1, 2)]
+    assert height(L, [1, 2, 0]) == height(L, [Fraction(1), Fraction(4, 2), 0]) == 1
 
 
 def test_jacobi_catalog_entries_pass():

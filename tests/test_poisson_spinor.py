@@ -47,19 +47,19 @@ def test_linear_poisson_fixtures():
 
     pi = linear_poisson(so3())
     ring = pi.ring
-    assert isinstance(pi, GradedVector) and {len(i) for i in pi.terms} == {2}
+    assert isinstance(pi, GradedVector) and {len(i) for i, _ in pi.ordered_terms()} == {2}
     assert pi.coefficient((1, 2)) == ring.parse("x3")
     assert pi.coefficient((2, 3)) == ring.parse("x1")
     assert pi.coefficient((3, 1)) == ring.parse("x2")
 
     pi_h = linear_poisson(heis3())
-    assert pi_h.terms == {(1, 2): pi_h.ring.parse("x3")}
+    assert pi_h.ordered_terms() == [((1, 2), pi_h.ring.parse("x3"))]
 
 
 def _poisson_bracket(pi: GradedVector, f, g):
     """{f, g} = sum_{i<j} pi_ij (d_i f d_j g - d_j f d_i g): independent oracle."""
     out = pi.ring.zero()
-    for (i, j), coeff in pi.terms.items():
+    for (i, j), coeff in pi.ordered_terms():
         out = out + coeff * (diff(f, i) * diff(g, j) - diff(f, j) * diff(g, i))
     return out
 
@@ -391,7 +391,7 @@ def test_top_component_order_is_codim_minus_one():
         m = L.dim
         for chart in range(1, m + 1):
             cf = blowup_pullback(phi, chart)
-            top = [p for indices, p in cf.form.terms.items() if len(indices) == m]
+            top = [p for indices, p in cf.form.ordered_terms() if len(indices) == m]
             assert min(p.valuation(chart) for p in top) == m - 1
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,20 @@ def test_rational_parsing_round_trip():
 def test_rational_rejects_inexact(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")], ids=repr)
+def test_polynomial_rejects_inexact_coefficients(bad):
+    with pytest.raises(StructureError, match="cannot coerce") as info:
+        Polynomial(("x",), {(1,): bad})
+    assert repr(bad) in str(info.value)
+
+
+def test_polynomial_exact_coefficients():
+    p = Polynomial(("x",), {(1,): 1, (0,): Fraction(1, 2)})
+    assert p.terms == {(1,): Fraction(1), (0,): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert Polynomial(("x",), {(1,): Fraction(2, 2), (0,): Fraction(1, 2)}) == p
 
 
 def test_polynomial_canonical_no_zero_terms():

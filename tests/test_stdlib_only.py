@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and its command
-line does not load `dataclasses` or `inspect` at start-up."""
+"""The package imports nothing outside the standard library, its command
+line does not load `dataclasses` or `inspect` at start-up, and `src/` stays
+under its line ceiling."""
 
 from __future__ import annotations
 
@@ -57,3 +58,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         check=True, timeout=60,
     )
     assert json.loads(proc.stdout) == []
+
+
+# The same verdicts and bytes from less code (aim 2 of ROADMAP.md): the lines
+# of src/blowuplab/*.py may not grow past this count.  A change that must grow
+# them raises the ceiling and says why in CHANGES.md.
+SRC_LINE_CEILING = 3485
+
+
+def test_src_stays_under_its_line_ceiling():
+    modules = sorted((SRC / "blowuplab").glob("*.py"))
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in modules)
+    assert modules and lines <= SRC_LINE_CEILING, f"src/ has {lines} lines"
