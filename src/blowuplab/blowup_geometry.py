@@ -15,17 +15,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import linalg
-from .charts import BlowupChart
+from .charts import BlowupChart, integer_terms, integer_value, preferred_chart
 from .errors import InternalError
 from .liealg import Covector, HeightReport, LieAlgebra, invariant_failures, sampled_covectors
-from .poisson_spinor import _integer_terms, _integer_value, hamiltonian_field
-from .poisson_spinor import preferred_chart, shared_linear_poisson
+from .poisson_spinor import hamiltonian_field, shared_linear_poisson
 from .sampling import DEFAULT_SEED
 
 
 def _compiled_lifts(L: LieAlgebra, chart: int):
     """The lifts through `chart` of the Hamiltonian fields of dx_1, ...,
-    dx_dim of the linear Poisson bivector, as `_integer_terms` with one
+    dx_dim of the linear Poisson bivector, as `integer_terms` with one
     denominator and one padding degree for every field, built once per
     algebra and chart."""
 
@@ -33,7 +32,7 @@ def _compiled_lifts(L: LieAlgebra, chart: int):
         pi = shared_linear_poisson(L)
         bc = BlowupChart(pi.ring, chart)
         fields = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
-        compiled = iter(_integer_terms(*(poly.terms for field in fields for poly in field)))
+        compiled = iter(integer_terms(*(poly.terms for field in fields for poly in field)))
         return tuple(tuple(next(compiled) for _ in field) for field in fields)
 
     return L.memo(("lifts", chart), build)
@@ -53,10 +52,9 @@ def _distribution_rank(L: LieAlgebra, x: tuple[int, ...]) -> int:
     """
     chart = preferred_chart(x)
     q = x[chart - 1]
-    point = list(x)
-    point[chart - 1] = 0
+    point = x[: chart - 1] + (0,) + x[chart:]
     at = [
-        [_integer_value(poly, point, q) for poly in field]
+        [integer_value(poly, point, q) for poly in field]
         for field in _compiled_lifts(L, chart)
     ]
     rows = [

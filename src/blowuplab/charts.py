@@ -12,16 +12,21 @@ their names.  Pullback of polynomials and forms, and the lift of vector
 fields vanishing at the blown origin, are all exact.  A form pullback keeps
 the coefficient type, so chart forms are pulled back as one integer multiple
 over one scale, which rendering divides once.
+Both chart routes evaluate chart polynomials in integers at points over one
+denominator (`integer_terms`, `integer_value`, `nonzero_at`), in the chart
+that `preferred_chart` picks for a direction.
 """
 
 from __future__ import annotations
 
 import re
 from operator import add
+from typing import Sequence
 
 from .errors import DomainError, InternalError, StructureError
 from .exterior import GradedForm, index_bit
-from .rings import Polynomial, PolyRing
+from .linalg import integer_multiple
+from .rings import Polynomial, PolyRing, Rational
 
 _NAME_RE = re.compile(r"([A-Za-z]+)(.*)")
 
@@ -31,6 +36,41 @@ def tilde_name(name: str) -> str:
     if not match:
         return name + "~"
     return f"{match.group(1)}~{match.group(2)}"
+
+
+def preferred_chart(values: Sequence[Rational]) -> int:
+    """Chart policy: largest |component|, ties broken by smallest index."""
+    best = max(range(len(values)), key=lambda i: (abs(values[i]), -i))
+    return best + 1
+
+
+def integer_terms(*polys: dict) -> list[list[tuple[int, tuple[int, ...], int]]]:
+    """For each polynomial's terms, (c, e, pad) per term: all of them times
+    one positive integer D, the lcm of their denominators, and padded to
+    their highest total degree top.  `integer_value` of one polynomial's
+    terms at p and q is D q^top times its value at p/q, so it is zero exactly
+    when the polynomial is, and values of polynomials compiled together
+    share that factor."""
+    top = max((sum(e) for terms in polys for e in terms), default=0)
+    ints = iter(integer_multiple(c for terms in polys for c in terms.values())[1])
+    return [[(next(ints), e, top - sum(e)) for e in terms] for terms in polys]
+
+
+def integer_value(compiled, nums: Sequence[int], q: int) -> int:
+    """sum c * nums^e * q^pad over compiled terms."""
+    total = 0
+    for c, exps, pad in compiled:
+        for n, e in zip(nums, exps):
+            if e:
+                c *= n**e
+        total += c * q**pad
+    return total
+
+
+def nonzero_at(compiled, nums: Sequence[int], q: int) -> bool:
+    """Whether some polynomial of `compiled`, a list of `integer_terms`
+    results, is nonzero at nums / q (q > 0)."""
+    return any(integer_value(terms, nums, q) for terms in compiled)
 
 
 class BlowupChart:

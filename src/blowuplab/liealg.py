@@ -122,7 +122,7 @@ class LieAlgebra:
     def memo(self, key, build):
         """build(), computed once per instance and key and kept as long as
         the algebra: shared derived data such as the linear Poisson bivector,
-        its chart pullbacks and the per-covector invariant records."""
+        its chart pullbacks and the sampled covectors with their records."""
         try:
             return self._memo[key]
         except KeyError:
@@ -345,7 +345,7 @@ def height(L: LieAlgebra, xi: Sequence) -> int:
     Computed by iterated wedging and cross-checked against the rank of the
     skew pairing on ker xi; a mismatch raises, since the two must agree.
     Nothing is stored, so a search over many candidates stays flat in memory;
-    `covector_invariants` gives the full, once-per-algebra record.
+    `height_report` gives the full record.
     """
     return _checked_height(L, linalg.primitive(_require_nonzero(L, xi)))[0]
 
@@ -384,12 +384,6 @@ def _build_invariants(L: LieAlgebra, x: tuple[int, ...]) -> HeightReport:
     if orbit % 2:
         raise DisagreementError("coadjoint orbit dimension came out odd")
     return HeightReport(k, etype, cls, orbit, radial)
-
-
-def covector_invariants(L: LieAlgebra, xi: Sequence) -> HeightReport:
-    """The invariant record of xi, computed once per algebra and covector."""
-    xi = _require_nonzero(L, xi)
-    return L.memo(("invariants", xi), lambda: _build_invariants(L, linalg.primitive(xi)))
 
 
 class SampledCovector(NamedTuple):
@@ -439,7 +433,7 @@ def invariant_failures(record: HeightReport) -> list[str]:
 def height_report(L: LieAlgebra, xi: Sequence) -> HeightReport:
     """The invariant record of xi; a violated identity between its fields
     means an implementation bug and raises."""
-    record = covector_invariants(L, xi)
+    record = _build_invariants(L, linalg.primitive(_require_nonzero(L, xi)))
     failures = invariant_failures(record)
     if failures:
         raise DisagreementError("; ".join(failures))

@@ -17,13 +17,13 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .charts import BlowupChart
+from .charts import BlowupChart, integer_terms, nonzero_at, preferred_chart
 from .classify import ClassificationVerdict, classify_constant_height
 from .errors import DisagreementError, DomainError, StructureError
 from .exterior import GradedForm, GradedVector, wedge_sign
 from .liealg import Covector, LieAlgebra, sampled_covectors
 from .linalg import integer_multiple
-from .rings import Polynomial, PolyRing, Rational
+from .rings import Polynomial, PolyRing
 from .sampling import DEFAULT_SEED, point_stream
 
 
@@ -210,19 +210,17 @@ class OrderCertificate(NamedTuple):
     witness_point: tuple[Fraction, ...] | None = None
 
 
-def _leading_form(cf: ChartForm) -> tuple[int, GradedForm]:
-    """Order = minimal chart-variable valuation over all coefficients; the
-    leading form is the divisor restriction of (chart var)^(-order) times the
-    integer form: its terms of that valuation, chart exponent zeroed."""
+def _by_order(cf: ChartForm) -> list[tuple[int, dict[int, dict]]]:
+    """The integer chart form's monomials grouped by their exponent k of the
+    chart variable u, as parts (k, {mask: terms}), lowest k first.  The first
+    k is the vanishing order, and the first part with u zeroed the leading
+    form: u^(-order) times the form, restricted to the divisor."""
     col = cf.chart - 1
-    polys = cf.integer_form.terms
-    order = min(poly.valuation(cf.chart) for poly in polys.values())
-    terms = {}
-    for mask, poly in polys.items():
-        kept = {e[:col] + (0,) + e[col + 1 :]: c for e, c in poly.terms.items() if e[col] == order}
-        if kept:
-            terms[mask] = Polynomial._trusted(poly.vars, kept)
-    return order, GradedForm._trusted(cf.integer_form.dim, cf.ring, terms)
+    parts: dict[int, dict[int, dict]] = {}
+    for mask, poly in cf.integer_form.terms.items():
+        for exps, coeff in poly.terms.items():
+            parts.setdefault(exps[col], {}).setdefault(mask, {})[exps] = coeff
+    return sorted(parts.items(), key=lambda part: part[0])
 
 
 def _divisor_points(cf: ChartForm, seed: int, samples: int):
@@ -233,43 +231,21 @@ def _divisor_points(cf: ChartForm, seed: int, samples: int):
         yield values[:col] + (Fraction(0),) + values[col:]
 
 
-def _integer_terms(*polys: dict) -> list[list[tuple[int, tuple[int, ...], int]]]:
-    """For each polynomial's terms, (c, e, pad) per term: all of them times
-    one positive integer D, the lcm of their denominators, and padded to
-    their highest total degree top.  `_integer_value` of one polynomial's
-    terms at p and q is D q^top times its value at p/q, so it is zero exactly
-    when the polynomial is, and values of polynomials compiled together
-    share that factor."""
-    top = max((sum(e) for terms in polys for e in terms), default=0)
-    ints = iter(integer_multiple(c for terms in polys for c in terms.values())[1])
-    return [[(next(ints), e, top - sum(e)) for e in terms] for terms in polys]
-
-
-def _integer_value(compiled, nums: Sequence[int], q: int) -> int:
-    """sum c * nums^e * q^pad over compiled terms."""
-    total = 0
-    for c, exps, pad in compiled:
-        for n, e in zip(nums, exps):
-            if e:
-                c *= n**e
-        total += c * q**pad
-    return total
-
-
-def _all_vanish(compiled, point: tuple[Fraction, ...]) -> bool:
-    """Whether every compiled polynomial is zero at the point, in integers."""
-    q, nums = integer_multiple(point)
-    return not any(_integer_value(terms, nums, q) for terms in compiled)
-
-
 def vanishing_order(
     cf: ChartForm, seed: int = DEFAULT_SEED, samples: int = 200
 ) -> OrderCertificate:
     """Vanishing order and leading form along the divisor, with a syntactic
-    nonvanishing certificate, a rational divisor zero, or neither."""
+    nonvanishing certificate, a rational divisor zero, or neither.  Divisor
+    points have u = 0, so the zero test compiles the leading form, u zeroed."""
+    if samples < 1:
+        raise DomainError("samples must be positive")
     if cf.integer_form.is_zero():
         raise DomainError("the zero form has no vanishing order")
-    order, leading = _leading_form(cf)
+    order, part = _by_order(cf)[0]
+    col = cf.chart - 1
+    zeroed = [{e[:col] + (0,) + e[col + 1 :]: c for e, c in terms.items()} for terms in part.values()]
+    polys = {mask: Polynomial._trusted(cf.ring.vars, terms) for mask, terms in zip(part, zeroed)}
+    leading = GradedForm._trusted(cf.integer_form.dim, cf.ring, polys)
     undetermined = OrderCertificate(cf.chart, order, _divided(leading, cf.scale), "undetermined")
 
     for indices, poly in leading.ordered_terms():
@@ -279,9 +255,10 @@ def vanishing_order(
             certificate = f"coefficient of {where}: {reason}"
             return undetermined._replace(status="certified", certificate=certificate)
 
-    compiled = [_integer_terms(poly.terms)[0] for poly in leading.terms.values()]
+    compiled = integer_terms(*zeroed)
     for point in _divisor_points(cf, seed, samples):
-        if _all_vanish(compiled, point):
+        q, nums = integer_multiple(point)
+        if not nonzero_at(compiled, nums, q):
             return undetermined._replace(status="falsified", witness_point=point)
     return undetermined
 
@@ -290,38 +267,23 @@ def vanishing_order(
 
 
 def _line_table(cf: ChartForm) -> list[tuple[int, list]]:
-    """The monomials of each coefficient of the integer chart form grouped
-    by their chart exponent k, as (k, compiled group) pairs over every
-    coefficient, lowest k first; one `_integer_terms` call compiles them all."""
-    col = cf.chart - 1
-    groups: list[tuple[int, dict]] = []
-    for poly in cf.integer_form.terms.values():
-        by_exponent: dict[int, dict] = {}
-        for exps, coeff in poly.terms.items():
-            by_exponent.setdefault(exps[col], {})[exps] = coeff
-        groups += by_exponent.items()
-    groups.sort(key=lambda group: group[0])
-    return list(zip([k for k, _ in groups], _integer_terms(*(terms for _, terms in groups))))
+    """The parts of the chart form, lowest k first, as (k, compiled part)
+    pairs; one `integer_terms` call compiles every part."""
+    parts = _by_order(cf)
+    compiled = iter(integer_terms(*(terms for _, part in parts for terms in part.values())))
+    return [(k, [next(compiled) for _ in part]) for k, part in parts]
 
 
 def _order_on_line(table, x: tuple[int, ...], chart: int) -> int:
     """The t-adic order of a chart form restricted to the line through the
     integer direction x (x_chart != 0), where x~_chart = t and x~_j =
-    x_j / x_chart: the least k whose group in the form's line-order table
-    is nonzero there, testing groups lowest first.  A group evaluated at x
-    over powers of x_chart is nonzero exactly when it is nonzero at the
-    ratios."""
+    x_j / x_chart: the least k whose part in the form's line-order table is
+    nonzero at x over powers of x_chart, so at the ratios (u = 1 there)."""
     q = x[chart - 1]
     for k, compiled in table:
-        if _integer_value(compiled, x, q):
+        if nonzero_at(compiled, x, q):
             return k
     raise DomainError("the restriction to this line vanishes identically")
-
-
-def preferred_chart(values: Sequence[Rational]) -> int:
-    """Chart policy: largest |component|, ties broken by smallest index."""
-    best = max(range(len(values)), key=lambda i: (abs(values[i]), -i))
-    return best + 1
 
 
 # -- lift verdict ---------------------------------------------------------------
@@ -345,27 +307,19 @@ class LiftVerdict(NamedTuple):
     spinor_agreement: str
 
 
-def spinor_chart_certificates(
-    L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200
-) -> dict[int, OrderCertificate]:
-    """Vanishing-order certificates of the pulled-back spinor, every chart."""
-    return {
-        chart: vanishing_order(shared_pullback(L, chart), seed=seed, samples=samples)
-        for chart in range(1, L.dim + 1)
-    }
-
-
 def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) -> LiftVerdict:
     """Decide liftability via the structural classifier and cross-check the
     spinor vanishing orders against it; disagreement raises, since the two
     routes must coincide."""
     classification = classify_constant_height(L, seed=seed)
-    certificates = spinor_chart_certificates(L, seed=seed, samples=samples)
-    n = L.dim
+    certificates = {
+        chart: vanishing_order(shared_pullback(L, chart), seed=seed, samples=samples)
+        for chart in range(1, L.dim + 1)
+    }
 
     if classification.constant_height is not None:
         k = classification.constant_height
-        expected = n - 1 - k
+        expected = L.dim - 1 - k
         spinor_status = "confirmed"
         for chart, cert in certificates.items():
             if cert.status == "certified" and cert.order == expected:
@@ -391,7 +345,6 @@ def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) ->
         "confirmed" if "falsified" in statuses or len(orders) > 1 else "unconfirmed"
     )
     return LiftVerdict("does_not_lift", classification, certificates, None, spinor_status)
-
 
 
 # -- cross-oracle suites ----------------------------------------------------------

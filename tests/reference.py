@@ -11,7 +11,12 @@ runs in integers on the primitive integer multiple of the covector.
 `line_order` and `distribution_at` run the program's per-sample kernels
 (the line-order table of a chart form, the integer distribution rank) on
 any chart form or direction, as the commands run them on the primitive
-integer multiples of the sampled covectors.
+integer multiples of the sampled covectors.  `reference_leading_form`,
+`reference_line_table` and `reference_order_on_line` are the leading form
+and the line-order table as they were built before the program read both
+off one grouping of the chart form by u-exponent, and `zeroed_leading_part`
+is that grouping's first part with u zeroed, which the program's divisor
+zero test compiles; `perturbed_orders` compares leading parts through it.
 `shift_down` divides exactly by a power of one variable, `polynomial_lift`
 is the lift of a vector field through a chart in `Polynomial` arithmetic,
 `bucketed_line_order` the line order that buckets and compiles a chart
@@ -59,11 +64,11 @@ from blowuplab import (
     spinor,
 )
 from blowuplab.blowup_geometry import _distribution_rank
-from blowuplab.charts import BlowupChart
+from blowuplab.charts import BlowupChart, integer_terms, integer_value, nonzero_at
+from blowuplab.charts import preferred_chart
 from blowuplab.exterior import GradedForm, GradedVector, IndexTuple
 from blowuplab.linalg import _eliminate, integer_multiple, primitive
-from blowuplab.poisson_spinor import _all_vanish, _divisor_points, _integer_terms, _integer_value
-from blowuplab.poisson_spinor import _leading_form, _line_table, _order_on_line, preferred_chart
+from blowuplab.poisson_spinor import _by_order, _divisor_points, _line_table, _order_on_line
 from blowuplab.sampling import DEFAULT_SEED
 
 
@@ -245,7 +250,7 @@ def bucketed_line_order(cf: ChartForm, xi) -> int:
             if lowest is None or k < lowest:
                 buckets.setdefault(k, {})[exps] = coeff
         for k in sorted(buckets):
-            if _integer_value(_integer_terms(buckets[k])[0], x, x[c - 1]):
+            if integer_value(integer_terms(buckets[k])[0], x, x[c - 1]):
                 lowest = k
                 break
     if lowest is None:
@@ -388,14 +393,67 @@ def exp_interior(pi: GradedVector, lam: GradedForm) -> GradedForm:
     return result
 
 
+def zeroed_leading_part(cf: ChartForm) -> tuple[int, dict]:
+    """(order, {mask: terms}): the program's first part of a chart form by
+    u-exponent, chart exponent zeroed, as the divisor zero test compiles it.
+    A raw part with k > 0 vanishes at every divisor point."""
+    order, part = _by_order(cf)[0]
+    col = cf.chart - 1
+    zeroed = {mask: {e[:col] + (0,) + e[col + 1 :]: c for e, c in t.items()} for mask, t in part.items()}
+    return order, zeroed
+
+
 def perturbed_orders(L: LieAlgebra, w: GradedVector, chart: int, samples: int):
     """(order of pi, order of pi + w, whether both leading forms vanish at the
     same sampled divisor points) for the chart pullbacks of the spinors of
     the linear bivector pi of L and of its perturbation by w."""
     pi = linear_poisson(L)
     cf = blowup_pullback(spinor(pi), chart)
-    order, lead = _leading_form(cf)
-    order_w, lead_w = _leading_form(blowup_pullback(spinor(pi + w), chart))
-    base, pert = ([_integer_terms(p.terms)[0] for p in f.terms.values()] for f in (lead, lead_w))
-    points = _divisor_points(cf, DEFAULT_SEED, samples)
-    return order, order_w, all(_all_vanish(base, p) == _all_vanish(pert, p) for p in points)
+    order, lead = zeroed_leading_part(cf)
+    order_w, lead_w = zeroed_leading_part(blowup_pullback(spinor(pi + w), chart))
+    base, pert = (integer_terms(*part.values()) for part in (lead, lead_w))
+    same = []
+    for point in _divisor_points(cf, DEFAULT_SEED, samples):
+        q, nums = integer_multiple(point)
+        same.append(nonzero_at(base, nums, q) == nonzero_at(pert, nums, q))
+    return order, order_w, all(same)
+
+
+def reference_leading_form(cf: ChartForm) -> tuple[int, GradedForm]:
+    """Order = minimal chart-variable valuation over all coefficients; the
+    leading form is the divisor restriction of (chart var)^(-order) times the
+    integer form: its terms of that valuation, chart exponent zeroed."""
+    col = cf.chart - 1
+    polys = cf.integer_form.terms
+    order = min(poly.valuation(cf.chart) for poly in polys.values())
+    terms = {}
+    for mask, poly in polys.items():
+        kept = {e[:col] + (0,) + e[col + 1 :]: c for e, c in poly.terms.items() if e[col] == order}
+        if kept:
+            terms[mask] = Polynomial._trusted(poly.vars, kept)
+    return order, GradedForm._trusted(cf.integer_form.dim, cf.ring, terms)
+
+
+def reference_line_table(cf: ChartForm) -> list[tuple[int, list]]:
+    """The monomials of each coefficient of the integer chart form grouped
+    by their chart exponent k, as (k, compiled group) pairs over every
+    coefficient, lowest k first; one `integer_terms` call compiles them all."""
+    col = cf.chart - 1
+    groups: list[tuple[int, dict]] = []
+    for poly in cf.integer_form.terms.values():
+        by_exponent: dict[int, dict] = {}
+        for exps, coeff in poly.terms.items():
+            by_exponent.setdefault(exps[col], {})[exps] = coeff
+        groups += by_exponent.items()
+    groups.sort(key=lambda group: group[0])
+    return list(zip([k for k, _ in groups], integer_terms(*(terms for _, terms in groups))))
+
+
+def reference_order_on_line(table, x: tuple[int, ...], chart: int) -> int:
+    """The least k whose group in a `reference_line_table` is nonzero at
+    the integer direction x over powers of x_chart."""
+    q = x[chart - 1]
+    for k, compiled in table:
+        if integer_value(compiled, x, q):
+            return k
+    raise DomainError("the restriction to this line vanishes identically")

@@ -11,14 +11,19 @@ from blowuplab import (
     DomainError,
     PolyRing,
     abelian,
+    blowup_pullback,
+    check_line_orders,
     diagonal_affine,
     hamiltonian_field,
     heis3,
     height,
+    lift_verdict,
     linear_poisson,
     orbit_rank_crosscheck,
     sl2,
     so3,
+    spinor,
+    vanishing_order,
 )
 from blowuplab.charts import BlowupChart
 from blowuplab.linalg import rref_basis
@@ -178,3 +183,18 @@ def test_orbit_rank_crosscheck_catalog():
 def test_orbit_rank_crosscheck_rejects_bad_samples():
     with pytest.raises(DomainError):
         orbit_rank_crosscheck(so3(), samples=0)
+
+
+def test_every_sampled_suite_rejects_a_non_positive_sample_count():
+    """The spinor route's divisor search rejects 0 and -1 as the per-sample
+    suites do, instead of skipping the search or failing inside islice."""
+    cf = blowup_pullback(spinor(linear_poisson(sl2())), 1)
+    for samples in (0, -1):
+        for run in (
+            lambda: vanishing_order(cf, samples=samples),
+            lambda: lift_verdict(sl2(), samples=samples),
+            lambda: orbit_rank_crosscheck(sl2(), samples=samples),
+            lambda: check_line_orders(sl2(), samples=samples),
+        ):
+            with pytest.raises(DomainError, match="samples must be positive"):
+                run()

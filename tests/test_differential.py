@@ -71,25 +71,28 @@ from blowuplab import (
     height,
     jacobi_check,
     linear_poisson,
+    scaled_so3_bundle,
     sl2,
     so3,
     spinor,
     vanishing_order,
 )
 from blowuplab import realroots
-from blowuplab.charts import BlowupChart
+from blowuplab.charts import BlowupChart, integer_terms, nonzero_at, preferred_chart
 from blowuplab.exterior import _indices_mask, index_bit, mask_indices, wedge_sign
-from blowuplab.liealg import _checked_height, _wedge_chain, covector_invariants
-from blowuplab.linalg import primitive, rank, rank_and_membership
-from blowuplab.model_io import MAX_DIM
+from blowuplab.liealg import _checked_height, _wedge_chain, height_report
+from blowuplab.linalg import integer_multiple, primitive, rank, rank_and_membership
+from blowuplab.model_io import MAX_DIM, SCALED_SO3_BLOWN
 from blowuplab.poisson_spinor import _line_table, _order_on_line, differential_names
-from blowuplab.poisson_spinor import preferred_chart, shared_pullback
+from blowuplab.poisson_spinor import shared_pullback
 from blowuplab.sampling import covector_stream, dual_basis, pairwise_combinations
 from conftest import as_lie, gen, seeded_conjugate, seeded_matrix
 from reference import bucketed_line_order, det, diff, distribution_at, distribution_rows
 from reference import exp_interior, integer_differential, line_order, multi_interior
 from reference import polynomial_lift, rational_chains, reference_jacobi_check, restrict_zero
 from reference import _merge_sign, _sort_indices, shift_down, substitute, volume_form
+from reference import evaluate, reference_leading_form, reference_line_table
+from reference import reference_order_on_line, zeroed_leading_part
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -868,7 +871,7 @@ def test_integer_height_and_power_match_the_rational_chains(case):
     event(f"{L.name} k={k} r={r}")
     height_, omega, _ = _checked_height(L, primitive(xi))
     assert (height_, _wedge_chain(GradedForm._trusted(L.dim, RATIONALS, {0: 1}), omega)) == (k, r)
-    record = covector_invariants(L, xi)
+    record = height_report(L, xi)
     assert (record.height, record.cartan_class) == (k, k + r + 1)
 
 
@@ -928,6 +931,77 @@ def test_line_order_table_matches_the_bucketed_reference(data, case):
         else:
             event(f"{L.name} order={expected}")
             assert _order_on_line(_line_table(cf), x, chart) == expected
+
+
+@st.composite
+def chart_forms(draw):
+    """A nonzero chart form: the integer chart path (`blowup_pullback`) or
+    the rational one (`pull_form` held at scale 1) of a drawn polynomial
+    form through a full or partial blown set, or of the spinor of the
+    scaled so(3) bundle, blown along its fibre."""
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(["0", "1", "y1", "y1*y2 - 2", "(y1-y2)^2+1", "1/3*y1^2 - y2"]))
+        event("bundle")
+        form = spinor(scaled_so3_bundle(f))
+        ring, blown = form.ring, SCALED_SO3_BLOWN
+    else:
+        ring, blown, form = draw(blowup_setups())
+        form = form.scale(Fraction(1, draw(st.integers(1, 7))))
+    chart = draw(st.sampled_from(blown))
+    if draw(st.booleans()):
+        event("integer chart form")
+        cf = blowup_pullback(form, chart, blown)
+    else:
+        event("rational chart form")
+        bc = BlowupChart(ring, chart, blown)
+        cf = ChartForm(bc.pull_form(form), chart, bc.blown)
+    event(f"partial blowup: {len(blown) < len(ring.vars)}")
+    assume(not cf.integer_form.is_zero())
+    return cf
+
+
+@settings(SETTINGS, max_examples=150)
+@given(data=st.data(), cf=chart_forms())
+def test_one_grouping_by_u_exponent_gives_the_old_leading_form_and_line_orders(data, cf):
+    """The first part of `_by_order`, chart exponent zeroed, is the leading
+    form as it was built alone, and `vanishing_order` reads it; the compiled
+    leading part is nonzero at a divisor point exactly when some leading
+    coefficient is; and the line-order table compiled from every part gives
+    the line orders of the old per-coefficient table."""
+    order, lead = reference_leading_form(cf)
+    k, zeroed = zeroed_leading_part(cf)
+    polys = {mask: Polynomial._trusted(cf.ring.vars, terms) for mask, terms in zeroed.items()}
+    assert k == order
+    assert GradedForm._trusted(cf.integer_form.dim, cf.ring, polys) == lead
+    assert list(polys) == list(lead.terms)
+    cert = vanishing_order(cf, samples=20)
+    assert cert.order == order and cert.leading == lead.scale(Fraction(1, cf.scale))
+    event(f"status {cert.status}")
+    if cert.status == "falsified":
+        assert not any(evaluate(poly, cert.witness_point) for poly in lead.terms.values())
+
+    compiled, m = integer_terms(*zeroed.values()), len(cf.ring.vars)
+    for _ in range(3):
+        point = data.draw(st.lists(rationals, min_size=m, max_size=m))
+        point[cf.chart - 1] = Fraction(0)
+        q, nums = integer_multiple(point)
+        nonzero = any(evaluate(poly, point) for poly in lead.terms.values())
+        event(f"leading form nonzero at the point: {nonzero}")
+        assert nonzero_at(compiled, nums, q) == nonzero
+
+    table, old_table = _line_table(cf), reference_line_table(cf)
+    for _ in range(3):
+        x = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        x[cf.chart - 1] = x[cf.chart - 1] or 1
+        x = tuple(x)
+        try:
+            expected = reference_order_on_line(old_table, x, cf.chart)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _order_on_line(table, x, cf.chart)
+        else:
+            event(f"line order {expected}")
+            assert _order_on_line(table, x, cf.chart) == expected
 
 
 @pytest.mark.parametrize("name", list(KERNEL_BASES))

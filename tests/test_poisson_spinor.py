@@ -29,10 +29,9 @@ from blowuplab import (
     spinor,
     vanishing_order,
 )
-from blowuplab.charts import BlowupChart
+from blowuplab.charts import BlowupChart, preferred_chart
 from blowuplab.liealg import change_basis
 from blowuplab.model_io import SCALED_SO3_BLOWN, SCALED_SO3_RING
-from blowuplab.poisson_spinor import preferred_chart
 from blowuplab.sampling import covector_stream
 
 from conftest import random_polynomial

@@ -73,9 +73,9 @@ def test_analyze_shares_every_per_algebra_quantity(capsys, monkeypatch):
     assert _calls(profile, liealg.ce_differential) <= 2 * DIM
     # one primitive integer multiple per sampled covector and per candidate
     assert _calls(profile, linalg.primitive) == SAMPLES + len(candidates)
-    # per chart: the lifted fields and the line-order table, one call each,
-    # and each leading coefficient of the spinor pullback; none per sample
-    assert _calls(profile, poisson_spinor._integer_terms) <= 3 * DIM
+    # per chart: the lifted fields, the line-order table and the leading
+    # part of the spinor pullback, one call each; none per sample
+    assert _calls(profile, charts.integer_terms) <= 3 * DIM
 
 
 def test_witness_search_decides_without_random_draws(monkeypatch):
