@@ -2,9 +2,9 @@
 vectors become integer ones: `integer_multiple` (D times the vector, D the
 lcm of its denominators) and `primitive` (that multiple over the gcd of its
 entries) feed every integer kernel.  Rank, row-space membership and
-definiteness use fraction-free (Bareiss) elimination on rows so cleared
-(rows of ints are used as they are), which keeps intermediate values
-integral; basis extraction uses rational Gauss-Jordan.
+definiteness and the reduced echelon basis use one fraction-free (Bareiss)
+elimination on rows so cleared (rows of ints are used as they are), which
+keeps intermediate values integral.
 """
 
 from __future__ import annotations
@@ -110,27 +110,19 @@ def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
 
 
 def rref_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Reduced row-echelon basis of the row space (zero rows dropped)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return []
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][col]
-        m[r] = [x / pivot for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return [row for row in m[:r]]
+    """Reduced row-echelon basis of the row space (zero rows dropped), read
+    off one fraction-free elimination: its pivot rows are an echelon basis,
+    which back substitution from the bottom row up reduces."""
+    m = _as_int_rows(rows)
+    reduced: list[tuple[int, Vector]] = []  # (pivot column, reduced row), bottom up
+    for row in reversed(m[: _eliminate(m, len(m))[0]]):
+        for col, done in reduced:
+            if factor := row[col]:
+                row = [a - factor * b for a, b in zip(row, done)]
+        col = next(j for j, x in enumerate(row) if x)
+        pivot = row[col]
+        reduced.append((col, [Fraction(x) / pivot for x in row]))
+    return [row for _, row in reversed(reduced)]
 
 
 def in_row_space(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:

@@ -12,7 +12,8 @@ Document grammar (UTF-8 text, one key per line, ``#`` starts a comment):
     expected_height: 1
     note: free text
 
-Values are exact rationals ("p" or "p/q"); float literals are rejected.
+Indices are integers and values exact rationals ("p" or "p/q"), written in
+the ASCII digits 0-9; float literals are rejected.
 Every key but ``bracket`` appears at most once.
 The antisymmetric completion is implied.  Parsing validates index ranges and
 the Jacobi identity, naming the violating triples on failure.
@@ -38,7 +39,7 @@ from .poisson_spinor import (
     coordinate_ring,
     differential_names,
 )
-from .rings import Polynomial, PolyRing, format_rational, parse_rational
+from .rings import DIGIT, Polynomial, PolyRing, format_rational, parse_rational
 
 SCHEMA_VERSION = 1
 # The work budget, refused up front: the largest dimension of a document or
@@ -150,7 +151,7 @@ def parse_document(text: str) -> AlgebraDocument:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    if not re.fullmatch(r"[+-]?\d+", token.strip()):
+    if not re.fullmatch(f"[+-]?{DIGIT}+", token.strip()):
         raise ParseError(f"{what} must be an integer, got {token!r}", line=lineno)
     try:
         return int(token)
@@ -294,11 +295,12 @@ def catalog_entries() -> list[CatalogEntry]:
 
 def catalog_algebra(name: str) -> LieAlgebra:
     """Resolve a catalog name to a validated algebra; parametrized names
-    (abelianN, diagonal_affineN) accept any N with resulting dim <= MAX_DIM."""
+    (abelianN, diagonal_affineN) accept any N in the digits 0-9 with
+    resulting dim <= MAX_DIM."""
     row = _CATALOG.get(name)
     if row is not None and row[2] is None:
         return row[0]().validate()
-    match = re.fullmatch(r"([a-z_]+)(\d+)", name)
+    match = re.fullmatch(f"([a-z_]+)({DIGIT}+)", name)
     family = _CATALOG.get(match.group(1)) if match else None
     if family is None or family[2] is None:
         raise DomainError(f"unknown catalog name {name!r}")

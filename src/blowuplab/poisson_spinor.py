@@ -131,7 +131,6 @@ class ChartForm(NamedTuple):
 
     integer_form: GradedForm
     chart: int
-    blown: tuple[int, ...]
     scale: int = 1
 
     @property
@@ -163,7 +162,7 @@ def blowup_pullback(
     bc = BlowupChart(form.ring, chart, blown)
     if scale is None:
         scale, form = integral_form(form)
-    return ChartForm(bc.pull_form(form), chart, bc.blown, scale)
+    return ChartForm(bc.pull_form(form), chart, scale)
 
 
 def shared_pullback(L: LieAlgebra, chart: int) -> ChartForm:

@@ -22,7 +22,11 @@ from .errors import DomainError, ParseError, StructureError
 
 Rational = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+# the decimal digit of every exact input grammar: `\d` would also match
+# Arabic-Indic, fullwidth and other Unicode digits
+DIGIT = "[0-9]"
+_LITERAL = f"{DIGIT}+(?:/{DIGIT}+)?"  # an unsigned p or p/q
+_RATIONAL_RE = re.compile(rf"[+-]?{_LITERAL}\Z")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -315,26 +319,29 @@ def _total_degree(value) -> int:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9~_]*)|(?P<op>[-+*^()]))"
+    rf"\s*(?:(?P<rat>{_LITERAL})|(?P<name>[A-Za-z][A-Za-z0-9~_]*)|(?P<op>[-+*^()]))"
 )
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
+    """The tokens of the text, each read with the whitespace before it."""
+    tokens, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
         match = _TOKEN_RE.match(text, pos)
-        if not match or match.end() == match.start():
+        if not match:
             raise ParseError(f"unexpected character {text[pos:]!r} in polynomial")
-        if "." in text[pos : match.end()]:
-            raise ParseError("float literals are not accepted in polynomials")
         tokens.append(match)
         pos = match.end()
     return tokens
 
 
 class _PolyParser:
-    """Recursive-descent parser for +, -, *, ^ and parentheses."""
+    """Recursive-descent parser for the grammar
+
+        expr := term (("+" | "-") term)*      term := unary ("*" unary)*
+        unary := ("+" | "-") unary | factor   factor := base ("^" p)?
+        base := p | p/q | name | "(" expr ")"
+    """
 
     def __init__(self, text: str, ring: PolyRing):
         self.tokens = _tokenize(text)
@@ -342,17 +349,20 @@ class _PolyParser:
         self.depth = 0
         self.ring = ring
 
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
+    def _accept(self, ops: str) -> str | None:
+        """Consume the next token if it is one of the operators in `ops`, and
+        return that operator."""
+        op = self.tokens[self.pos].group("op") if self.pos < len(self.tokens) else None
+        if op is None or op not in ops:
+            return None
+        self.pos += 1
+        return op
 
     def _next(self):
-        token = self._peek()
-        if token is None:
+        if self.pos == len(self.tokens):
             raise ParseError("unexpected end of polynomial expression")
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
     def parse(self) -> Polynomial:
         value = self._expr()
@@ -361,53 +371,52 @@ class _PolyParser:
         return value
 
     def _expr(self) -> Polynomial:
-        sign = 1
-        token = self._peek()
-        if token is not None and token.group("op") == "-":
-            self._next()
-            sign = -1
-        elif token is not None and token.group("op") == "+":
-            self._next()
         value = self._term()
-        if sign < 0:
-            value = -value
-        while True:
-            token = self._peek()
-            if token is None or token.group("op") not in ("+", "-"):
-                return value
-            self._next()
+        while op := self._accept("+-"):
             rhs = self._term()
-            value = value + rhs if token.group("op") == "+" else value - rhs
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def _term(self) -> Polynomial:
-        value = self._factor()
-        while True:
-            token = self._peek()
-            if token is None or token.group("op") != "*":
-                return value
-            self._next()
-            value = value * self._factor()
+        value = self._unary()
+        while self._accept("*"):
+            value = value * self._unary()
             if (degree := _total_degree(value)) > MAX_POWER_DEGREE:
                 raise ParseError(f"a product of total degree {degree} exceeds {MAX_POWER_DEGREE}")
+        return value
+
+    def _unary(self) -> Polynomial:
+        # a sign may open any factor and applies to the power after it, so
+        # -a^b is -(a^b) wherever it stands
+        op = self._accept("+-")
+        if op is None:
+            return self._factor()
+        value = self._nested(self._unary)
+        return -value if op == "-" else value
+
+    def _nested(self, production) -> Polynomial:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and signs nest deeper than {MAX_NESTING}")
+        value = production()
+        self.depth -= 1
+        return value
 
     def _factor(self) -> Polynomial:
         base = self._base()
-        token = self._peek()
-        if token is not None and token.group("op") == "^":
-            self._next()
-            exp_token = self._next()
-            rat = exp_token.group("rat")
-            if rat is None or "/" in rat:
-                raise ParseError("exponents must be nonnegative integers")
-            exponent = parse_rational(rat).numerator
-            degree = _total_degree(base)
-            if exponent > MAX_POWER_DEGREE or degree * exponent > MAX_POWER_DEGREE:
-                raise ParseError(
-                    f"power {exponent} of a degree-{degree} polynomial exceeds the "
-                    f"limit of {MAX_POWER_DEGREE} on exponents and total degrees"
-                )
-            return base**exponent
-        return base
+        if not self._accept("^"):
+            return base
+        rat = self._next().group("rat")
+        if rat is None or "/" in rat:
+            raise ParseError("exponents must be nonnegative integers")
+        exponent = parse_rational(rat).numerator
+        degree = _total_degree(base)
+        if exponent > MAX_POWER_DEGREE or degree * exponent > MAX_POWER_DEGREE:
+            raise ParseError(
+                f"power {exponent} of a degree-{degree} polynomial exceeds the "
+                f"limit of {MAX_POWER_DEGREE} on exponents and total degrees"
+            )
+        return base**exponent
 
     def _base(self) -> Polynomial:
         token = self._next()
@@ -418,19 +427,11 @@ class _PolyParser:
             if name not in self.ring.vars:
                 raise ParseError(f"unknown variable {name!r}; ring has {self.ring.vars}")
             return self.ring.named(name)
-        op = token.group("op")
-        if op not in ("(", "-"):
+        if token.group("op") != "(":
             raise ParseError(f"unexpected token {token.group()!r} in polynomial")
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"parentheses and signs nest deeper than {MAX_NESTING}")
-        if op == "-":
-            value = -self._base()
-        else:
-            value = self._expr()
-            if self._next().group("op") != ")":
-                raise ParseError("expected ')' in polynomial")
-        self.depth -= 1
+        value = self._nested(self._expr)
+        if self._next().group("op") != ")":
+            raise ParseError("expected ')' in polynomial")
         return value
 
 

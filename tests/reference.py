@@ -24,10 +24,11 @@ form's monomials for every direction, and `integer_differential` the
 integer d x that the height kernel once built through `ce_differential`;
 the program now lifts on term dicts, reads line orders off one compiled
 table per chart and takes d xi from the pairing matrix.
-`det` is the exact determinant, `reference_jacobi_check` the Jacobi check
-through the general bracket, and `volume_form` the standard volume form that
-`exp_interior` inserts into; the program derives definiteness, the Jacobi
-defects and the spinor without them.
+`det` is the exact determinant, `reference_rref_basis` the rational
+Gauss-Jordan loop, `reference_jacobi_check` the Jacobi check through the
+general bracket, and `volume_form` the standard volume form that
+`exp_interior` inserts into; the program derives definiteness, the reduced
+echelon basis, the Jacobi defects and the spinor without them.
 
 `_merge_sign` and `_sort_indices` are the shuffle sign and the sorting sign
 on increasing index tuples, as the exterior algebra computed them before its
@@ -216,7 +217,9 @@ def line_order(cf: ChartForm, xi) -> int:
     program's line-order kernel on the form's table, at the primitive
     integer multiple of xi."""
     m = len(cf.ring.vars)
-    if cf.blown != tuple(range(1, m + 1)):
+    # a full origin blowup renames every chart variable x~i; a partial one
+    # keeps the base variables' names
+    if not all("~" in name for name in cf.ring.vars):
         raise DomainError("line restriction requires a full origin blowup")
     if len(xi) != m:
         raise StructureError("direction vector has wrong length")
@@ -275,6 +278,32 @@ def det(matrix) -> Fraction:
     m = list(rows)
     r, swaps = _eliminate(m, len(m))
     return Fraction((-1) ** swaps * m[-1][-1], prod(scales)) if r == len(m) else Fraction(0)
+
+
+def reference_rref_basis(rows) -> list[list[Fraction]]:
+    """Reduced row-echelon basis of the row space (zero rows dropped), by
+    the rational Gauss-Jordan loop the program ran before it read the basis
+    off its fraction-free elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return []
+    n_rows, n_cols = len(m), len(m[0])
+    r = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][col]
+        m[r] = [x / pivot for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == n_rows:
+            break
+    return [row for row in m[:r]]
 
 
 def reference_jacobi_check(L: LieAlgebra):

@@ -146,6 +146,28 @@ def test_deep_nesting_in_bundle_scaling_is_a_parse_error(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_sign_inside_the_bundle_scaling_applies_to_the_power_after_it(capsys):
+    # 1 + -y1^2 is 1 - y1^2, which vanishes at y1 = 1: chart 1 is falsified
+    # there, however the sign is written
+    charts = []
+    for f in ("1 + -y1^2", "1 - y1^2", "-y1^2 + 1"):
+        code, out, _ = run(
+            capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", f,
+            "--chart", "1", "--format", "machine",
+        )
+        assert code == 0
+        charts.append(json.loads(out)["charts"])
+    assert charts[0] == charts[1] == charts[2]
+    cert = charts[0]["1"]["certificate"]
+    assert (cert["order"], cert["status"]) == (1, "falsified")
+    assert cert["witness_point"] == ["0", "0", "0", "1", "0"]
+
+
+def test_non_ascii_digits_in_bundle_scaling_are_a_parse_error(capsys):
+    # "y1^\u0662" writes the exponent in an Arabic-Indic digit
+    _assert_parse_error(capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", "y1^\u0662")
+
+
 def test_bundle_scaling_power_within_cap(capsys):
     code, out, _ = run(
         capsys, "spinor", "--catalog", "scaled_so3_bundle", "--f", "(y1+y2+1)^8",
@@ -174,6 +196,21 @@ def test_overlong_literal_is_a_parse_error(tmp_path, capsys, body):
 def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "latin1.alg"
     path.write_bytes("schema_version: 1\nname: café\ndimension: 1\n".encode("latin-1"))
+    _assert_parse_error(capsys, "analyze", "--input", str(path))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "dimension: \u0663",
+        "dimension: 3\nbracket: 1 2 3 \uff11",
+        "dimension: 3\nbracket: 1 2 \u0663 1",
+    ],
+    ids=["Arabic-Indic dimension", "fullwidth value", "Arabic-Indic index"],
+)
+def test_non_ascii_digits_in_a_document_are_a_parse_error(tmp_path, capsys, body):
+    path = tmp_path / "digits.alg"
+    path.write_text(f"schema_version: 1\n{body}\n", encoding="utf-8")
     _assert_parse_error(capsys, "analyze", "--input", str(path))
 
 
@@ -219,6 +256,9 @@ def test_samples_above_the_budget_exit_64_at_once(capsys, command):
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "crosscheck", "--catalog", "so3", "--samples", "0")[0] == 64
     assert run(capsys, "analyze", "--catalog", "nosuch")[0] == 64
+    # a family parameter in Arabic-Indic or fullwidth digits is an unknown name
+    assert run(capsys, "analyze", "--catalog", "abelian\u0663")[0] == 64
+    assert run(capsys, "analyze", "--catalog", "diagonal_affine\uff12")[0] == 64
     assert run(capsys, "analyze")[0] == 64
     assert run(capsys, "spinor", "--catalog", "so3", "--f", "y1")[0] == 64
     assert run(capsys, "spinor", "--catalog", "so3", "--chart", "9")[0] == 64

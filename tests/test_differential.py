@@ -81,7 +81,7 @@ from blowuplab import realroots
 from blowuplab.charts import BlowupChart, integer_terms, nonzero_at, preferred_chart
 from blowuplab.exterior import _indices_mask, index_bit, mask_indices, wedge_sign
 from blowuplab.liealg import _checked_height, _wedge_chain, height_report
-from blowuplab.linalg import integer_multiple, primitive, rank, rank_and_membership
+from blowuplab.linalg import integer_multiple, primitive, rank, rank_and_membership, rref_basis
 from blowuplab.model_io import MAX_DIM, SCALED_SO3_BLOWN
 from blowuplab.poisson_spinor import _line_table, _order_on_line, differential_names
 from blowuplab.poisson_spinor import shared_pullback
@@ -92,7 +92,7 @@ from reference import exp_interior, integer_differential, line_order, multi_inte
 from reference import polynomial_lift, rational_chains, reference_jacobi_check, restrict_zero
 from reference import _merge_sign, _sort_indices, shift_down, substitute, volume_form
 from reference import evaluate, reference_leading_form, reference_line_table
-from reference import reference_order_on_line, zeroed_leading_part
+from reference import reference_order_on_line, reference_rref_basis, zeroed_leading_part
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -329,6 +329,41 @@ def test_integer_and_rational_rank_agree_with_sympy(data):
     member = sympy_rank(matrix + [vector]) == expected
     event(f"member={member}")
     assert rank_and_membership(matrix, vector) == (expected, member)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_reduced_echelon_basis_matches_the_gauss_jordan_loop(data):
+    """The basis read off the fraction-free elimination against the rational
+    Gauss-Jordan loop, entry for entry and as Fractions, on wide, tall and
+    square matrices of rationals or ints with zero, repeated and dependent
+    rows, and on [M | I] blocks as `inverse` builds them."""
+    shape = data.draw(st.sampled_from(["wide", "tall", "square", "[M | I]"]))
+    event(shape)
+    n_rows = data.draw(st.integers(0 if shape == "tall" else 1, 6))
+    n_cols = {
+        "wide": data.draw(st.integers(n_rows, 8)),
+        "tall": data.draw(st.integers(1, max(1, n_rows))),
+    }.get(shape, n_rows)
+    rows = [[data.draw(rationals) for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        kind = data.draw(st.sampled_from(["zero", "repeated", "dependent"]))
+        event(f"{kind} row")
+        a, b = (data.draw(st.sampled_from(rows)) for _ in range(2))
+        c = data.draw(rationals)
+        row = {"zero": [Fraction(0)] * n_cols, "repeated": a}.get(
+            kind, [x + c * y for x, y in zip(a, b)]
+        )
+        rows.insert(data.draw(st.integers(0, len(rows))), list(row))
+    if shape == "[M | I]":
+        rows = rows[:n_rows]
+        rows = [row + [Fraction(int(i == j)) for j in range(n_rows)] for i, row in enumerate(rows)]
+    if data.draw(st.booleans()):
+        event("integer rows")
+        rows = [integer_multiple(row)[1] for row in rows]
+    got = rref_basis(rows)
+    assert got == reference_rref_basis(rows)
+    assert all(type(x) is Fraction for row in got for x in row)
 
 
 def reference_merge_sign(left, right):
@@ -590,7 +625,7 @@ def test_line_restriction_matches_substitution(data, m):
     xi[chart - 1] = data.draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
     if data.draw(st.booleans()):
         xi[chart - 1] = -xi[chart - 1]
-    cf = ChartForm(form, chart, tuple(range(1, m + 1)))
+    cf = ChartForm(form, chart)
     line = reference_restrict_to_line(cf, xi)
     event(f"restriction vanishes: {line.is_zero()}")
     if line.is_zero():
@@ -608,7 +643,7 @@ def _assert_same_chart_paths(form: GradedForm, blown, lines=()):
     order on each line whose direction lies in the chart."""
     for chart in blown:
         got = blowup_pullback(form, chart, blown)
-        want = ChartForm(BlowupChart(form.ring, chart, blown).pull_form(form), chart, got.blown)
+        want = ChartForm(BlowupChart(form.ring, chart, blown).pull_form(form), chart)
         ints = [c for p in got.integer_form.terms.values() for c in p.terms.values()]
         assert all(type(c) is int for c in ints)
         assert got.form == want.form and list(got.form.terms) == list(want.form.terms)
@@ -954,7 +989,7 @@ def chart_forms(draw):
     else:
         event("rational chart form")
         bc = BlowupChart(ring, chart, blown)
-        cf = ChartForm(bc.pull_form(form), chart, bc.blown)
+        cf = ChartForm(bc.pull_form(form), chart)
     event(f"partial blowup: {len(blown) < len(ring.vars)}")
     assume(not cf.integer_form.is_zero())
     return cf

@@ -233,7 +233,7 @@ def test_certificate_names_the_first_coefficient_in_print_order():
     ring = PolyRing(("x~1", "x~2"))
     for terms in ({(): 2, (1, 2): 3}, {(1, 2): 3, (): 2}):
         form = GradedForm(2, ring, {i: ring.const(c) for i, c in terms.items()})
-        cert = vanishing_order(ChartForm(form, 1, (1, 2)))
+        cert = vanishing_order(ChartForm(form, 1))
         assert cert.certificate == "coefficient of 1: nonzero constant"
 
 
@@ -344,7 +344,7 @@ def test_restrict_to_line_wrong_chart():
         line_order(partial, (1, 0, 0, 0, 0))
     # x~2 - x~3 vanishes identically on the line through (1, 1, 1)
     ring = cf.ring
-    vanishing = ChartForm(GradedForm(3, ring, {(1,): ring.parse("x~2 - x~3")}), 1, (1, 2, 3))
+    vanishing = ChartForm(GradedForm(3, ring, {(1,): ring.parse("x~2 - x~3")}), 1)
     with pytest.raises(DomainError):
         line_order(vanishing, (1, 1, 1))
 
