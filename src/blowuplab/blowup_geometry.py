@@ -24,12 +24,12 @@ from .sampling import DEFAULT_SEED
 
 def _compiled_lifts(L: LieAlgebra, chart: int):
     """The lifts through `chart` of the Hamiltonian fields of dx_1, ...,
-    dx_dim of the linear Poisson bivector, as `integer_terms` with one
-    denominator and one padding degree for every field, built once per
-    algebra and chart."""
+    dx_dim of the integer bivector D pi (D times those of pi: the same
+    ranks), as `integer_terms` with one padding degree for every field,
+    built once per algebra and chart."""
 
     def build():
-        pi = shared_linear_poisson(L)
+        pi, _ = shared_linear_poisson(L)
         bc = BlowupChart(pi.ring, chart)
         fields = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
         compiled = iter(integer_terms(*(poly.terms for field in fields for poly in field)))

@@ -11,7 +11,7 @@ with every unblown (base) variable fixed.  The divisor in this chart is
 their names.  Pullback of polynomials and forms, and the lift of vector
 fields vanishing at the blown origin, are all exact.  A form pullback keeps
 the coefficient type, so chart forms are pulled back as one integer multiple
-over one scale, which rendering divides once.
+over one scale, which rendering reads coefficient by coefficient.
 Both chart routes evaluate chart polynomials in integers at points over one
 denominator (`integer_terms`, `integer_value`, `nonzero_at`), in the chart
 that `preferred_chart` picks for a direction.
@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .errors import DomainError, InternalError, StructureError
 from .exterior import GradedForm, index_bit
-from .linalg import integer_multiple
 from .rings import Polynomial, PolyRing, Rational
 
 _NAME_RE = re.compile(r"([A-Za-z]+)(.*)")
@@ -45,15 +44,13 @@ def preferred_chart(values: Sequence[Rational]) -> int:
 
 
 def integer_terms(*polys: dict) -> list[list[tuple[int, tuple[int, ...], int]]]:
-    """For each polynomial's terms, (c, e, pad) per term: all of them times
-    one positive integer D, the lcm of their denominators, and padded to
-    their highest total degree top.  `integer_value` of one polynomial's
-    terms at p and q is D q^top times its value at p/q, so it is zero exactly
-    when the polynomial is, and values of polynomials compiled together
-    share that factor."""
+    """For each polynomial's terms, (c, e, pad) per term, padded to their
+    highest total degree top.  `integer_value` of one polynomial's terms at
+    p and q is q^top times its value at p/q, an int for int coefficients, so
+    it is zero exactly when the polynomial is, and values of polynomials
+    compiled together share that factor."""
     top = max((sum(e) for terms in polys for e in terms), default=0)
-    ints = iter(integer_multiple(c for terms in polys for c in terms.values())[1])
-    return [[(next(ints), e, top - sum(e)) for e in terms] for terms in polys]
+    return [[(c, e, top - sum(e)) for e, c in terms.items()] for terms in polys]
 
 
 def integer_value(compiled, nums: Sequence[int], q: int) -> int:

@@ -75,17 +75,20 @@ def is_diagonal_affine(L: LieAlgebra):
     ideal = derived_algebra(L)
     if len(ideal) != n - 1 or n < 2:
         return None
-    if any(any(L.bracket(u, v)) for u in ideal for v in ideal):
+    # D times the brackets of the rows' integer multiples, in ints: the same
+    # zeros, and D times the scalar
+    rows = linalg.integer_rows(ideal)
+    if any(any(L.bracket(u, v, scaled=True)) for u in rows for v in rows):
         return None
     # a standard basis vector outside the (n-1)-dimensional ideal must act on
     # it as one nonzero scalar
     candidate = next(e for e in dual_basis(n) if not linalg.in_row_space(ideal, e))
-    images = [L.bracket(candidate, h) for h in ideal]
-    pivot = next(i for i, v in enumerate(ideal[0]) if v)
-    scalar = images[0][pivot] / ideal[0][pivot]
-    if not scalar or any(image != [scalar * v for v in h] for h, image in zip(ideal, images)):
+    images = [L.bracket([int(x) for x in candidate], h, scaled=True) for h in rows]
+    pivot = next(i for i, v in enumerate(rows[0]) if v)
+    scalar = Fraction(images[0][pivot], rows[0][pivot])
+    if not scalar or any(image != [scalar * v for v in h] for h, image in zip(rows, images)):
         return None
-    return [v / scalar for v in candidate], ideal
+    return [v * L._scale / scalar for v in candidate], ideal
 
 
 def _structural_candidates(L: LieAlgebra):
@@ -95,18 +98,19 @@ def _structural_candidates(L: LieAlgebra):
     Killing form, built only when the earlier candidates are used up."""
     n = L.dim
     yield from dual_basis(n) + pairwise_combinations(n)
-    for ideal in (derived_algebra, lambda L: linalg.null_space(killing_form(L), L.dim)):
+    for ideal in (derived_algebra, lambda L: linalg.null_space(killing_form(L, scaled=True), n)):
         rows = ideal(L)
         if rows:
             yield from (as_covector(vec) for vec in linalg.null_space(rows, n) if any(vec))
 
 
 def _line_chain(L: LieAlgebra, base: Covector, direction: Covector, top: int):
-    """For xi(t) = base + t*direction, the coefficients of xi ^ (d xi)^j over
-    Q[t] as realroots polynomials, one list for each j = 0..top."""
+    """For xi(t) = base + t*direction, the coefficients of xi ^ (D d xi)^j
+    over Q[t] as realroots polynomials, one list for each j = 0..top: D^j
+    times those of xi ^ (d xi)^j, with the same zeros and gcds."""
     t = _T.variable(1)
     level = covector_form(L, [b + d * t for b, d in zip(base, direction)], _T)
-    omega, levels = ce_differential(L, level), [level]
+    omega, levels = ce_differential(L, level, scaled=True), [level]
     for _ in range(top):
         levels.append(levels[-1].wedge(omega))
     return [
@@ -140,12 +144,13 @@ def _slice_witness(L: LieAlgebra, top: int, seed: int):
 
     A rational x gives h = ker ad_x, a Cartan subalgebra when x is regular,
     the line y(t) = h1 + t*h2 in it and xi(t) = B(y(t), .), B the Killing
-    form.  A real root of the gcd g of the coefficients of xi ^ (d xi)^top is
-    a height drop: returns xi there if rational (xi(0) if g = 0), else a
+    form, taken as D^2 B: every sign, rank and primitive multiple is B's.  A
+    real root of the gcd g of the coefficients of xi ^ (d xi)^top is a
+    height drop: returns xi there if rational (xi(0) if g = 0), else a
     RealRootWitness."""
     n = L.dim
     rng = random.Random(seed)
-    killing = killing_form(L)
+    killing = killing_form(L, scaled=True)
     value = lambda y: sum(a * b for a, b in zip(y, linalg.mat_vec(killing, y)))  # noqa: E731
     for _ in range(_SLICE_LINES):
         x = random_vector(rng, n)
@@ -156,7 +161,7 @@ def _slice_witness(L: LieAlgebra, top: int, seed: int):
             h.append(L.bracket(x, random_vector(rng, n)))
             if value(x) * value(h[1]) >= 0:
                 h[1] = L.bracket(x, h[1])
-        base, direction = (linalg.mat_vec(killing, y) for y in h[:2])
+        base, direction = linalg.integer_rows([linalg.mat_vec(killing, y) for y in h[:2]])
         if linalg.rank([base, direction]) < 2:
             continue
         # positive rescalings keep every height and shrink the coefficients
@@ -227,7 +232,7 @@ def classify_constant_height(
         return ClassificationVerdict("abelian", 0, param=L.dim)
     if is_diagonal_affine(L) is not None:
         return ClassificationVerdict("diagonal_affine", 0, param=L.dim - 1)
-    if L.dim == 3 and linalg.is_negative_definite(killing_form(L)):
+    if L.dim == 3 and linalg.is_negative_definite(killing_form(L, scaled=True)):
         return ClassificationVerdict("so3", 1)
     witnesses, heights = _find_height_witnesses(L, seed)
     return ClassificationVerdict("not_constant_height", None, None, witnesses, heights)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .blowup_geometry import orbit_rank_crosscheck
@@ -48,12 +49,12 @@ from .model_io import (
 from .poisson_spinor import (
     blowup_pullback,
     check_line_orders,
-    integral_form,
     lift_verdict,
     linear_poisson,
     spinor,
     vanishing_order,
 )
+from .rings import DIGIT
 from .sampling import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -74,12 +75,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def integer(text: str) -> int:
+    """An optional leading "-" and the ASCII digits 0-9, the digit rule of
+    every input (int() also reads "1_0" and other scripts' digits); argparse
+    reports a ValueError as an "invalid integer value" of the option."""
+    if not re.fullmatch(f"-?{DIGIT}+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _default_seed() -> int:
     raw = os.environ.get("BLOWUPLAB_SEED")
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         raise UsageError(f"BLOWUPLAB_SEED must be an integer, got {raw!r}") from None
 
@@ -92,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--catalog", help="built-in fixture name")
         source.add_argument("--input", help="path to an algebra document")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed")
-        p.add_argument("--samples", type=int, default=200, help="sample count")
+        p.add_argument("--seed", type=integer, default=None, help="sampling seed")
+        p.add_argument("--samples", type=integer, default=200, help="sample count")
         p.add_argument(
             "--format", choices=("human", "machine"), default="human", dest="fmt"
         )
         if charts:
-            p.add_argument("--chart", type=int, default=None, help="chart index")
+            p.add_argument("--chart", type=integer, default=None, help="chart index")
 
     analyze = sub.add_parser("analyze", help="full liftability analysis")
     add_common(analyze)
@@ -167,20 +177,21 @@ def cmd_analyze(args) -> int:
 def cmd_spinor(args) -> int:
     seed = _checked_seed(args)
     if args.catalog == "scaled_so3_bundle":
-        pi = scaled_so3_bundle(args.f if args.f is not None else "1")
+        pi, scale = scaled_so3_bundle(args.f if args.f is not None else "1")
         blown = SCALED_SO3_BLOWN
         name = f"scaled_so3_bundle[f = {args.f if args.f is not None else '1'}]"
     else:
         if args.f is not None:
             raise UsageError("--f applies only to --catalog scaled_so3_bundle")
         algebra = _resolve_algebra(args)
-        pi = linear_poisson(algebra)
+        pi, scale = linear_poisson(algebra)
         blown = tuple(range(1, algebra.dim + 1))
         name = algebra.name or "anonymous"
     if args.chart is not None and args.chart not in blown:
         raise UsageError(f"--chart must be one of {blown}")
     charts = [args.chart] if args.chart is not None else list(blown)
-    scale, phi = integral_form(spinor(pi))
+    # the spinor of pi / scale is phi over scale^(dim // 2)
+    phi, scale = spinor(pi, scale), scale ** (pi.dim // 2)
     pulled = []
     for chart in charts:
         cf = blowup_pullback(phi, chart, blown, scale)
@@ -210,7 +221,7 @@ def cmd_catalog(args) -> int:
         if key.strip() != "dim":
             raise UsageError(f"unsupported filter key {key.strip()!r}")
         try:
-            wanted = int(value)
+            wanted = integer(value.strip())
         except ValueError:
             raise UsageError("--filter dim= expects an integer") from None
         entries = [e for e in entries if e.dim == wanted]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import StructureError
-from .rings import CoeffRing, Polynomial, join_signed
+from .rings import CoeffRing, Polynomial, format_rational, join_signed
 
 IndexTuple = tuple[int, ...]
 
@@ -182,21 +182,20 @@ class _Alternating:
 
     # -- rendering ------------------------------------------------------------------
 
-    def render(self, names: Sequence[str]) -> str:
+    def render(self, names: Sequence[str], scale: int = 1) -> str:
         if len(names) != self.dim:
             raise StructureError("need one basis name per dimension")
         pieces = []
-        one = self.ring.one()
-        minus_one = -one
         monomials: dict = {}  # shared by the coefficients of this one call
         for indices, coeff in self.ordered_terms():
             body = "∧".join([names[i - 1] for i in indices])
-            text = coeff.render(monomials) if isinstance(coeff, Polynomial) else str(coeff)
+            poly = isinstance(coeff, Polynomial)
+            text = coeff.render(monomials, scale) if poly else format_rational(coeff, scale)
             if not indices:
                 pieces.append(text)
-            elif coeff == one:
+            elif coeff == scale:
                 pieces.append(body)
-            elif coeff == minus_one:
+            elif coeff == -scale:
                 pieces.append("-" + body)
             else:
                 if " " in text:  # multi-term polynomial coefficient

@@ -38,21 +38,24 @@ class LieAlgebra:
     Structure constants follow [b_i, b_j] = sum_k c(i,j,k) b_k, given as
     {(i, j): {k: c(i,j,k)}} and stored sparsely for i < j only; the i > j
     half is implied by antisymmetry, which makes antisymmetry hold by
-    construction (conflicting duplicate entries are rejected eagerly).  The
-    Jacobi identity is *not* required at construction time:
+    construction (conflicting duplicate entries are rejected eagerly).  One
+    int table `_table` keeps them times their common denominator D, `_scale`:
+    x -> D x maps the algebra onto the one with constants D c, on which the
+    kernels compute, while the accessors return the rationals as stated.
+    The Jacobi identity is *not* required at construction time:
     `jacobi_violations()` computes and caches the defect list, and
     operations whose meaning depends on it call `validate()`.  Instances
-    are immutable after construction; the caches are write-once.
+    are immutable; the caches are write-once.
     """
 
-    __slots__ = ("dim", "name", "_pairs", "_jacobi", "_memo")
+    __slots__ = ("dim", "name", "_table", "_scale", "_jacobi", "_memo")
 
     def __init__(self, dim: int, brackets: Mapping, name: str | None = None):
         if dim < 1:
             raise StructureError("dimension must be positive")
         self.dim = dim
         self.name = name
-        pairs: dict[tuple[int, int], list[Fraction]] = {}
+        pairs: dict[tuple[int, int], list[Rational]] = {}
         for (i, j), components in brackets.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise StructureError(f"bracket indices ({i},{j}) out of range 1..{dim}")
@@ -60,11 +63,11 @@ class LieAlgebra:
                 raise StructureError(
                     f"bracket ({i},{j}) must map target indices to values, got {components!r}"
                 )
-            vector = [Fraction(0)] * dim
+            vector = [0] * dim
             for k, value in components.items():
                 if not 1 <= k <= dim:
                     raise StructureError(f"bracket target index {k} out of range")
-                vector[k - 1] = RATIONALS.coerce(value)
+                vector[k - 1] = value if type(value) is int else RATIONALS.coerce(value)
             if i == j:
                 if any(vector):
                     raise StructureError(f"[b_{i}, b_{i}] must vanish")
@@ -77,47 +80,42 @@ class LieAlgebra:
                     )
             elif any(vec):
                 pairs[key] = vec
-        self._pairs = {k: tuple(v) for k, v in sorted(pairs.items())}
+        keys = sorted(pairs)
+        # the one table: the stored constants times their common denominator D
+        self._scale, ints = linalg.integer_multiple(v for key in keys for v in pairs[key])
+        self._table = {key: tuple(ints[n * dim : (n + 1) * dim]) for n, key in enumerate(keys)}
         self._jacobi = None
         self._memo = {}
 
     # -- accessors ---------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> list[Fraction]:
-        """[b_i, b_j] as a coordinate vector."""
-        if i == j:
-            return [Fraction(0)] * self.dim
-        if i < j:
-            stored = self._pairs.get((i, j))
-            sign = 1
-        else:
-            stored = self._pairs.get((j, i))
-            sign = -1
-        if stored is None:
-            return [Fraction(0)] * self.dim
-        return [sign * v for v in stored]
+    def bracket_basis(self, i: int, j: int, scaled: bool = False) -> list[Rational]:
+        """[b_i, b_j] as a coordinate vector; with `scaled`, D times it in ints."""
+        stored = self._table.get((min(i, j), max(i, j)), (0,) * self.dim)
+        vec = [v if i < j else -v for v in stored]
+        return vec if scaled else [Fraction(v, self._scale) for v in vec]
 
-    def bracket(self, u: Sequence[Rational], v: Sequence[Rational]) -> list[Fraction]:
-        """[u, v] for arbitrary coordinate vectors."""
-        u = [RATIONALS.coerce(x) for x in u]
-        v = [RATIONALS.coerce(x) for x in v]
+    def bracket(self, u: Sequence[Rational], v: Sequence[Rational], scaled: bool = False) -> list:
+        """[u, v] for arbitrary coordinate vectors; with `scaled`, D [u, v],
+        in ints for vectors of ints."""
+        u, v = ([x if type(x) is int else RATIONALS.coerce(x) for x in w] for w in (u, v))
         if len(u) != self.dim or len(v) != self.dim:
             raise StructureError("vector length does not match the algebra dimension")
-        out = [Fraction(0)] * self.dim
-        for (i, j), vec in self._pairs.items():
+        out = [0] * self.dim
+        for (i, j), vec in self._table.items():
             factor = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
             if factor:
-                for k in range(self.dim):
-                    out[k] += factor * vec[k]
-        return out
+                for k, c in enumerate(vec):
+                    out[k] += factor * c
+        return out if scaled else [RATIONALS.coerce(x) / self._scale for x in out]
 
-    def ad_matrix(self, i: int) -> list[list[Fraction]]:
-        """Matrix of ad_{b_i} with columns [b_i, b_a]."""
-        cols = [self.bracket_basis(i, a) for a in range(1, self.dim + 1)]
+    def ad_matrix(self, i: int, scaled: bool = False) -> list[list[Rational]]:
+        """Matrix of ad_{b_i} with columns [b_i, b_a]; with `scaled`, D times it."""
+        cols = [self.bracket_basis(i, a, scaled) for a in range(1, self.dim + 1)]
         return [[cols[a][k] for a in range(self.dim)] for k in range(self.dim)]
 
     def is_abelian(self) -> bool:
-        return not self._pairs
+        return not self._table
 
     def memo(self, key, build):
         """build(), computed once per instance and key and kept as long as
@@ -154,14 +152,16 @@ def jacobi_check(L: LieAlgebra) -> list[tuple[tuple[int, int, int], tuple[Fracti
     + [[b_k,b_i],b_j] for each violating triple, in triple order; empty
     means the table is a Lie algebra.  The defects are read off d o d, with
     the differential the heights use: the coefficient of theta_ijk in
-    d(d theta_m) is the m-th entry of the defect of (i, j, k).
+    d(d theta_m) is the m-th entry of the defect of (i, j, k).  Both d run
+    on the integer table, D^2 times each defect, divided for a failing triple.
     """
-    defects: dict[tuple[int, int, int], list[Fraction]] = {}
+    defects: dict[tuple[int, int, int], list[int]] = {}
     for m in range(L.dim):
-        theta = covector_form(L, [int(i == m) for i in range(L.dim)])
-        for triple, value in ce_differential(L, ce_differential(L, theta)).ordered_terms():
-            defects.setdefault(triple, [Fraction(0)] * L.dim)[m] = value
-    return [(triple, tuple(defect)) for triple, defect in sorted(defects.items())]
+        theta = GradedForm._trusted(L.dim, RATIONALS, {index_bit(m + 1): 1})
+        dd = ce_differential(L, ce_differential(L, theta, scaled=True), scaled=True)
+        for triple, value in dd.ordered_terms():
+            defects.setdefault(triple, [0] * L.dim)[m] = value
+    return [(t, tuple(Fraction(v, L._scale**2) for v in d)) for t, d in sorted(defects.items())]
 
 
 def change_basis(L: LieAlgebra, matrix: Sequence[Sequence[Rational]]) -> LieAlgebra:
@@ -193,12 +193,13 @@ def covector_form(L: LieAlgebra, xi: Sequence, ring: CoeffRing = RATIONALS) -> G
     return GradedForm._trusted(L.dim, ring, terms)
 
 
-def _generator_differential(L: LieAlgebra, k: int) -> dict[int, Fraction]:
-    """The terms of d theta_k, with rational coefficients."""
-    return {index_bit(i) | index_bit(j): -v[k - 1] for (i, j), v in L._pairs.items() if v[k - 1]}
+def _generator_differential(L: LieAlgebra, k: int, scaled: bool) -> dict[int, Rational]:
+    """The terms of d theta_k, rational; with `scaled`, of D d theta_k, in ints."""
+    return {index_bit(i) | index_bit(j): -v[k - 1] if scaled else Fraction(-v[k - 1], L._scale)
+            for (i, j), v in L._table.items() if v[k - 1]}
 
 
-def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
+def ce_differential(L: LieAlgebra, form: GradedForm, scaled: bool = False) -> GradedForm:
     """Chevalley-Eilenberg differential, extended as a degree +1 derivation.
 
     Each term c theta_I contributes, for every position t, (-1)^t c
@@ -206,14 +207,16 @@ def ce_differential(L: LieAlgebra, form: GradedForm) -> GradedForm:
     ^ d theta_{I_t} (a degree-2 form commutes), t the number of indices of I
     below I_t, one wedge sign each, summed into one term map.  Ring-generic:
     coefficients may be rationals or polynomials (the rational structure
-    constants act by scalars).  d o d = 0 precisely when the Jacobi identity
-    holds, which is how `jacobi_check` reads it.
+    constants act by scalars); with `scaled` it is D d, that of the int
+    table D c.  d o d = 0 precisely when the Jacobi identity holds, which is
+    how `jacobi_check` reads it.
     """
     if form.dim != L.dim:
         raise StructureError("form dimension does not match the algebra")
-    # the terms of d theta_1, ..., d theta_dim, built once per algebra
+    # the terms of d theta_1, ..., d theta_dim, built once per algebra and table
     d_theta = L.memo(
-        "d_theta", lambda: tuple(_generator_differential(L, k) for k in range(1, L.dim + 1))
+        ("d_theta", scaled),
+        lambda: tuple(_generator_differential(L, k, scaled) for k in range(1, L.dim + 1)),
     )
     out: dict = {}
     for mask, coeff in form.terms.items():
@@ -261,26 +264,19 @@ def _wedge_chain(form: GradedForm, omega: GradedForm) -> int:
         j += 1
 
 
-def _integer_constants(L: LieAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The stored i < j structure constants times their common denominator, as ints."""
-    ints = iter(linalg.integer_multiple(v for vec in L._pairs.values() for v in vec)[1])
-    return {key: tuple(next(ints) for _ in vec) for key, vec in L._pairs.items()}
-
-
 def _pairing_matrix(L: LieAlgebra, x: tuple[int, ...]) -> list[list[int]]:
     """A positive integer multiple of A[i][j] = (d xi)(b_i, b_j) = -xi([b_i, b_j]),
     for x the primitive integer multiple of xi; rows span T_xi O_xi.
 
-    Built as sum_k x_k C_k, where C_k[i][j] = -D c(i, j, k) are the stored
-    i < j structure constants times their common denominator D, and the
-    lower half is implied.  With x = s xi (s > 0) the result is D s A(xi).
-    Rank and row-space membership do not change when the matrix or the
-    vector tested is scaled by a nonzero number, so every rank read off this
-    matrix, and whether x lies in its row space, are those of A(xi) and xi.
+    Built as sum_k x_k C_k, where C_k[i][j] = -D c(i, j, k) are the
+    algebra's integer table, and the lower half is implied.  With x = s xi
+    (s > 0) the result is D s A(xi).  Rank and row-space membership do not
+    change when the matrix or the vector tested is scaled by a nonzero
+    number, so every rank read off this matrix, and whether x lies in its
+    row space, are those of A(xi) and xi.
     """
     rows = [[0] * L.dim for _ in range(L.dim)]
-    constants = L.memo("integer_constants", lambda: _integer_constants(L))
-    for (i, j), vec in constants.items():
+    for (i, j), vec in L._table.items():
         value = -sum(a * c for a, c in zip(x, vec))
         rows[i - 1][j - 1] = value
         rows[j - 1][i - 1] = -value
@@ -443,20 +439,21 @@ def height_report(L: LieAlgebra, xi: Sequence) -> HeightReport:
 # -- classical invariants -----------------------------------------------------
 
 
-def killing_form(L: LieAlgebra) -> list[list[Fraction]]:
-    """B_ij = trace(ad_{b_i} ad_{b_j}), an exact symmetric matrix, built once
+def killing_form(L: LieAlgebra, scaled: bool = False) -> list[list[Rational]]:
+    """B_ij = trace(ad_{b_i} ad_{b_j}), an exact symmetric matrix; with
+    `scaled`, D^2 B in ints, which has B's definiteness and kernel, built once
     per algebra and shared: callers read it and never modify it."""
 
     def build():
-        ads = [L.ad_matrix(i) for i in range(1, L.dim + 1)]
+        ads = [L.ad_matrix(i, scaled=True) for i in range(1, L.dim + 1)]
         n = range(L.dim)
-        return [[sum((x[a][b] * y[b][a] for a in n for b in n), Fraction(0)) for y in ads]
-                for x in ads]
+        return [[sum(x[a][b] * y[b][a] for a in n for b in n) for y in ads] for x in ads]
 
-    return L.memo("killing_form", build)
+    matrix = L.memo("killing_form", build)
+    return matrix if scaled else [[Fraction(v, L._scale**2) for v in row] for row in matrix]
 
 
 def derived_algebra(L: LieAlgebra) -> list[list[Fraction]]:
-    """Row-reduced basis of [g, g] = span of all basis brackets."""
-    rows = [list(vec) for vec in L._pairs.values()]
-    return linalg.rref_basis(rows)
+    """Row-reduced basis of [g, g] = span of all basis brackets, read off
+    the integer table: the reduced echelon basis does not see the scale."""
+    return linalg.rref_basis(list(L._table.values()))

@@ -3,8 +3,8 @@ vectors become integer ones: `integer_multiple` (D times the vector, D the
 lcm of its denominators) and `primitive` (that multiple over the gcd of its
 entries) feed every integer kernel.  Rank, row-space membership and
 definiteness and the reduced echelon basis use one fraction-free (Bareiss)
-elimination on rows so cleared (rows of ints are used as they are), which
-keeps intermediate values integral.
+elimination of ints, which keeps intermediate values integral; only
+`rref_basis` and `in_row_space` take rationals, and clear `integer_rows`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ def primitive(values: Iterable) -> tuple[int, ...]:
     return tuple(v // content for v in ints)
 
 
-def _as_int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving); rows
-    of ints are copied as they are."""
-    return [
-        list(row) if all(type(x) is int for x in row) else integer_multiple(row)[1]
-        for row in rows
-    ]
+def integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row of rationals times the lcm of its denominators: rows of ints
+    with the same rank and row space."""
+    return [integer_multiple(row)[1] for row in rows]
 
 
 def _eliminate(m: list[list[int]], n_pivot_rows: int) -> tuple[int, int]:
@@ -83,28 +80,27 @@ def _eliminate(m: list[list[int]], n_pivot_rows: int) -> tuple[int, int]:
     return r, swaps
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank via fraction-free elimination; entries are ints or rationals."""
-    m = _as_int_rows(rows)
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of a matrix of ints via fraction-free elimination."""
+    m = [list(row) for row in rows]
     return _eliminate(m, len(m))[0]
 
 
-def rank_and_membership(rows: Sequence[Sequence], vector: Sequence) -> tuple[int, bool]:
+def rank_and_membership(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> tuple[int, bool]:
     """(rank of rows, whether vector lies in their row space), from one
-    elimination of [rows; vector] that pivots on the given rows only."""
-    m = _as_int_rows([*rows, vector])
+    elimination of [rows; vector] that pivots on the given rows only; ints."""
+    m = [list(row) for row in (*rows, vector)]
     r = _eliminate(m, len(rows))[0]
     return r, not any(m[-1])
 
 
-def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester's test from one fraction-free elimination.  When no row is
-    swapped, the k-th pivot is the k-th leading principal minor of the
-    row-scaled integer matrix, a positive multiple of the original one; a
-    needed swap means a leading minor is zero.  So the matrix is negative
-    definite exactly when the elimination reaches full rank without a swap
-    and its pivots alternate in sign, starting negative."""
-    m = _as_int_rows(matrix)
+def is_negative_definite(matrix: Sequence[Sequence[int]]) -> bool:
+    """Sylvester's test from one fraction-free elimination of a matrix of
+    ints.  When no row is swapped, the k-th pivot is the k-th leading
+    principal minor; a needed swap means a leading minor is zero.  So the
+    matrix is negative definite exactly when the elimination reaches full
+    rank without a swap and its pivots alternate in sign, starting negative."""
+    m = [list(row) for row in matrix]
     r, swaps = _eliminate(m, len(m))
     return r == len(m) and not swaps and all((m[k][k] < 0) == (k % 2 == 0) for k in range(r))
 
@@ -113,7 +109,7 @@ def rref_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Reduced row-echelon basis of the row space (zero rows dropped), read
     off one fraction-free elimination: its pivot rows are an echelon basis,
     which back substitution from the bottom row up reduces."""
-    m = _as_int_rows(rows)
+    m = integer_rows(rows)
     reduced: list[tuple[int, Vector]] = []  # (pivot column, reduced row), bottom up
     for row in reversed(m[: _eliminate(m, len(m))[0]]):
         for col, done in reduced:
@@ -126,7 +122,7 @@ def rref_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 
 def in_row_space(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
-    return rank_and_membership(rows, vector)[1]
+    return rank_and_membership(integer_rows(rows), integer_multiple(vector)[1])[1]
 
 
 def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[list[int]]:

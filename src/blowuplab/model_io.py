@@ -31,13 +31,13 @@ from .classify import ClassificationVerdict, HeightSpectrum, RealRootWitness
 from .errors import DomainError, ParseError
 from .exterior import GradedVector
 from .liealg import Covector, LieAlgebra
+from .linalg import integer_multiple
 from .poisson_spinor import (
     ChartForm,
     LineOrderReport,
     LiftVerdict,
     OrderCertificate,
     coordinate_ring,
-    differential_names,
 )
 from .rings import DIGIT, Polynomial, PolyRing, format_rational, parse_rational
 
@@ -178,10 +178,10 @@ def serialize_algebra(L: LieAlgebra, metadata: Mapping[str, str] | None = None) 
         f"name: {_written_value('name', L.name or 'anonymous')}",
         f"dimension: {L.dim}",
     ]
-    for (i, j), vec in sorted(L._pairs.items()):
+    for (i, j), vec in sorted(L._table.items()):
         for k, value in enumerate(vec, start=1):
             if value:
-                lines.append(f"bracket: {i} {j} {k} {format_rational(value)}")
+                lines.append(f"bracket: {i} {j} {k} {format_rational(value, L._scale)}")
     for key, value in sorted((metadata or {}).items()):
         if key not in _METADATA_KEYS:
             raise DomainError(f"unknown metadata key {key!r}")
@@ -230,24 +230,25 @@ SCALED_SO3_RING = coordinate_ring(3, base=("y1", "y2"))
 SCALED_SO3_BLOWN = (1, 2, 3)
 
 
-def scaled_so3_bundle(f: str) -> GradedVector:
+def scaled_so3_bundle(f: str) -> tuple[GradedVector, int]:
     """Bundle fixture: fibres scaled by a polynomial f(y1, y2).
 
     The bracket [e_i, e_j] = f * sum_k eps_ijk e_k induces on the dual the
     bivector with pi_12 = f x3, pi_23 = f x1, pi_31 = f x2, carried over the
-    base variables (y1, y2) which every fibre chart leaves fixed.
+    base variables (y1, y2) which every fibre chart leaves fixed.  Returned
+    as `linear_poisson` returns a bivector: (D pi, D), D the lcm of the
+    denominators of f, so D pi has int coefficients.
     """
     ring = SCALED_SO3_RING
-    # y1, y2 are the last two variables of the ring, so f embeds by padding
+    # y1, y2 are the last two variables of the ring, so D f embeds by padding
     # each exponent tuple with the three fibre exponents 0
     terms = PolyRing(("y1", "y2")).parse(f).terms
-    lift = Polynomial._trusted(ring.vars, {(0, 0, 0) + e: c for e, c in terms.items()})
-    x1, x2, x3 = (ring.variable(i) for i in (1, 2, 3))
-    return GradedVector(
-        len(ring.vars),
-        ring,
-        {(1, 2): lift * x3, (2, 3): lift * x1, (1, 3): -(lift * x2)},
-    )
+    scale, ints = integer_multiple(terms.values())
+    lift = Polynomial._trusted(ring.vars, {(0, 0, 0) + e: c for e, c in zip(terms, ints)})
+    units = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+    x1, x2, x3 = (Polynomial._trusted(ring.vars, {unit: 1}) for unit in units)
+    entries = {(1, 2): lift * x3, (2, 3): lift * x1, (1, 3): -(lift * x2)}
+    return GradedVector(len(ring.vars), ring, entries), scale
 
 
 class CatalogEntry(NamedTuple):
@@ -351,7 +352,7 @@ def certificate_to_dict(cert: OrderCertificate) -> dict:
         "chart": cert.chart,
         "order": cert.order,
         "status": cert.status,
-        "leading_form": cert.leading.render(differential_names(cert.leading.ring)),
+        "leading_form": cert.leading.render(),
     }
     if cert.certificate:
         out["certificate"] = cert.certificate

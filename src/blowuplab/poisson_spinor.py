@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple, Sequence
 
 from .charts import BlowupChart, integer_terms, nonzero_at, preferred_chart
@@ -31,54 +30,50 @@ def coordinate_ring(n: int, base: Sequence[str] = ()) -> PolyRing:
     return PolyRing(tuple(f"x{i}" for i in range(1, n + 1)) + tuple(base))
 
 
-def linear_poisson(L: LieAlgebra) -> GradedVector:
-    """The fibrewise-linear Poisson bivector on the dual: pi_ij = sum_k c_ijk x_k,
-    a degree-2 `GradedVector` over the coordinate ring.
+def linear_poisson(L: LieAlgebra) -> tuple[GradedVector, int]:
+    """The fibrewise-linear Poisson bivector on the dual, pi_ij = sum_k c_ijk x_k,
+    as (D pi, D): a degree-2 `GradedVector` over the coordinate ring with
+    int coefficients, read off the algebra's integer table, and its scale D.
 
     Its bracket on coordinate functions reproduces the Lie bracket:
     {x_i, x_j} = sum_k c_ijk x_k.
     """
     ring = coordinate_ring(L.dim)
     units = [tuple(int(k == j) for k in range(L.dim)) for j in range(L.dim)]
-    entries = {pair: Polynomial(ring.vars, dict(zip(units, vec))) for pair, vec in L._pairs.items()}
-    return GradedVector(L.dim, ring, entries)
+    entries = {
+        pair: Polynomial._trusted(ring.vars, {e: c for e, c in zip(units, vec) if c})
+        for pair, vec in L._table.items()
+    }
+    return GradedVector(L.dim, ring, entries), L._scale
 
 
-def shared_linear_poisson(L: LieAlgebra) -> GradedVector:
+def shared_linear_poisson(L: LieAlgebra) -> tuple[GradedVector, int]:
     """`linear_poisson(L)`, built once per algebra."""
     return L.memo("linear_poisson", lambda: linear_poisson(L))
 
 
-def integral_form(form: GradedForm | GradedVector) -> tuple[int, GradedForm | GradedVector]:
-    """(D, D * form) for a polynomial form or multivector, D the lcm of its
-    coefficient denominators; the multiple has int coefficients."""
-    scale, ints = integer_multiple([c for p in form.terms.values() for c in p.terms.values()])
-    ints = iter(ints)
-    polys = {
-        I: Polynomial._trusted(p.vars, dict(zip(p.terms, ints)))
-        for I, p in form.terms.items()
-    }
-    return scale, form._trusted(form.dim, form.ring, polys)
-
-
-def spinor(pi: GradedVector) -> GradedForm:
-    """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m, from the
-    principal Pfaffians of pi: for J of even size 2k with complement I, the
-    coefficient of dx_I is sign(J I) Pf(pi_JJ), the `wedge_sign` of the masks
-    of J and I.  Each Pfaffian is expanded along min J, the lowest bit of J,
-    over the nonzero smaller ones, in integers for D pi (D the lcm of the
-    coefficient denominators); Pf(D pi_JJ) = D^k Pf(pi_JJ) is divided by
-    D^k at the end."""
+def spinor(pi: GradedVector, scale: int = 1) -> GradedForm:
+    """S e^{i_(pi/scale)} lambda, lambda = dx_1 ... dx_m, S = scale^(m // 2): for
+    pi with int coefficients, that spinor over one scale, in ints.  For J of
+    even size 2k with complement I, the coefficient of dx_I is sign(J I)
+    Pf(pi_JJ) scale^(m // 2 - k), the `wedge_sign` of the masks of J and I;
+    each Pfaffian is expanded along min J, the lowest bit of J, over the
+    nonzero smaller ones."""
     if not (isinstance(pi, GradedVector) and isinstance(pi.ring, PolyRing)):
         raise StructureError("spinor expects a GradedVector over a PolyRing")
     if pi.dim != len(pi.ring.vars):
         raise StructureError("spinor needs one ring variable per dimension")
     if any(mask.bit_count() != 2 for mask in pi.terms):
         raise DomainError("spinor expects a homogeneous degree-2 vector")
-    scale, integral = integral_form(pi)
-    # each pair a < b as the bits of a and b
-    entries = [(ab & -ab, ab & (ab - 1), list(p.terms.items())) for ab, p in integral.terms.items()]
-    level = pfaffians = {0: {(0,) * len(pi.ring.vars): 1}}
+    # each pair a < b as the bits of a and b, its exponent tuples packed into
+    # ints of `width` bits per variable so that exponents add as ints: none in
+    # a Pfaffian passes m // 2 times the largest exponent of an entry
+    top = max((max(e) for p in pi.terms.values() for e in p.terms), default=0)
+    width = (pi.dim // 2 * top).bit_length()
+    pack = lambda e: sum([x << width * i for i, x in enumerate(e)])  # noqa: E731
+    entries = [(ab & -ab, ab & (ab - 1), [(pack(e), c) for e, c in p.terms.items()])
+               for ab, p in pi.terms.items()]
+    level = pfaffians = {0: {0: 1}}
     while level:
         grown: dict[int, dict] = {}
         for rest, pf in level.items():
@@ -90,14 +85,15 @@ def spinor(pi: GradedVector) -> GradedForm:
                 for e1, c1 in entry:
                     c1 = -c1 if below & 1 else c1
                     for e2, c2 in pf.items():
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc.get(e, 0) + c1 * c2
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
         level = {J: pf for J, acc in grown.items() if (pf := {e: c for e, c in acc.items() if c})}
         pfaffians.update(level)
-    full, terms = (1 << pi.dim) - 1, {}
+    full, mask, terms = (1 << pi.dim) - 1, (1 << width) - 1, {}
+    unpack = {e: tuple([e >> width * i & mask for i in range(pi.dim)])
+              for pf in pfaffians.values() for e in pf}
     for J, pf in pfaffians.items():
-        sign, den = wedge_sign(J, full ^ J), scale ** (J.bit_count() // 2)
-        coeffs = {e: Fraction(sign * c, den) for e, c in pf.items()}
+        lift = wedge_sign(J, full ^ J) * scale ** (pi.dim // 2 - J.bit_count() // 2)
+        coeffs = {unpack[e]: lift * c for e, c in pf.items()}
         terms[full ^ J] = Polynomial._trusted(pi.ring.vars, coeffs)
     return GradedForm._trusted(pi.dim, pi.ring, terms)
 
@@ -112,22 +108,12 @@ def hamiltonian_field(pi: GradedVector, i: int) -> tuple[Polynomial, ...]:
     return tuple(pi.coefficient((i, j)) for j in range(1, pi.dim + 1))
 
 
-def _divided(form: GradedForm, scale: int) -> GradedForm:
-    if scale == 1:
-        return form
-    polys = {}
-    for mask, p in form.terms.items():
-        divided = {e: Fraction(c, scale) for e, c in p.terms.items()}
-        polys[mask] = Polynomial._trusted(p.vars, divided)
-    return GradedForm._trusted(form.dim, form.ring, polys)
-
-
 class ChartForm(NamedTuple):
     """A form in blowup-chart coordinates; the divisor is {chart variable = 0}.
 
-    `integer_form` is `scale` times the chart form.  `blowup_pullback` gives
-    it int coefficients, which the orders and the leading form read, and
-    `form` divides once."""
+    The form is `integer_form` over the positive int `scale`: the orders,
+    the leading form and the rendering read the int coefficients and the
+    scale as they are, and `form` divides, for library callers."""
 
     integer_form: GradedForm
     chart: int
@@ -139,38 +125,46 @@ class ChartForm(NamedTuple):
 
     @property
     def form(self) -> GradedForm:
-        return _divided(self.integer_form, self.scale)
+        form = self.integer_form
+        return form if self.scale == 1 else form.scale(Fraction(1, self.scale))
 
     def render(self) -> str:
-        return self.form.render(differential_names(self.ring))
+        return self.integer_form.render(differential_names(self.ring), self.scale)
 
 
 def blowup_pullback(
-    form: GradedForm, chart: int, blown: Sequence[int] | None = None, scale: int | None = None
+    form: GradedForm, chart: int, blown: Sequence[int] | None = None, scale: int = 1
 ) -> ChartForm:
-    """Pull an ambient polynomial form back through the blowdown of chart `chart`.
+    """Pull the ambient polynomial form form / scale back through the blowdown
+    of chart `chart`, as a `ChartForm` over the same scale.
 
     The blowdown x_c -> x~_c, x_v -> x~_c x~_v, with
     dx_v -> x~_c dx~_v + x~_v dx~_c, is monomial, so each term is mapped by
     rewriting its exponents and indices; unblown (base) variables and their
-    differentials are left untouched.  The form's integer multiple is pulled
-    back: `integral_form(form)`, or `form` itself when `scale` is given, for a
-    form already that multiple, so that one conversion serves every chart.
+    differentials are left untouched, and int coefficients stay ints.
     """
     if not isinstance(form.ring, PolyRing):
         raise StructureError("blowup pullback needs polynomial coefficients")
-    bc = BlowupChart(form.ring, chart, blown)
-    if scale is None:
-        scale, form = integral_form(form)
-    return ChartForm(bc.pull_form(form), chart, scale)
+    return ChartForm(BlowupChart(form.ring, chart, blown).pull_form(form), chart, scale)
 
 
 def shared_pullback(L: LieAlgebra, chart: int) -> ChartForm:
     """The spinor of the linear Poisson bivector of L pulled back through
     chart `chart` of the origin blowup, built once per algebra and chart
-    from one integer multiple of the spinor."""
-    scale, phi = L.memo("spinor", lambda: integral_form(spinor(shared_linear_poisson(L))))
+    from one integer spinor."""
+
+    def integer_spinor():
+        pi, scale = shared_linear_poisson(L)
+        return spinor(pi, scale), scale ** (L.dim // 2)
+
+    phi, scale = L.memo("spinor", integer_spinor)
     return L.memo(("pullback", chart), lambda: blowup_pullback(phi, chart, scale=scale))
+
+
+def shared_parts(L: LieAlgebra, chart: int) -> list[tuple[int, dict[int, dict]]]:
+    """`_by_order` of `shared_pullback(L, chart)`, grouped once per algebra
+    and chart for both the vanishing order and the line-order table."""
+    return L.memo(("parts", chart), lambda: _by_order(shared_pullback(L, chart)))
 
 
 # -- vanishing order along the divisor ----------------------------------------
@@ -203,7 +197,7 @@ class OrderCertificate(NamedTuple):
 
     chart: int
     order: int
-    leading: GradedForm
+    leading: ChartForm
     status: str
     certificate: str | None = None
     witness_point: tuple[Fraction, ...] | None = None
@@ -231,23 +225,25 @@ def _divisor_points(cf: ChartForm, seed: int, samples: int):
 
 
 def vanishing_order(
-    cf: ChartForm, seed: int = DEFAULT_SEED, samples: int = 200
+    cf: ChartForm, seed: int = DEFAULT_SEED, samples: int = 200, parts=None
 ) -> OrderCertificate:
     """Vanishing order and leading form along the divisor, with a syntactic
     nonvanishing certificate, a rational divisor zero, or neither.  Divisor
-    points have u = 0, so the zero test compiles the leading form, u zeroed."""
+    points have u = 0, so the zero test compiles the leading form, u zeroed;
+    `parts` is `_by_order(cf)` when the caller has it already."""
     if samples < 1:
         raise DomainError("samples must be positive")
     if cf.integer_form.is_zero():
         raise DomainError("the zero form has no vanishing order")
-    order, part = _by_order(cf)[0]
+    order, part = (parts or _by_order(cf))[0]
     col = cf.chart - 1
     zeroed = [{e[:col] + (0,) + e[col + 1 :]: c for e, c in terms.items()} for terms in part.values()]
     polys = {mask: Polynomial._trusted(cf.ring.vars, terms) for mask, terms in zip(part, zeroed)}
-    leading = GradedForm._trusted(cf.integer_form.dim, cf.ring, polys)
-    undetermined = OrderCertificate(cf.chart, order, _divided(leading, cf.scale), "undetermined")
+    form = GradedForm._trusted(cf.integer_form.dim, cf.ring, polys)
+    leading = ChartForm(form, cf.chart, cf.scale)
+    undetermined = OrderCertificate(cf.chart, order, leading, "undetermined")
 
-    for indices, poly in leading.ordered_terms():
+    for indices, poly in leading.integer_form.ordered_terms():
         if reason := _sign_definite_reason(poly):
             names = differential_names(cf.ring)
             where = "∧".join(names[i - 1] for i in indices) if indices else "1"
@@ -265,10 +261,9 @@ def vanishing_order(
 # -- order along a projective line ---------------------------------------------
 
 
-def _line_table(cf: ChartForm) -> list[tuple[int, list]]:
-    """The parts of the chart form, lowest k first, as (k, compiled part)
-    pairs; one `integer_terms` call compiles every part."""
-    parts = _by_order(cf)
+def _line_table(parts) -> list[tuple[int, list]]:
+    """The parts of a chart form (`_by_order`), lowest k first, as (k,
+    compiled part) pairs; one `integer_terms` call compiles every part."""
     compiled = iter(integer_terms(*(terms for _, part in parts for terms in part.values())))
     return [(k, [next(compiled) for _ in part]) for k, part in parts]
 
@@ -312,7 +307,7 @@ def lift_verdict(L: LieAlgebra, seed: int = DEFAULT_SEED, samples: int = 200) ->
     routes must coincide."""
     classification = classify_constant_height(L, seed=seed)
     certificates = {
-        chart: vanishing_order(shared_pullback(L, chart), seed=seed, samples=samples)
+        chart: vanishing_order(shared_pullback(L, chart), seed, samples, shared_parts(L, chart))
         for chart in range(1, L.dim + 1)
     }
 
@@ -375,7 +370,7 @@ def check_line_orders(
     for sample in sampled_covectors(L, samples, seed):
         # x is a positive multiple of xi: the same chart and line
         chart = preferred_chart(sample.x)
-        table = L.memo(("line_table", chart), lambda: _line_table(shared_pullback(L, chart)))
+        table = L.memo(("line_table", chart), lambda: _line_table(shared_parts(L, chart)))
         got = _order_on_line(table, sample.x, chart)
         want = L.dim - 1 - sample.invariants.height
         records.append(LineOrderRecord(sample.xi, chart, got, want))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import DomainError, ParseError, StructureError
@@ -42,10 +43,13 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"rational literal of {len(token)} characters is too long") from None
 
 
-def format_rational(value: Rational) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Rational, scale: int = 1) -> str:
+    """value / scale in lowest terms, as p or p/q, for a positive int scale:
+    one gcd reduces it, and no Fraction is built."""
+    num, den = value.numerator, value.denominator * scale
+    if scale != 1 and (common := gcd(num, den)) != 1:
+        num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def join_signed(pieces: Sequence[str]) -> str:
@@ -99,8 +103,8 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(exps) for exps in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def constant_value(self) -> Rational:
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def valuation(self, position: int) -> int:
         """Smallest exponent of variable ``position`` (1-based) over all monomials."""
@@ -179,10 +183,10 @@ class Polynomial:
     def __str__(self) -> str:
         return self.render({})
 
-    def render(self, monomials: dict) -> str:
-        """The text of the polynomial.  `monomials` maps exponent tuples to
-        their text and is filled as it goes, so polynomials over the same
-        variables rendered together build each monomial's text once."""
+    def render(self, monomials: dict, scale: int = 1) -> str:
+        """The text of the polynomial over the positive int `scale`.  `monomials`
+        maps exponent tuples to their text and is filled as it goes, so
+        polynomials rendered together build each monomial's text once."""
         # graded order: total degree first, then lexicographic with earlier
         # variables dominating (so "1 + x2^2 + x3^2" renders in that order):
         # a stable sort on degree alone of the keys in descending order
@@ -196,13 +200,13 @@ class Polynomial:
                     [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
                 )
             if not monomial:
-                rendered.append(format_rational(coeff))
-            elif coeff == 1:
+                rendered.append(format_rational(coeff, scale))
+            elif coeff == scale:
                 rendered.append(monomial)
-            elif coeff == -1:
+            elif coeff == -scale:
                 rendered.append("-" + monomial)
             else:
-                rendered.append(f"{format_rational(coeff)}*{monomial}")
+                rendered.append(f"{format_rational(coeff, scale)}*{monomial}")
         return join_signed(rendered)
 
     def __repr__(self) -> str:
@@ -217,9 +221,6 @@ class Rationals(NamedTuple):
 
     def zero(self) -> Fraction:
         return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def coerce(self, value) -> Fraction:
         if type(value) is Fraction:
@@ -246,9 +247,6 @@ class PolyRing(_Variables):
 
     def zero(self) -> Polynomial:
         return Polynomial(self.vars)
-
-    def one(self) -> Polynomial:
-        return self.const(1)
 
     def const(self, value: Rational) -> Polynomial:
         return Polynomial(self.vars, {(0,) * len(self.vars): value})

@@ -29,6 +29,13 @@ Gauss-Jordan loop, `reference_jacobi_check` the Jacobi check through the
 general bracket, and `volume_form` the standard volume form that
 `exp_interior` inserts into; the program derives definiteness, the reduced
 echelon basis, the Jacobi defects and the spinor without them.
+`rational_table` is the algebra's table of stated rational constants, and
+`fraction_linear_poisson`, `integral_form`, `fraction_spinor`,
+`fraction_killing_form` and `fraction_jacobi_check` are the Fraction paths
+the program ran on it before it kept one integer table D c and its scale D:
+the bivector, the conversion of a form to (D, D form), the spinor divided
+per term, the Killing form and the Jacobi check in rational arithmetic;
+`divided` is an integer form over its scale with Fraction coefficients.
 
 `_merge_sign` and `_sort_indices` are the shuffle sign and the sorting sign
 on increasing index tuples, as the exterior algebra computed them before its
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+from operator import add
 from typing import Sequence
 
 from blowuplab import (
@@ -67,9 +75,10 @@ from blowuplab import (
 from blowuplab.blowup_geometry import _distribution_rank
 from blowuplab.charts import BlowupChart, integer_terms, integer_value, nonzero_at
 from blowuplab.charts import preferred_chart
-from blowuplab.exterior import GradedForm, GradedVector, IndexTuple
+from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, wedge_sign
 from blowuplab.linalg import _eliminate, integer_multiple, primitive
 from blowuplab.poisson_spinor import _by_order, _divisor_points, _line_table, _order_on_line
+from blowuplab.poisson_spinor import coordinate_ring
 from blowuplab.sampling import DEFAULT_SEED
 
 
@@ -172,7 +181,7 @@ def distribution_rows(L: LieAlgebra, v) -> tuple[int, list[list[Fraction]]]:
     dx_c, j != c, evaluated at the divisor point v / v_c (entry c zeroed)."""
     v = [Fraction(a) for a in v]
     chart = preferred_chart(v)
-    pi = linear_poisson(L)
+    pi = fraction_linear_poisson(L)
     bc = BlowupChart(pi.ring, chart)
     fields = [polynomial_lift(bc, hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
     ratios = [a / v[chart - 1] for a in v]
@@ -226,7 +235,7 @@ def line_order(cf: ChartForm, xi) -> int:
     c = cf.chart
     if xi[c - 1] == 0:
         raise DomainError(f"direction lies outside chart {c} (component {c} is zero)")
-    return _order_on_line(_line_table(cf), primitive(xi), c)
+    return _order_on_line(_line_table(_by_order(cf)), primitive(xi), c)
 
 
 def distribution_at(L: LieAlgebra, v) -> int:
@@ -322,6 +331,119 @@ def reference_jacobi_check(L: LieAlgebra):
                 if any(defect):
                     violations.append(((i, j, k), tuple(defect)))
     return violations
+
+
+def rational_table(L: LieAlgebra) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """The stored i < j structure constants as the rationals stated, the
+    table the program kept before it kept only their integer multiple."""
+    return {key: tuple(Fraction(v, L._scale) for v in vec) for key, vec in L._table.items()}
+
+
+def fraction_linear_poisson(L: LieAlgebra) -> GradedVector:
+    """The fibrewise-linear Poisson bivector on the dual: pi_ij = sum_k c_ijk x_k,
+    a degree-2 `GradedVector` over the coordinate ring.
+
+    Its bracket on coordinate functions reproduces the Lie bracket:
+    {x_i, x_j} = sum_k c_ijk x_k.
+    """
+    ring = coordinate_ring(L.dim)
+    units = [tuple(int(k == j) for k in range(L.dim)) for j in range(L.dim)]
+    table = rational_table(L)
+    entries = {pair: Polynomial(ring.vars, dict(zip(units, vec))) for pair, vec in table.items()}
+    return GradedVector(L.dim, ring, entries)
+
+
+def integral_form(form: GradedForm | GradedVector) -> tuple[int, GradedForm | GradedVector]:
+    """(D, D * form) for a polynomial form or multivector, D the lcm of its
+    coefficient denominators; the multiple has int coefficients."""
+    scale, ints = integer_multiple([c for p in form.terms.values() for c in p.terms.values()])
+    ints = iter(ints)
+    polys = {
+        I: Polynomial._trusted(p.vars, dict(zip(p.terms, ints)))
+        for I, p in form.terms.items()
+    }
+    return scale, form._trusted(form.dim, form.ring, polys)
+
+
+def fraction_spinor(pi: GradedVector) -> GradedForm:
+    """e^{i_pi} lambda for the standard volume lambda = dx_1 ... dx_m, from the
+    principal Pfaffians of pi: for J of even size 2k with complement I, the
+    coefficient of dx_I is sign(J I) Pf(pi_JJ), the `wedge_sign` of the masks
+    of J and I.  Each Pfaffian is expanded along min J, the lowest bit of J,
+    over the nonzero smaller ones, in integers for D pi (D the lcm of the
+    coefficient denominators); Pf(D pi_JJ) = D^k Pf(pi_JJ) is divided by
+    D^k at the end."""
+    if not (isinstance(pi, GradedVector) and isinstance(pi.ring, PolyRing)):
+        raise StructureError("spinor expects a GradedVector over a PolyRing")
+    if pi.dim != len(pi.ring.vars):
+        raise StructureError("spinor needs one ring variable per dimension")
+    if any(mask.bit_count() != 2 for mask in pi.terms):
+        raise DomainError("spinor expects a homogeneous degree-2 vector")
+    scale, integral = integral_form(pi)
+    # each pair a < b as the bits of a and b
+    entries = [(ab & -ab, ab & (ab - 1), list(p.terms.items())) for ab, p in integral.terms.items()]
+    level = pfaffians = {0: {(0,) * len(pi.ring.vars): 1}}
+    while level:
+        grown: dict[int, dict] = {}
+        for rest, pf in level.items():
+            for a, b, entry in entries:
+                if rest & ((a << 1) - 1 | b):  # a must lie below min J, b outside J
+                    continue
+                below = (rest & (b - 1)).bit_count()  # b sits at position 2 + below in J
+                acc = grown.setdefault(rest | a | b, {})
+                for e1, c1 in entry:
+                    c1 = -c1 if below & 1 else c1
+                    for e2, c2 in pf.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        level = {J: pf for J, acc in grown.items() if (pf := {e: c for e, c in acc.items() if c})}
+        pfaffians.update(level)
+    full, terms = (1 << pi.dim) - 1, {}
+    for J, pf in pfaffians.items():
+        sign, den = wedge_sign(J, full ^ J), scale ** (J.bit_count() // 2)
+        coeffs = {e: Fraction(sign * c, den) for e, c in pf.items()}
+        terms[full ^ J] = Polynomial._trusted(pi.ring.vars, coeffs)
+    return GradedForm._trusted(pi.dim, pi.ring, terms)
+
+
+def divided(form: GradedForm, scale: int) -> GradedForm:
+    """form / scale for an int-coefficient form, with Fraction coefficients:
+    the division the program ran on chart forms before it printed each
+    coefficient c / scale without building a Fraction."""
+    polys = {
+        mask: Polynomial._trusted(p.vars, {e: Fraction(c, scale) for e, c in p.terms.items()})
+        for mask, p in form.terms.items()
+    }
+    return form._trusted(form.dim, form.ring, polys)
+
+
+def fraction_killing_form(L: LieAlgebra) -> list[list[Fraction]]:
+    """B_ij = trace(ad_{b_i} ad_{b_j}), an exact symmetric matrix."""
+
+    def build():
+        ads = [L.ad_matrix(i) for i in range(1, L.dim + 1)]
+        n = range(L.dim)
+        return [[sum((x[a][b] * y[b][a] for a in n for b in n), Fraction(0)) for y in ads]
+                for x in ads]
+
+    return build()
+
+
+def fraction_jacobi_check(L: LieAlgebra) -> list[tuple[tuple[int, int, int], tuple[Fraction, ...]]]:
+    """All triples (i, j, k), i<j<k, whose cyclic double brackets fail to cancel.
+
+    Returns the nonzero defect vector [[b_i,b_j],b_k] + [[b_j,b_k],b_i]
+    + [[b_k,b_i],b_j] for each violating triple, in triple order; empty
+    means the table is a Lie algebra.  The defects are read off d o d, with
+    the differential the heights use: the coefficient of theta_ijk in
+    d(d theta_m) is the m-th entry of the defect of (i, j, k).
+    """
+    defects: dict[tuple[int, int, int], list[Fraction]] = {}
+    for m in range(L.dim):
+        theta = covector_form(L, [int(i == m) for i in range(L.dim)])
+        for triple, value in ce_differential(L, ce_differential(L, theta)).ordered_terms():
+            defects.setdefault(triple, [Fraction(0)] * L.dim)[m] = value
+    return [(triple, tuple(defect)) for triple, defect in sorted(defects.items())]
 
 
 def substitute(poly: Polynomial, images) -> Polynomial:
@@ -436,10 +558,12 @@ def perturbed_orders(L: LieAlgebra, w: GradedVector, chart: int, samples: int):
     """(order of pi, order of pi + w, whether both leading forms vanish at the
     same sampled divisor points) for the chart pullbacks of the spinors of
     the linear bivector pi of L and of its perturbation by w."""
-    pi = linear_poisson(L)
-    cf = blowup_pullback(spinor(pi), chart)
+    pi, scale = linear_poisson(L)
+    top = scale ** (L.dim // 2)
+    cf = blowup_pullback(spinor(pi, scale), chart, scale=top)
     order, lead = zeroed_leading_part(cf)
-    order_w, lead_w = zeroed_leading_part(blowup_pullback(spinor(pi + w), chart))
+    perturbed = spinor(pi + w.scale(scale), scale)
+    order_w, lead_w = zeroed_leading_part(blowup_pullback(perturbed, chart, scale=top))
     base, pert = (integer_terms(*part.values()) for part in (lead, lead_w))
     same = []
     for point in _divisor_points(cf, DEFAULT_SEED, samples):

@@ -53,7 +53,8 @@ def test_lift_zero_field():
 
 
 def test_so3_hamiltonian_lifts_match_displayed_frame():
-    pi = linear_poisson(so3())
+    pi, scale = linear_poisson(so3())
+    assert scale == 1
     bc = BlowupChart(pi.ring, 1)
     lifted = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in (1, 2, 3)]
     cr = bc.chart_ring
@@ -77,7 +78,7 @@ def test_so3_hamiltonian_lifts_match_displayed_frame():
 def test_lift_requires_vanishing_at_origin():
     ring = PolyRing(("x1", "x2"))
     with pytest.raises(DomainError):
-        BlowupChart(ring, 1).lift_vector_field([ring.one(), ring.zero()])
+        BlowupChart(ring, 1).lift_vector_field([ring.const(1), ring.zero()])
 
 
 def test_lift_defining_property_on_coordinates(rng):
@@ -188,7 +189,7 @@ def test_orbit_rank_crosscheck_rejects_bad_samples():
 def test_every_sampled_suite_rejects_a_non_positive_sample_count():
     """The spinor route's divisor search rejects 0 and -1 as the per-sample
     suites do, instead of skipping the search or failing inside islice."""
-    cf = blowup_pullback(spinor(linear_poisson(sl2())), 1)
+    cf = blowup_pullback(spinor(*linear_poisson(sl2())), 1)
     for samples in (0, -1):
         for run in (
             lambda: vanishing_order(cf, samples=samples),

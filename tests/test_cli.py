@@ -494,3 +494,54 @@ def test_env_seed_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 99
     monkeypatch.setenv("BLOWUPLAB_SEED", "notanint")
     assert run(capsys, "analyze", "--catalog", "so3")[0] == 64
+
+
+@pytest.mark.parametrize(
+    ("command", "option", "value"),
+    [
+        ("analyze", "--samples", "1_0"),
+        ("analyze", "--samples", "١_٠"),
+        ("analyze", "--seed", "٧"),
+        ("spinor", "--chart", "٢"),
+    ],
+)
+def test_command_line_integers_are_ascii_digits(capsys, command, option, value):
+    """An optional "-" and the digits 0-9, as in documents and --f: int()
+    would also read underscores and every Unicode decimal digit."""
+    expected = f"usage error: argument {option}: invalid integer value: {value!r}\n"
+    assert run(capsys, command, "--catalog", "so3", option, value) == (64, "", expected)
+
+
+def test_the_catalog_filter_dimension_is_ascii_digits(capsys):
+    expected = "usage error: --filter dim= expects an integer\n"
+    assert run(capsys, "catalog", "--filter", "dim=٣") == (64, "", expected)
+
+
+def test_the_seed_variable_is_ascii_digits(capsys, monkeypatch):
+    monkeypatch.setenv("BLOWUPLAB_SEED", "1_0")
+    code, out, err = run(capsys, "analyze", "--catalog", "so3", "--samples", "5")
+    assert (code, out) == (64, "")
+    assert err == "usage error: BLOWUPLAB_SEED must be an integer, got '1_0'\n"
+
+
+def test_jacobi_defects_of_a_rational_document_are_the_stated_rationals(capsys, tmp_path):
+    """The Jacobi check runs on the integer table D c, and only a failing
+    triple's defect is divided by D^2: the defects printed are those of the
+    constants as written."""
+    path = tmp_path / "broken.alg"
+    path.write_text(
+        "schema_version: 1\nname: broken\ndimension: 4\n"
+        "bracket: 1 2 3 1/2\nbracket: 2 3 2 2/3\nbracket: 1 3 2 -3/4\n"
+        "bracket: 1 4 4 5/6\nbracket: 2 4 1 -7/9\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid algebra: Jacobi identity fails on triples: "
+        "(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)\n"
+        "  triple (1, 2, 3): defect ('0', '0', '-1/3', '0')\n"
+        "  triple (1, 2, 4): defect ('-35/54', '0', '0', '0')\n"
+        "  triple (1, 3, 4): defect ('7/12', '0', '0', '0')\n"
+        "  triple (2, 3, 4): defect ('-14/27', '-7/12', '0', '0')\n"
+    )

@@ -29,9 +29,13 @@ compiled table per chart; they are checked against the integer d x of
 bucketing of `tests/reference.py`, on the same seeded conjugates and on
 random vanishing vector fields.
 A blowup chart pulls back one integer multiple of a form over one scale,
-which `ChartForm.form`, rendering and the certificate's leading form divide
-once; that path is checked against `BlowupChart.pull_form` on the rational
-form, on random forms over partial blowups and on seeded conjugates' spinors.
+which rendering prints as c / scale and `ChartForm.form` divides; that path
+is checked against `BlowupChart.pull_form` on the rational form, on random
+forms over partial blowups and on seeded conjugates' spinors.
+An algebra keeps one integer table D c: its spinor over D^(dim // 2), its
+Killing matrix D^2 B, its Jacobi defects and its lifted fields D times those
+of pi are checked against the Fraction paths of `tests/reference.py`, on
+random rational tables and seeded conjugates.
 The real-root kernel behind the constructed height witnesses (gcd,
 square-free part, Sturm counts, isolating intervals, the rational-root test)
 is checked against sympy's polynomial arithmetic and real roots.
@@ -70,6 +74,7 @@ from blowuplab import (
     heis3,
     height,
     jacobi_check,
+    killing_form,
     linear_poisson,
     scaled_so3_bundle,
     sl2,
@@ -81,9 +86,10 @@ from blowuplab import realroots
 from blowuplab.charts import BlowupChart, integer_terms, nonzero_at, preferred_chart
 from blowuplab.exterior import _indices_mask, index_bit, mask_indices, wedge_sign
 from blowuplab.liealg import _checked_height, _wedge_chain, height_report
-from blowuplab.linalg import integer_multiple, primitive, rank, rank_and_membership, rref_basis
+from blowuplab.linalg import in_row_space, integer_multiple, integer_rows, primitive, rank
+from blowuplab.linalg import rank_and_membership, rref_basis
 from blowuplab.model_io import MAX_DIM, SCALED_SO3_BLOWN
-from blowuplab.poisson_spinor import _line_table, _order_on_line, differential_names
+from blowuplab.poisson_spinor import _by_order, _line_table, _order_on_line
 from blowuplab.poisson_spinor import shared_pullback
 from blowuplab.sampling import covector_stream, dual_basis, pairwise_combinations
 from conftest import as_lie, gen, seeded_conjugate, seeded_matrix
@@ -93,6 +99,8 @@ from reference import polynomial_lift, rational_chains, reference_jacobi_check, 
 from reference import _merge_sign, _sort_indices, shift_down, substitute, volume_form
 from reference import evaluate, reference_leading_form, reference_line_table
 from reference import reference_order_on_line, reference_rref_basis, zeroed_leading_part
+from reference import divided, fraction_jacobi_check, fraction_killing_form
+from reference import fraction_linear_poisson, fraction_spinor, integral_form
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -323,12 +331,14 @@ def test_integer_and_rational_rank_agree_with_sympy(data):
         return sympy.Matrix(len(rows), n, [x for row in rows for x in row]).rank()
 
     expected = sympy_rank(matrix)
-    assert rank(matrix) == expected
+    assert rank(integer_rows(matrix)) == expected
     scale = data.draw(st.integers(1, 30)) * lcm(*(x.denominator for row in matrix for x in row))
     assert rank([[int(x * scale) for x in row] for row in matrix]) == expected
     member = sympy_rank(matrix + [vector]) == expected
     event(f"member={member}")
-    assert rank_and_membership(matrix, vector) == (expected, member)
+    cleared = integer_multiple(vector)[1]
+    assert rank_and_membership(integer_rows(matrix), cleared) == (expected, member)
+    assert in_row_space(matrix, vector) == member
 
 
 @settings(SETTINGS, max_examples=200)
@@ -511,9 +521,34 @@ def skew_bivectors(draw):
 @settings(SETTINGS, max_examples=100)
 @given(pi=skew_bivectors())
 def test_pfaffian_spinor_matches_exp_interior(pi):
+    """The spinor of the integer multiple of pi, over its one scale."""
     event(f"dimension {pi.dim}")
     names = tuple("d" + v for v in pi.ring.vars)
-    _same_form(spinor(pi), exp_interior(pi, volume_form(pi.ring)), names)
+    scale, integral = integral_form(pi)
+    phi, top = spinor(integral, scale), scale ** (pi.dim // 2)
+    assert all(type(c) is int for poly in phi.terms.values() for c in poly.terms.values())
+    want = exp_interior(pi, volume_form(pi.ring))
+    assert phi.render(names, top) == want.render(names)
+    _same_form(divided(phi, top), want, names)
+
+
+def test_packed_pfaffian_exponents_do_not_carry():
+    """`spinor` adds exponent tuples packed into ints of just enough bits for
+    m // 2 times an entry's largest exponent: here x1^64 * x1^64 reaches that
+    bound, next to small exponents in the other variables."""
+    ring = PolyRing(("x1", "x2", "x3", "x4", "x5"))
+    entries = {
+        (1, 2): {(0, 0, 63, 0, 0): 1, (0, 0, 0, 1, 0): 1},
+        (3, 4): {(0, 0, 63, 0, 2): 1, (1, 0, 0, 0, 0): -2},
+        (1, 3): {(0, 31, 0, 0, 1): 1},
+        (2, 4): {(0, 32, 0, 0, 0): 3, (0, 0, 0, 0, 63): 1},
+        (1, 4): {(64, 0, 0, 0, 0): 1},
+        (2, 3): {(64, 0, 0, 0, 0): -1, (0, 0, 0, 5, 0): 1},
+        (4, 5): {(0, 1, 0, 0, 0): Fraction(1, 2)},
+    }
+    pi = GradedVector(5, ring, {pair: Polynomial(ring.vars, t) for pair, t in entries.items()})
+    names = tuple("d" + v for v in ring.vars)
+    _same_form(divided(spinor(pi), 1), exp_interior(pi, volume_form(ring)), names)
 
 
 @st.composite
@@ -635,14 +670,15 @@ def test_line_restriction_matches_substitution(data, m):
         assert line_order(cf, xi) == min(poly.valuation(1) for poly in line.terms.values())
 
 
-def _assert_same_chart_paths(form: GradedForm, blown, lines=()):
-    """The integer chart path (`blowup_pullback`: one integer multiple over
-    one scale, divided once) against the rational one (`BlowupChart.pull_form`
-    on the rational form, held at scale 1): the same exact form in the same
-    key order, the same rendered bytes, the same certificate and the same
-    order on each line whose direction lies in the chart."""
+def _assert_same_chart_paths(form: GradedForm, integral: GradedForm, scale: int, blown, lines=()):
+    """The integer chart path (`blowup_pullback` of the integer multiple
+    `integral` of the rational form, over one scale) against the rational
+    one (`BlowupChart.pull_form` on the rational form, held at scale 1): the
+    same exact form in the same key order, the same rendered bytes, the same
+    certificate and the same order on each line whose direction lies in the
+    chart."""
     for chart in blown:
-        got = blowup_pullback(form, chart, blown)
+        got = blowup_pullback(integral, chart, blown, scale)
         want = ChartForm(BlowupChart(form.ring, chart, blown).pull_form(form), chart)
         ints = [c for p in got.integer_form.terms.values() for c in p.terms.values()]
         assert all(type(c) is int for c in ints)
@@ -656,9 +692,8 @@ def _assert_same_chart_paths(form: GradedForm, blown, lines=()):
         event(f"status {a.status}")
         assert (a.chart, a.order, a.status) == (b.chart, b.order, b.status)
         assert a.certificate == b.certificate and a.witness_point == b.witness_point
-        assert a.leading == b.leading
-        names = differential_names(a.leading.ring)
-        assert a.leading.render(names) == b.leading.render(names)
+        assert a.leading.form == b.leading.form
+        assert a.leading.render() == b.leading.render()
         for xi in lines:
             if not xi[chart - 1]:
                 continue
@@ -684,7 +719,8 @@ def test_integer_chart_path_matches_the_rational_pullback(data, setup):
     lines = ()
     if blown == tuple(range(1, m + 1)):
         lines = data.draw(st.lists(st.lists(rationals, min_size=m, max_size=m), max_size=4))
-    _assert_same_chart_paths(form, blown, lines)
+    scale, integral = integral_form(form)
+    _assert_same_chart_paths(form, integral, scale, blown, lines)
 
 
 @settings(SETTINGS, max_examples=30)
@@ -693,11 +729,13 @@ def test_integer_chart_path_matches_the_rational_pullback(data, setup):
 )
 def test_integer_chart_path_matches_the_rational_pullback_on_seeded_conjugates(L, seed):
     L = seeded_conjugate(L, seed)
-    phi = spinor(linear_poisson(L))
+    phi = fraction_spinor(fraction_linear_poisson(L))
     denominators = {c.denominator for p in phi.terms.values() for c in p.terms.values()}
     event(f"spinor scale above 1: {denominators != {1}}")
     lines = list(itertools.islice(covector_stream(L.dim, seed), 12))
-    _assert_same_chart_paths(phi, tuple(range(1, L.dim + 1)), lines)
+    pi, scale = linear_poisson(L)
+    integral, scale = spinor(pi, scale), scale ** (L.dim // 2)
+    _assert_same_chart_paths(phi, integral, scale, tuple(range(1, L.dim + 1)), lines)
 
 
 @SETTINGS
@@ -962,10 +1000,10 @@ def test_line_order_table_matches_the_bucketed_reference(data, case):
         except DomainError:
             event("restriction vanishes")
             with pytest.raises(DomainError):
-                _order_on_line(_line_table(cf), x, chart)
+                _order_on_line(_line_table(_by_order(cf)), x, chart)
         else:
             event(f"{L.name} order={expected}")
-            assert _order_on_line(_line_table(cf), x, chart) == expected
+            assert _order_on_line(_line_table(_by_order(cf)), x, chart) == expected
 
 
 @st.composite
@@ -977,19 +1015,20 @@ def chart_forms(draw):
     if draw(st.booleans()):
         f = draw(st.sampled_from(["0", "1", "y1", "y1*y2 - 2", "(y1-y2)^2+1", "1/3*y1^2 - y2"]))
         event("bundle")
-        form = spinor(scaled_so3_bundle(f))
-        ring, blown = form.ring, SCALED_SO3_BLOWN
+        pi, scale = scaled_so3_bundle(f)
+        integral, scale = spinor(pi, scale), scale ** (pi.dim // 2)
+        ring, blown = pi.ring, SCALED_SO3_BLOWN
     else:
         ring, blown, form = draw(blowup_setups())
-        form = form.scale(Fraction(1, draw(st.integers(1, 7))))
+        scale, integral = integral_form(form.scale(Fraction(1, draw(st.integers(1, 7)))))
     chart = draw(st.sampled_from(blown))
     if draw(st.booleans()):
         event("integer chart form")
-        cf = blowup_pullback(form, chart, blown)
+        cf = blowup_pullback(integral, chart, blown, scale)
     else:
         event("rational chart form")
         bc = BlowupChart(ring, chart, blown)
-        cf = ChartForm(bc.pull_form(form), chart)
+        cf = ChartForm(bc.pull_form(divided(integral, scale)), chart)
     event(f"partial blowup: {len(blown) < len(ring.vars)}")
     assume(not cf.integer_form.is_zero())
     return cf
@@ -1010,7 +1049,8 @@ def test_one_grouping_by_u_exponent_gives_the_old_leading_form_and_line_orders(d
     assert GradedForm._trusted(cf.integer_form.dim, cf.ring, polys) == lead
     assert list(polys) == list(lead.terms)
     cert = vanishing_order(cf, samples=20)
-    assert cert.order == order and cert.leading == lead.scale(Fraction(1, cf.scale))
+    assert cert.order == order and cert.leading.form == lead.scale(Fraction(1, cf.scale))
+    assert (cert.leading.integer_form, cert.leading.scale) == (lead, cf.scale)
     event(f"status {cert.status}")
     if cert.status == "falsified":
         assert not any(evaluate(poly, cert.witness_point) for poly in lead.terms.values())
@@ -1024,7 +1064,7 @@ def test_one_grouping_by_u_exponent_gives_the_old_leading_form_and_line_orders(d
         event(f"leading form nonzero at the point: {nonzero}")
         assert nonzero_at(compiled, nums, q) == nonzero
 
-    table, old_table = _line_table(cf), reference_line_table(cf)
+    table, old_table = _line_table(_by_order(cf)), reference_line_table(cf)
     for _ in range(3):
         x = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
         x[cf.chart - 1] = x[cf.chart - 1] or 1
@@ -1056,7 +1096,7 @@ def test_term_lift_matches_the_polynomial_lift_on_hamiltonian_fields(name, seed)
     """Lifting on term dicts gives the polynomials that `Polynomial`
     arithmetic gives, for every Hamiltonian field of dx_i in every chart."""
     L = kernel_conjugate(name, seed)[0]
-    pi = linear_poisson(L)
+    pi, _ = linear_poisson(L)
     for chart in range(1, L.dim + 1):
         bc = BlowupChart(pi.ring, chart)
         for i in range(1, L.dim + 1):
@@ -1095,3 +1135,80 @@ def test_term_lift_matches_the_polynomial_lift_on_vanishing_fields(case):
     assert [str(p) for p in got] == [str(p) for p in want]
     for poly in got:
         _polynomial_canonical(poly)
+
+
+# -- one integer table against the Fraction paths it replaced -------------------------
+
+
+@st.composite
+def rational_tables(draw):
+    """A bracket table of dimension 2-5 with a few rational constants p/q,
+    q <= 6; Jacobi may fail."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    vectors = st.dictionaries(st.integers(1, n), nonzero_rationals, min_size=1, max_size=2)
+    return LieAlgebra(n, draw(st.dictionaries(st.sampled_from(pairs), vectors, max_size=4)))
+
+
+# random rational tables, and the seeded conjugates of the kernel bases
+integer_table_algebras = rational_tables() | st.builds(
+    lambda name, seed: kernel_conjugate(name, seed)[0],
+    st.sampled_from(list(KERNEL_BASES)),
+    st.integers(1, 3),
+)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(L=integer_table_algebras)
+def test_the_integer_spinor_over_its_scale_is_the_fraction_spinor(L):
+    """`linear_poisson` is D pi in ints and D; `spinor` lifts every Pfaffian
+    level to D^(dim // 2), and over that scale each coefficient is the one
+    the Fraction spinor divided per term."""
+    event(f"scale above 1: {L._scale > 1}")
+    pi, scale = linear_poisson(L)
+    reference = fraction_linear_poisson(L)
+    assert all(type(c) is int for p in pi.terms.values() for c in p.terms.values())
+    assert divided(pi, scale) == reference
+    phi, top = spinor(pi, scale), scale ** (L.dim // 2)
+    want = fraction_spinor(reference)
+    assert phi.terms.keys() == want.terms.keys()
+    for mask, poly in want.terms.items():
+        got = phi.terms[mask].terms
+        assert all(type(c) is int for c in got.values())
+        assert {e: Fraction(c, top) for e, c in got.items()} == poly.terms
+    names = tuple("d" + v for v in pi.ring.vars)
+    assert phi.render(names, top) == want.render(names)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(L=integer_table_algebras)
+def test_the_killing_matrix_is_d_squared_times_the_fraction_killing_form(L):
+    want = fraction_killing_form(L)
+    square = L._scale**2
+    got = killing_form(L, scaled=True)
+    assert all(type(v) is int for row in got for v in row)
+    assert got == [[square * v for v in row] for row in want]
+    assert killing_form(L) == want
+
+
+@settings(SETTINGS, max_examples=80)
+@given(L=integer_table_algebras)
+def test_the_jacobi_defects_of_the_integer_table_are_the_fraction_defects(L):
+    want = fraction_jacobi_check(L)
+    event(f"violations: {bool(want)}")
+    assert jacobi_check(L) == want
+
+
+@settings(SETTINGS, max_examples=40)
+@given(L=integer_table_algebras)
+def test_lifted_fields_of_the_integer_bivector_are_d_times_the_fraction_lifts(L):
+    """Route 3 lifts the Hamiltonian fields of D pi: each lift is the lift
+    for pi, in `Polynomial` arithmetic, times the positive scale D."""
+    pi, scale = linear_poisson(L)
+    reference = fraction_linear_poisson(L)
+    for chart in range(1, L.dim + 1):
+        bc = BlowupChart(pi.ring, chart)
+        for i in range(1, L.dim + 1):
+            got = bc.lift_vector_field(hamiltonian_field(pi, i))
+            want = polynomial_lift(bc, hamiltonian_field(reference, i))
+            assert got == tuple(poly * scale for poly in want)

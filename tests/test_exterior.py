@@ -141,7 +141,7 @@ def test_polynomial_coefficient_closure(rng):
     b = GradedForm(2, ring, {(): ring.parse("3*x1*x2")})
     out = a.wedge(b) + a.scale(Fraction(1, 2))
     assert all(type(c).__name__ == "Polynomial" for c in out.terms.values())
-    v = GradedVector(2, ring, {(1,): ring.one()})
+    v = GradedVector(2, ring, {(1,): ring.const(1)})
     assert interior(v, a) == GradedForm(2, ring, {(): ring.parse("x1")})
 
 

@@ -2,12 +2,16 @@
 
 Outside it, `.denominator` is read only to evaluate at a rational point
 (`realroots._scaled_value`) and to print a rational
-(`rings.format_rational`), and no module keeps its own `_primitive`.
+(`rings.format_rational`), and no module keeps its own `_primitive`.  The
+structure constants are kept as one integer table over one scale, so the
+spinor command runs from the bivector to the printed chart forms without a
+Fraction.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import blowuplab
@@ -50,3 +54,45 @@ def test_no_module_defines_or_imports_a_private_primitive():
         or isinstance(node, ast.ImportFrom) and any(a.name == "_primitive" for a in node.names)
     ]
     assert found == []
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_the_spinor_command_builds_no_fraction_from_spinor_to_print(capsys):
+    """On a document with rational constants, `spinor` runs in ints on the
+    integer bivector, `blowup_pullback` pulls its int coefficients back and
+    the chart forms print each coefficient c / scale with one gcd: no
+    Fraction is built while any of them runs."""
+    from fractions import Fraction
+
+    from blowuplab import poisson_spinor
+    from blowuplab.cli import main
+
+    kernels = (poisson_spinor.spinor, poisson_spinor.blowup_pullback, poisson_spinor.ChartForm.render)
+    guarded = {fn.__code__: fn.__name__ for fn in kernels}
+    counts = dict.fromkeys(guarded.values(), 0)
+    built = []
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in guarded:
+            counts[guarded[frame.f_code]] += 1
+        elif frame.f_code is Fraction.__new__.__code__:
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in guarded:
+                caller = caller.f_back
+            if caller is not None:
+                built.append(guarded[caller.f_code])
+
+    argv = ["spinor", "--input", str(GOLDEN / "so3_conjugate.alg"), "--format", "machine"]
+    sys.setprofile(hook)
+    try:
+        code = main(argv + ["--seed", "1729", "--samples", "20"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "spinor_so3_conjugate.json").read_text("utf-8")
+    assert all(counts.values()), counts
+    assert built == []

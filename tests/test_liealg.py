@@ -35,7 +35,7 @@ from blowuplab import (
 from blowuplab.sampling import covector_stream
 
 from conftest import nonzero_rational
-from reference import reference_jacobi_check, term
+from reference import rational_table, reference_jacobi_check, term
 
 
 def theta(dim, *indices):
@@ -81,14 +81,20 @@ def test_exact_values_accepted():
     """ints and Fractions give the same algebra, brackets and basis change."""
     ints = LieAlgebra(3, {(1, 2): {3: 2}, (2, 3): {1: -1}})
     fracs = LieAlgebra(3, {(1, 2): {3: Fraction(4, 2)}, (2, 3): {1: Fraction(-1)}})
-    assert ints._pairs == fracs._pairs == {(1, 2): (0, 0, 2), (2, 3): (-1, 0, 0)}
-    assert all(type(v) is Fraction for vec in ints._pairs.values() for v in vec)
+    table = {(1, 2): (0, 0, 2), (2, 3): (-1, 0, 0)}
+    assert (ints._table, ints._scale) == (fracs._table, fracs._scale) == (table, 1)
+    assert all(type(v) is int for vec in fracs._table.values() for v in vec)
+    # rational constants are kept as their multiple by the common denominator
+    halves = LieAlgebra(3, {(1, 2): {3: Fraction(1, 2)}, (2, 3): {1: Fraction(-1, 3)}})
+    assert (halves._table, halves._scale) == ({(1, 2): (0, 0, 3), (2, 3): (-2, 0, 0)}, 6)
+    assert halves.bracket_basis(3, 2) == [Fraction(1, 3), 0, 0]
     L = so3()
     assert L.bracket([1, 0, 0], [0, 1, 0]) == [0, 0, 1]
     assert L.bracket([Fraction(1), 0, 0], [0, Fraction(1, 1), 0]) == [0, 0, 1]
     matrix = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
     exact = [[Fraction(v) for v in row] for row in matrix]
-    assert change_basis(L, matrix)._pairs == change_basis(L, exact)._pairs
+    by_ints, by_fractions = change_basis(L, matrix), change_basis(L, exact)
+    assert (by_ints._table, by_ints._scale) == (by_fractions._table, by_fractions._scale)
     assert change_basis(L, matrix).bracket_basis(1, 2) == [0, 0, Fraction(1, 2)]
     assert height(L, [1, 2, 0]) == height(L, [Fraction(1), Fraction(4, 2), 0]) == 1
 
@@ -157,7 +163,7 @@ def test_generic_sl2_covector_matches_cone_polynomial():
 
 
 def _random_table_perturbation(rng, base: LieAlgebra) -> LieAlgebra:
-    table = {pair: dict(enumerate(vec, start=1)) for pair, vec in base._pairs.items()}
+    table = {pair: dict(enumerate(vec, start=1)) for pair, vec in rational_table(base).items()}
     i = rng.randint(1, base.dim - 1)
     j = rng.randint(i + 1, base.dim)
     k = rng.randint(1, base.dim)

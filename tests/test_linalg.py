@@ -15,6 +15,7 @@ from blowuplab import killing_form, sl2, so3
 from blowuplab.linalg import (
     in_row_space,
     integer_multiple,
+    integer_rows,
     inverse,
     is_negative_definite,
     primitive,
@@ -46,7 +47,7 @@ def test_rank_matches_sympy(rng):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols, singularish=trial % 3 == 0)
-        assert rank(m) == _sympy_matrix(m).rank()
+        assert rank(integer_rows(m)) == _sympy_matrix(m).rank()
 
 
 def _random_symmetric(rng, n, trial):
@@ -72,29 +73,30 @@ def test_negative_definite_matches_sympy(rng):
     for trial in range(240):
         m = _random_symmetric(rng, rng.randint(1, 5), trial)
         expected = _sympy_matrix(m).is_negative_definite
-        assert is_negative_definite(m) == expected
+        assert is_negative_definite(integer_rows(m)) == expected
         outcomes.append(expected)
     assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
     # leading minors 0, 0, 0, 36: the elimination swaps rows twice and its
     # pivots alternate in sign, so only "no swap" rejects it
     m = [[0, 0, -2, 2], [0, 0, -3, 0], [-2, -3, 2, -2], [2, 0, -2, 2]]
     assert [det([row[:k] for row in m[:k]]) for k in range(1, 5)] == [0, 0, 0, 36]
-    assert not is_negative_definite([[Fraction(x) for x in row] for row in m])
+    assert not is_negative_definite(m)
 
 
 def test_leading_minors_and_definiteness():
     b_so3 = killing_form(so3())
     minors = [det([row[:k] for row in b_so3[:k]]) for k in range(1, 4)]
     assert minors == [Fraction(-2), Fraction(4), Fraction(-8)]
-    assert is_negative_definite(b_so3)
-    assert not is_negative_definite(killing_form(sl2()))
+    assert killing_form(so3(), scaled=True) == b_so3
+    assert is_negative_definite(killing_form(so3(), scaled=True))
+    assert not is_negative_definite(killing_form(sl2(), scaled=True))
 
 
 def test_rref_basis_spans_and_reduces(rng):
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         basis = rref_basis(m)
-        assert len(basis) == rank(m)
+        assert len(basis) == rank(integer_rows(m))
         for row in m:
             assert in_row_space(basis, row)
         for row in basis:

@@ -128,7 +128,7 @@ def test_round_trip_catalog():
         back = parse_algebra(text)
         assert back.dim == L.dim
         assert back.name == L.name
-        assert back._pairs == L._pairs
+        assert (back._table, back._scale) == (L._table, L._scale)
 
 
 def test_round_trip_preserves_metadata():
@@ -175,10 +175,15 @@ def test_catalog_algebra_resolution():
 
 
 def test_scaled_bundle_parses_f():
-    pi = scaled_so3_bundle("y1^2 - 1")
+    pi, scale = scaled_so3_bundle("y1^2 - 1")
     ring = pi.ring
+    assert scale == 1
     assert pi.coefficient((1, 2)) == ring.parse("(y1^2 - 1)*x3")
     assert pi.coefficient((3, 1)) == ring.parse("(y1^2 - 1)*x2")
+    # a rational f gives D f in ints and the lcm D of its denominators
+    pi, scale = scaled_so3_bundle("1/2*y1 + 1/3")
+    assert scale == 6
+    assert pi.coefficient((2, 3)) == ring.parse("(3*y1 + 2)*x1")
 
 
 def _analysis(L, samples=20, seed=1729):

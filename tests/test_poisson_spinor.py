@@ -42,16 +42,17 @@ from reference import diff, evaluate, line_order, perturbed_orders, volume_form
 
 
 def test_linear_poisson_fixtures():
-    assert linear_poisson(abelian(4)).is_zero()
+    assert linear_poisson(abelian(4))[0].is_zero()
 
-    pi = linear_poisson(so3())
+    pi, scale = linear_poisson(so3())
+    assert scale == 1
     ring = pi.ring
     assert isinstance(pi, GradedVector) and {len(i) for i, _ in pi.ordered_terms()} == {2}
     assert pi.coefficient((1, 2)) == ring.parse("x3")
     assert pi.coefficient((2, 3)) == ring.parse("x1")
     assert pi.coefficient((3, 1)) == ring.parse("x2")
 
-    pi_h = linear_poisson(heis3())
+    pi_h = linear_poisson(heis3())[0]
     assert pi_h.ordered_terms() == [((1, 2), pi_h.ring.parse("x3"))]
 
 
@@ -65,7 +66,7 @@ def _poisson_bracket(pi: GradedVector, f, g):
 
 def test_linear_poisson_reproduces_bracket():
     for L in (so3(), sl2(), heis3(), diagonal_affine(3)):
-        pi = linear_poisson(L)
+        pi, scale = linear_poisson(L)
         ring = pi.ring
         for i in range(1, L.dim + 1):
             for j in range(1, L.dim + 1):
@@ -74,16 +75,16 @@ def test_linear_poisson_reproduces_bracket():
                     if value:
                         expected = expected + ring.variable(k) * value
                 got = _poisson_bracket(pi, ring.variable(i), ring.variable(j))
-                assert got == expected
+                assert got == expected * scale
 
 
 # -- spinor ------------------------------------------------------------------------
 
 
 def test_spinor_fixtures():
-    pi = linear_poisson(so3())
+    pi, scale = linear_poisson(so3())
     ring = pi.ring
-    phi = spinor(pi)
+    phi = spinor(pi, scale)
     expected = GradedForm(
         3,
         ring,
@@ -96,11 +97,11 @@ def test_spinor_fixtures():
     )
     assert phi == expected
 
-    assert spinor(linear_poisson(abelian(3))) == volume_form(
-        linear_poisson(abelian(3)).ring
+    assert spinor(*linear_poisson(abelian(3))) == volume_form(
+        linear_poisson(abelian(3))[0].ring
     )
 
-    pi_h = linear_poisson(heis3())
+    pi_h = linear_poisson(heis3())[0]
     phi_h = spinor(pi_h)
     assert phi_h == GradedForm(
         3, pi_h.ring, {(1, 2, 3): 1, (3,): pi_h.ring.parse("x3")}
@@ -108,7 +109,7 @@ def test_spinor_fixtures():
 
 
 def test_spinor_rejects_non_bivector():
-    ring = linear_poisson(so3()).ring
+    ring = linear_poisson(so3())[0].ring
     mixed = GradedVector(3, ring, {(1, 2): ring.parse("x3"), (1,): ring.parse("x1")})
     with pytest.raises(DomainError):
         spinor(mixed)
@@ -136,7 +137,7 @@ def test_pullback_of_coordinate_one_form():
 
 
 def test_pullback_so3_spinor_chart1_exact():
-    phi = spinor(linear_poisson(so3()))
+    phi = spinor(*linear_poisson(so3()))
     cf = blowup_pullback(phi, 1)
     cr = cf.ring
     expected = GradedForm(
@@ -153,7 +154,7 @@ def test_pullback_so3_spinor_chart1_exact():
 
 
 def test_pullback_every_so3_chart_is_symmetric():
-    phi = spinor(linear_poisson(so3()))
+    phi = spinor(*linear_poisson(so3()))
     for chart in (1, 2, 3):
         cf = blowup_pullback(phi, chart)
         cr = cf.ring
@@ -207,7 +208,7 @@ def test_pullback_chart_out_of_range():
 
 
 def test_vanishing_order_so3_every_chart():
-    phi = spinor(linear_poisson(so3()))
+    phi = spinor(*linear_poisson(so3()))
     for chart in (1, 2, 3):
         cert = vanishing_order(blowup_pullback(phi, chart))
         assert cert.order == 1
@@ -216,15 +217,15 @@ def test_vanishing_order_so3_every_chart():
         others = [j for j in (1, 2, 3) if j != chart]
         ones = " + ".join(f"x~{j}^2" for j in others)
         expected = GradedForm(3, cr, {(chart,): cr.parse(f"1 + {ones}")})
-        assert cert.leading == expected
+        assert cert.leading.form == expected
 
 
 def test_vanishing_order_abelian_volume():
-    phi = spinor(linear_poisson(abelian(3)))
+    phi = spinor(*linear_poisson(abelian(3)))
     cert = vanishing_order(blowup_pullback(phi, 1))
     assert cert.order == 2
     assert cert.status == "certified"
-    assert cert.leading == GradedForm(3, cert.leading.ring, {(1, 2, 3): 1})
+    assert cert.leading.form == GradedForm(3, cert.leading.ring, {(1, 2, 3): 1})
 
 
 def test_certificate_names_the_first_coefficient_in_print_order():
@@ -256,20 +257,20 @@ def test_vanishing_order_transverse_note():
 
 def test_bundle_constant_scaling_orders():
     # f = 1: order one, certified; not the top order, so Dirac-only
-    phi = spinor(scaled_so3_bundle("1"))
+    phi = spinor(*scaled_so3_bundle("1"))
     for chart in SCALED_SO3_BLOWN:
         cert = vanishing_order(blowup_pullback(phi, chart, SCALED_SO3_BLOWN))
         assert (cert.order, cert.status) == (1, "certified")
 
     # f = 0: the bivector vanishes, order is codim - 1 = 2 everywhere
-    phi0 = spinor(scaled_so3_bundle("0"))
+    phi0 = spinor(*scaled_so3_bundle("0"))
     for chart in SCALED_SO3_BLOWN:
         cert = vanishing_order(blowup_pullback(phi0, chart, SCALED_SO3_BLOWN))
         assert (cert.order, cert.status) == (2, "certified")
 
 
 def test_bundle_vanishing_scaling_is_falsified():
-    phi = spinor(scaled_so3_bundle("y1"))
+    phi = spinor(*scaled_so3_bundle("y1"))
     cert = vanishing_order(blowup_pullback(phi, 1, SCALED_SO3_BLOWN))
     assert cert.order == 1
     assert cert.status == "falsified"
@@ -281,12 +282,12 @@ def test_bundle_vanishing_scaling_is_falsified():
     assert names.index("y1") == 3
     assert point[3] == 0
     # every leading coefficient vanishes there, exactly
-    for poly in cert.leading.terms.values():
+    for poly in cert.leading.form.terms.values():
         assert evaluate(poly, point) == 0
 
 
 def test_bundle_pullback_matches_displayed_formula():
-    phi = spinor(scaled_so3_bundle("y1"))
+    phi = spinor(*scaled_so3_bundle("y1"))
     cf = blowup_pullback(phi, 1, SCALED_SO3_BLOWN)
     cr = cf.ring
     expected = GradedForm(
@@ -304,7 +305,7 @@ def test_bundle_pullback_matches_displayed_formula():
 
 def test_bundle_base_blowup_lifts_as_poisson():
     # blowing up the fibre over the base origin: constant order codim - 1 = 1
-    phi = spinor(scaled_so3_bundle("y1"))
+    phi = spinor(*scaled_so3_bundle("y1"))
     for chart in (4, 5):
         cert = vanishing_order(blowup_pullback(phi, chart, (4, 5)))
         assert (cert.order, cert.status) == (1, "certified")
@@ -315,31 +316,31 @@ def test_bundle_base_blowup_lifts_as_poisson():
 
 def test_restrict_to_line_so3():
     # on the line (1, 0, 0) chart 1's spinor restricts to t dx1 + t^2 dx123
-    cf = blowup_pullback(spinor(linear_poisson(so3())), 1)
+    cf = blowup_pullback(spinor(*linear_poisson(so3())), 1)
     assert line_order(cf, (1, 0, 0)) == 1  # = dim - 1 - height = 3 - 1 - 1
     assert line_order(cf, (Fraction(-2, 3), 5, 7)) == 1
 
 
 def test_restrict_to_line_abelian():
     for m in (1, 2, 4):
-        cf = blowup_pullback(spinor(linear_poisson(abelian(m))), 1)
+        cf = blowup_pullback(spinor(*linear_poisson(abelian(m))), 1)
         xi = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(m))
         assert line_order(cf, xi) == m - 1
 
 
 def test_restrict_to_line_heis3():
-    phi = spinor(linear_poisson(heis3()))
+    phi = spinor(*linear_poisson(heis3()))
     assert line_order(blowup_pullback(phi, 1), (1, 0, 0)) == 2  # height 0
     assert line_order(blowup_pullback(phi, 3), (0, 0, 1)) == 1  # height 1
 
 
 def test_restrict_to_line_wrong_chart():
-    cf = blowup_pullback(spinor(linear_poisson(so3())), 1)
+    cf = blowup_pullback(spinor(*linear_poisson(so3())), 1)
     with pytest.raises(DomainError):
         line_order(cf, (0, 1, 0))
     with pytest.raises(StructureError):
         line_order(cf, (1, 0))
-    partial = blowup_pullback(spinor(scaled_so3_bundle("1")), 1, SCALED_SO3_BLOWN)
+    partial = blowup_pullback(spinor(*scaled_so3_bundle("1")), 1, SCALED_SO3_BLOWN)
     with pytest.raises(DomainError):
         line_order(partial, (1, 0, 0, 0, 0))
     # x~2 - x~3 vanishes identically on the line through (1, 1, 1)
@@ -365,7 +366,7 @@ def test_certified_constant_order_iff_line_orders_constant():
     constant_cases = (so3(), abelian(3), diagonal_affine(2))
     varying_cases = (sl2(), heis3())
     for L in constant_cases + varying_cases:
-        phi = spinor(linear_poisson(L))
+        phi = spinor(*linear_poisson(L))
         certs = [
             vanishing_order(blowup_pullback(phi, chart))
             for chart in range(1, L.dim + 1)
@@ -386,7 +387,7 @@ def test_certified_constant_order_iff_line_orders_constant():
 
 def test_top_component_order_is_codim_minus_one():
     for L in (so3(), sl2(), heis3(), diagonal_affine(2), abelian(4)):
-        phi = spinor(linear_poisson(L))
+        phi = spinor(*linear_poisson(L))
         m = L.dim
         for chart in range(1, m + 1):
             cf = blowup_pullback(phi, chart)
@@ -460,7 +461,7 @@ def test_perturbation_trivial_and_fixtures():
     # perturbing the linear bivector by terms vanishing to second order at the
     # origin changes neither the chart order nor where the leading form vanishes
     L = so3()
-    ring = linear_poisson(L).ring
+    ring = linear_poisson(L)[0].ring
     zero = GradedVector(3, ring)
     assert perturbed_orders(L, zero, 1, samples=20) == (1, 1, True)
 
@@ -468,7 +469,7 @@ def test_perturbation_trivial_and_fixtures():
     assert perturbed_orders(L, w, 1, samples=40) == (1, 1, True)
 
     h = heis3()
-    ring_h = linear_poisson(h).ring
+    ring_h = linear_poisson(h)[0].ring
     w_h = GradedVector(3, ring_h, {(1, 2): ring_h.parse("x3^2")})
     for chart in (1, 2, 3):
         order, order_w, same_zeros = perturbed_orders(h, w_h, chart, samples=40)

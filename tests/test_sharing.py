@@ -1,11 +1,11 @@
 """Each shared quantity of one analysis is computed once.
 
 `analyze` runs four suites over the same algebra and the same sampled
-covectors.  The linear Poisson bivector, its spinor (converted to integers
-once) and chart pullbacks, the lifted Hamiltonian fields, one line-order
-table per chart, and one record per sampled covector (the covector, its
-primitive integer multiple and its invariant record) are built once per
-algebra and read by every suite; the witness search alone calls the plain
+covectors.  The linear Poisson bivector, its integer spinor and chart
+pullbacks with one grouping of each by u-exponent, the lifted Hamiltonian
+fields, one line-order table per chart, and one record per sampled covector
+(the covector, its primitive integer multiple and its invariant record) are
+built once per algebra and read by every suite; the witness search alone calls the plain
 height oracle, one call per candidate, and past its first draw it leaves its
 random draws to the inputs that need them.  Both height oracles read d xi
 off the integer pairing matrix, so the Chevalley-Eilenberg differential
@@ -76,6 +76,9 @@ def test_analyze_shares_every_per_algebra_quantity(capsys, monkeypatch):
     # per chart: the lifted fields, the line-order table and the leading
     # part of the spinor pullback, one call each; none per sample
     assert _calls(profile, charts.integer_terms) <= 3 * DIM
+    # one grouping of each chart form by u-exponent, read by both the
+    # vanishing order and the line-order table
+    assert _calls(profile, poisson_spinor._by_order) <= DIM
 
 
 def test_witness_search_decides_without_random_draws(monkeypatch):
@@ -107,9 +110,11 @@ def test_witness_search_decides_without_random_draws(monkeypatch):
 
 
 def test_height_kernel_tables_are_built_once_per_algebra(capsys, tmp_path):
-    """The generator differentials d theta_k and the integer structure
-    constants are per-algebra tables: the Jacobi check reads the one, every
-    covector of one analysis, the witness candidates included, the other."""
+    """The generator differentials d theta_k, the integer structure
+    constants and the Killing matrix are per-algebra tables: the Jacobi
+    check reads the first, every covector of one analysis, the witness
+    candidates included, the second, and the classifier the third.  The one
+    integer table is built with the algebra, the only one built."""
     conjugator = [
         [1, Fraction(1, 2), 0],
         [0, 1, Fraction(-1, 3)],
@@ -130,7 +135,8 @@ def test_height_kernel_tables_are_built_once_per_algebra(capsys, tmp_path):
     assert _calls(profile, liealg.height) > 0, "the witness search must run"
     assert _calls(profile, liealg.ce_differential) > DIM
     assert _calls(profile, liealg._generator_differential) <= DIM
-    assert _calls(profile, liealg._integer_constants) == 1
+    assert _calls(profile, liealg.LieAlgebra.__init__) == 1
+    assert _calls(profile, liealg.LieAlgebra.ad_matrix) <= DIM
 
 
 def _profiled(fn):
@@ -162,7 +168,7 @@ def test_analyze_draws_the_sampled_covectors_once_per_command(capsys):
 def test_pullback_and_line_restriction_read_exponents_only():
     L = as_lie(gen.sl(3))
     assert L.jacobi_violations() == []
-    phi = poisson_spinor.spinor(poisson_spinor.linear_poisson(L))
+    phi = poisson_spinor.spinor(*poisson_spinor.linear_poisson(L))
     profile, pulled = _profiled(
         lambda: [poisson_spinor.blowup_pullback(phi, chart) for chart in range(1, L.dim + 1)]
     )
