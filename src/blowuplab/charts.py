@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import DomainError, InternalError, StructureError
 from .exterior import GradedForm, index_bit
-from .rings import Polynomial, PolyRing, Rational
+from .rings import Polynomial, PolyRing, Rational, add_term
 
 _NAME_RE = re.compile(r"([A-Za-z]+)(.*)")
 
@@ -187,11 +187,10 @@ class BlowupChart:
                 # p*(a_k) - x~_k p*(a_c), then every exponent of x~_c lowered by one
                 terms = dict(terms)
                 for e, coeff in pulled[col].terms.items():
-                    key = e[:k] + (e[k] + 1,) + e[k + 1 :]
-                    terms[key] = terms.get(key, 0) - coeff
-                if any(coeff and not e[col] for e, coeff in terms.items()):
+                    add_term(terms, e[:k] + (e[k] + 1,) + e[k + 1 :], -coeff)
+                if any(not e[col] for e in terms):
                     raise InternalError("lift of a vanishing vector field was not polynomial")
-                terms = {e[:col] + (e[col] - 1,) + e[col + 1 :]: c for e, c in terms.items() if c}
+                terms = {e[:col] + (e[col] - 1,) + e[col + 1 :]: c for e, c in terms.items()}
             lifted.append(Polynomial._trusted(poly.vars, terms))
         if lifted[col] and lifted[col].valuation(self.chart) < 1:
             raise InternalError("lifted field is not tangent to the divisor")

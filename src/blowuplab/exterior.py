@@ -5,6 +5,8 @@ allowed: the basis element with indices i_1 < ... < i_k has the mask with
 bit i - 1 set for each index i.  Every sign is one rule, `wedge_sign`: the
 parity of the count of index bits passed over.  Index tuples appear only at
 the boundary: the validating constructor, `coefficient` and `ordered_terms`.
+Terms are added and printed by the rules of `rings` that polynomials use,
+`add_term` and `join_terms`.
 ``GradedForm`` indexes the dual basis (wedge products of the theta_i /
 dx_i), ``GradedVector`` the basis multivectors (wedge products of the e_i).
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import StructureError
-from .rings import CoeffRing, Polynomial, format_rational, join_signed
+from .rings import CoeffRing, Polynomial, add_term, format_rational, join_terms
 
 IndexTuple = tuple[int, ...]
 
@@ -66,20 +68,11 @@ class _Alternating:
             raise StructureError("dimension must be nonnegative")
         self.dim = dim
         self.ring = ring
-        clean: dict[int, object] = {}
-        if terms:
-            for indices, coeff in terms.items():
-                mask, sign = _indices_mask(dim, indices)
-                if sign == 0:
-                    continue
-                coeff = ring.coerce(coeff) if sign > 0 else -ring.coerce(coeff)
-                if mask in clean:
-                    coeff = clean[mask] + coeff
-                if not coeff:
-                    clean.pop(mask, None)
-                else:
-                    clean[mask] = coeff
-        self.terms = clean
+        self.terms: dict[int, object] = {}
+        for indices, coeff in (terms or {}).items():
+            mask, sign = _indices_mask(dim, indices)
+            if sign:
+                add_term(self.terms, mask, ring.coerce(coeff) if sign > 0 else -ring.coerce(coeff))
 
     @classmethod
     def _trusted(cls, dim: int, ring: CoeffRing, terms: dict):
@@ -126,12 +119,7 @@ class _Alternating:
         self._require_compatible(other)
         merged = dict(self.terms)
         for mask, coeff in other.terms.items():
-            if mask in merged:
-                coeff = merged[mask] + coeff
-                if not coeff:
-                    del merged[mask]
-                    continue
-            merged[mask] = coeff
+            add_term(merged, mask, coeff)
         return self._trusted(self.dim, self.ring, merged)
 
     def __neg__(self):
@@ -185,23 +173,13 @@ class _Alternating:
     def render(self, names: Sequence[str], scale: int = 1) -> str:
         if len(names) != self.dim:
             raise StructureError("need one basis name per dimension")
-        pieces = []
+        pairs = []
         monomials: dict = {}  # shared by the coefficients of this one call
         for indices, coeff in self.ordered_terms():
-            body = "∧".join([names[i - 1] for i in indices])
             poly = isinstance(coeff, Polynomial)
             text = coeff.render(monomials, scale) if poly else format_rational(coeff, scale)
-            if not indices:
-                pieces.append(text)
-            elif coeff == scale:
-                pieces.append(body)
-            elif coeff == -scale:
-                pieces.append("-" + body)
-            else:
-                if " " in text:  # multi-term polynomial coefficient
-                    text = f"({text})"
-                pieces.append(f"{text}*{body}")
-        return join_signed(pieces)
+            pairs.append((text, "∧".join([names[i - 1] for i in indices])))
+        return join_terms(pairs)
 
     def __repr__(self):
         kind = type(self).__name__

@@ -48,7 +48,7 @@ class LieAlgebra:
     are immutable; the caches are write-once.
     """
 
-    __slots__ = ("dim", "name", "_table", "_scale", "_jacobi", "_memo")
+    __slots__ = ("dim", "name", "_table", "_scale", "_memo")
 
     def __init__(self, dim: int, brackets: Mapping, name: str | None = None):
         if dim < 1:
@@ -84,7 +84,6 @@ class LieAlgebra:
         # the one table: the stored constants times their common denominator D
         self._scale, ints = linalg.integer_multiple(v for key in keys for v in pairs[key])
         self._table = {key: tuple(ints[n * dim : (n + 1) * dim]) for n, key in enumerate(keys)}
-        self._jacobi = None
         self._memo = {}
 
     # -- accessors ---------------------------------------------------------
@@ -130,9 +129,7 @@ class LieAlgebra:
     # -- validation -----------------------------------------------------------
 
     def jacobi_violations(self):
-        if self._jacobi is None:
-            self._jacobi = jacobi_check(self)
-        return self._jacobi
+        return self.memo("jacobi", lambda: jacobi_check(self))
 
     def validate(self) -> "LieAlgebra":
         violations = self.jacobi_violations()

@@ -23,7 +23,7 @@ from .exterior import GradedForm, GradedVector, wedge_sign
 from .liealg import Covector, LieAlgebra, sampled_covectors
 from .linalg import integer_multiple
 from .rings import Polynomial, PolyRing
-from .sampling import DEFAULT_SEED, point_stream
+from .sampling import DEFAULT_SEED, ZERO, point_stream
 
 
 def coordinate_ring(n: int, base: Sequence[str] = ()) -> PolyRing:
@@ -221,7 +221,7 @@ def _divisor_points(cf: ChartForm, seed: int, samples: int):
     coordinates drawn from the seeded point stream."""
     col = cf.chart - 1
     for values in itertools.islice(point_stream(len(cf.ring.vars) - 1, seed), samples):
-        yield values[:col] + (Fraction(0),) + values[col:]
+        yield values[:col] + (ZERO,) + values[col:]
 
 
 def vanishing_order(

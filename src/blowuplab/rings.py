@@ -7,9 +7,12 @@ exponent tuples to nonzero ``Fraction`` coefficients:
 
 Zero coefficients are never stored, so equal polynomials have equal term
 dicts, which are canonical in content: keys are kept in any order, and only
-rendering orders them.  All arithmetic is exact; float literals are rejected
-everywhere.  ``int`` coefficients, as in the integer chart forms of
-`poisson_spinor`, stay ints under negation, sums and products.
+rendering orders them.  Polynomials and the forms of `exterior` share two
+rules on such term maps: `add_term` adds a term and drops a zero sum, and
+`join_terms` prints a sum of terms, reading +-1 off the printed coefficient.
+All arithmetic is exact; float literals are rejected everywhere.  ``int``
+coefficients, as in the integer chart forms of `poisson_spinor`, stay ints
+under negation, sums and products.
 """
 
 from __future__ import annotations
@@ -52,15 +55,36 @@ def format_rational(value: Rational, scale: int = 1) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def join_signed(pieces: Sequence[str]) -> str:
-    """Join rendered terms into a sum, writing a term's leading "-" as " - ";
-    no terms render as "0"."""
-    if not pieces:
-        return "0"
-    out = [pieces[0]]
-    for piece in pieces[1:]:
-        out.append(" - " + piece[1:] if piece.startswith("-") else " + " + piece)
-    return "".join(out)
+def add_term(terms: dict, key, coeff) -> None:
+    """Add coeff to terms[key] in place, dropping a zero sum: an existing key
+    keeps its slot, and a new key is appended."""
+    if key in terms:
+        coeff = terms[key] + coeff
+    if coeff:
+        terms[key] = coeff
+    else:
+        terms.pop(key, None)
+
+
+def join_terms(pairs: Sequence[tuple[str, str]]) -> str:
+    """The sum of (coefficient text, body) terms, the body a monomial or a
+    basis element, "" for a constant.  A coefficient printed "1" or "-1"
+    writes the body alone or negated, a multi-term one is parenthesized, a
+    term's leading "-" is written " - ", and no terms print as "0"."""
+    out = []
+    for text, body in pairs:
+        if body:
+            if text == "1":
+                text = body
+            elif text == "-1":
+                text = "-" + body
+            else:
+                text = f"({text})*{body}" if " " in text else f"{text}*{body}"
+        if out:
+            out.append(" - " + text[1:] if text[0] == "-" else " + " + text)
+        else:
+            out.append(text)
+    return "".join(out) or "0"
 
 
 class Polynomial:
@@ -70,20 +94,12 @@ class Polynomial:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Rational] | None = None):
         self.vars = tuple(variables)
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != len(self.vars) or any(e < 0 for e in exps):
-                    raise StructureError(f"bad exponent tuple {exps} for variables {self.vars}")
-                coeff = RATIONALS.coerce(coeff)
-                if coeff:
-                    acc = clean.get(exps, Fraction(0)) + coeff
-                    if acc:
-                        clean[exps] = acc
-                    else:
-                        clean.pop(exps, None)
-        self.terms = clean
+        self.terms: dict[tuple, Fraction] = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != len(self.vars) or any(e < 0 for e in exps):
+                raise StructureError(f"bad exponent tuple {exps} for variables {self.vars}")
+            add_term(self.terms, exps, RATIONALS.coerce(coeff))
 
     @classmethod
     def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
@@ -129,12 +145,7 @@ class Polynomial:
             return NotImplemented
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            if exps in merged:
-                coeff = merged[exps] + coeff
-                if not coeff:
-                    del merged[exps]
-                    continue
-            merged[exps] = coeff
+            add_term(merged, exps, coeff)
         return Polynomial._trusted(self.vars, merged)
 
     __radd__ = __add__
@@ -191,23 +202,15 @@ class Polynomial:
         # variables dominating (so "1 + x2^2 + x3^2" renders in that order):
         # a stable sort on degree alone of the keys in descending order
         names = self.vars
-        rendered = []
+        pairs = []
         for exps in sorted(sorted(self.terms, reverse=True), key=sum):
-            coeff = self.terms[exps]
             monomial = monomials.get(exps)
             if monomial is None:
                 monomial = monomials[exps] = "*".join(
                     [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
                 )
-            if not monomial:
-                rendered.append(format_rational(coeff, scale))
-            elif coeff == scale:
-                rendered.append(monomial)
-            elif coeff == -scale:
-                rendered.append("-" + monomial)
-            else:
-                rendered.append(f"{format_rational(coeff, scale)}*{monomial}")
-        return join_signed(rendered)
+            pairs.append((format_rational(self.terms[exps], scale), monomial))
+        return join_terms(pairs)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -20,24 +20,22 @@ DEFAULT_SEED = 1729
 _BOUND = 20
 _DENOMINATORS = (1, 2, 3)
 
+# the entries of the deterministic seeds, shared: a Fraction is immutable
+ZERO, ONE, MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
 
 def dual_basis(n: int) -> list[tuple[Fraction, ...]]:
-    return [
-        tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)
-    ]
+    return [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
 
 
 def pairwise_combinations(n: int) -> list[tuple[Fraction, ...]]:
-    """Sums then differences of distinct dual basis vectors."""
-    basis = dual_basis(n)
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append(tuple(x + y for x, y in zip(basis[a], basis[b])))
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append(tuple(x - y for x, y in zip(basis[a], basis[b])))
-    return out
+    """The sums e_a + e_b of dual basis vectors, a < b, then the differences e_a - e_b."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return [
+        tuple(ONE if i == a else sign if i == b else ZERO for i in range(n))
+        for sign in (ONE, MINUS_ONE)
+        for a, b in pairs
+    ]
 
 
 def random_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -66,6 +64,6 @@ def covector_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction
 
 def point_stream(n: int, seed: int = DEFAULT_SEED) -> Iterator[tuple[Fraction, ...]]:
     """Like covector_stream but starting from the origin (points, not covectors)."""
-    yield tuple(Fraction(0) for _ in range(n))
+    yield (ZERO,) * n
     if n:
         yield from covector_stream(n, seed)

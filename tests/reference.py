@@ -41,6 +41,17 @@ per term, the Killing form and the Jacobi check in rational arithmetic;
 on increasing index tuples, as the exterior algebra computed them before its
 terms were keyed by index masks.
 
+`polynomial_init`, `polynomial_add` and `polynomial_render` are the bodies of
+`Polynomial.__init__`, `__add__` and `render`, and `alternating_init`,
+`alternating_add` and `alternating_render` those of the graded forms, as
+they were before both classes added terms through `rings.add_term` and
+printed sums through `rings.join_terms`: each with its own accumulation
+loop, its own comparison of a coefficient with +-scale and `join_signed`.
+They are copied verbatim, as functions of `self`, except that
+`alternating_render` prints polynomial coefficients through
+`polynomial_render`; `old_polynomial` and `old_form` build an instance
+through the old constructor.
+
 Insertion of multivectors follows the convention i_{X wedge Y} = i_Y i_X, so
 for an increasing tuple (k_1 < ... < k_p) the single insertions are applied
 in ascending index order.  The insertions run on index tuples read off
@@ -55,7 +66,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 from operator import add
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from blowuplab import (
     RATIONALS,
@@ -75,10 +86,12 @@ from blowuplab import (
 from blowuplab.blowup_geometry import _distribution_rank
 from blowuplab.charts import BlowupChart, integer_terms, integer_value, nonzero_at
 from blowuplab.charts import preferred_chart
-from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, wedge_sign
+from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, _indices_mask
+from blowuplab.exterior import wedge_sign
 from blowuplab.linalg import _eliminate, integer_multiple, primitive
 from blowuplab.poisson_spinor import _by_order, _divisor_points, _line_table, _order_on_line
 from blowuplab.poisson_spinor import coordinate_ring
+from blowuplab.rings import CoeffRing, Rational, format_rational
 from blowuplab.sampling import DEFAULT_SEED
 
 
@@ -610,3 +623,147 @@ def reference_order_on_line(table, x: tuple[int, ...], chart: int) -> int:
         if integer_value(compiled, x, q):
             return k
     raise DomainError("the restriction to this line vanishes identically")
+
+
+# -- term maps and sums before `add_term` and `join_terms` --------------------
+
+
+def join_signed(pieces: Sequence[str]) -> str:
+    """Join rendered terms into a sum, writing a term's leading "-" as " - ";
+    no terms render as "0"."""
+    if not pieces:
+        return "0"
+    out = [pieces[0]]
+    for piece in pieces[1:]:
+        out.append(" - " + piece[1:] if piece.startswith("-") else " + " + piece)
+    return "".join(out)
+
+
+def polynomial_init(self, variables: Sequence[str], terms: Mapping[tuple, Rational] | None = None):
+    self.vars = tuple(variables)
+    clean: dict[tuple, Fraction] = {}
+    if terms:
+        for exps, coeff in terms.items():
+            exps = tuple(exps)
+            if len(exps) != len(self.vars) or any(e < 0 for e in exps):
+                raise StructureError(f"bad exponent tuple {exps} for variables {self.vars}")
+            coeff = RATIONALS.coerce(coeff)
+            if coeff:
+                acc = clean.get(exps, Fraction(0)) + coeff
+                if acc:
+                    clean[exps] = acc
+                else:
+                    clean.pop(exps, None)
+    self.terms = clean
+
+
+def polynomial_add(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    merged = dict(self.terms)
+    for exps, coeff in other.terms.items():
+        if exps in merged:
+            coeff = merged[exps] + coeff
+            if not coeff:
+                del merged[exps]
+                continue
+        merged[exps] = coeff
+    return Polynomial._trusted(self.vars, merged)
+
+
+def polynomial_render(self, monomials: dict, scale: int = 1) -> str:
+    """The text of the polynomial over the positive int `scale`.  `monomials`
+    maps exponent tuples to their text and is filled as it goes, so
+    polynomials rendered together build each monomial's text once."""
+    # graded order: total degree first, then lexicographic with earlier
+    # variables dominating (so "1 + x2^2 + x3^2" renders in that order):
+    # a stable sort on degree alone of the keys in descending order
+    names = self.vars
+    rendered = []
+    for exps in sorted(sorted(self.terms, reverse=True), key=sum):
+        coeff = self.terms[exps]
+        monomial = monomials.get(exps)
+        if monomial is None:
+            monomial = monomials[exps] = "*".join(
+                [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
+            )
+        if not monomial:
+            rendered.append(format_rational(coeff, scale))
+        elif coeff == scale:
+            rendered.append(monomial)
+        elif coeff == -scale:
+            rendered.append("-" + monomial)
+        else:
+            rendered.append(f"{format_rational(coeff, scale)}*{monomial}")
+    return join_signed(rendered)
+
+
+def alternating_init(self, dim: int, ring: CoeffRing, terms: Mapping | None = None):
+    if dim < 0:
+        raise StructureError("dimension must be nonnegative")
+    self.dim = dim
+    self.ring = ring
+    clean: dict[int, object] = {}
+    if terms:
+        for indices, coeff in terms.items():
+            mask, sign = _indices_mask(dim, indices)
+            if sign == 0:
+                continue
+            coeff = ring.coerce(coeff) if sign > 0 else -ring.coerce(coeff)
+            if mask in clean:
+                coeff = clean[mask] + coeff
+            if not coeff:
+                clean.pop(mask, None)
+            else:
+                clean[mask] = coeff
+    self.terms = clean
+
+
+def alternating_add(self, other):
+    self._require_compatible(other)
+    merged = dict(self.terms)
+    for mask, coeff in other.terms.items():
+        if mask in merged:
+            coeff = merged[mask] + coeff
+            if not coeff:
+                del merged[mask]
+                continue
+        merged[mask] = coeff
+    return self._trusted(self.dim, self.ring, merged)
+
+
+def alternating_render(self, names: Sequence[str], scale: int = 1) -> str:
+    if len(names) != self.dim:
+        raise StructureError("need one basis name per dimension")
+    pieces = []
+    monomials: dict = {}  # shared by the coefficients of this one call
+    for indices, coeff in self.ordered_terms():
+        body = "∧".join([names[i - 1] for i in indices])
+        poly = isinstance(coeff, Polynomial)
+        text = polynomial_render(coeff, monomials, scale) if poly else format_rational(coeff, scale)
+        if not indices:
+            pieces.append(text)
+        elif coeff == scale:
+            pieces.append(body)
+        elif coeff == -scale:
+            pieces.append("-" + body)
+        else:
+            if " " in text:  # multi-term polynomial coefficient
+                text = f"({text})"
+            pieces.append(f"{text}*{body}")
+    return join_signed(pieces)
+
+
+def old_polynomial(variables: Sequence[str], terms: Mapping | None = None) -> Polynomial:
+    """A `Polynomial` built by `polynomial_init`."""
+    self = object.__new__(Polynomial)
+    polynomial_init(self, variables, terms)
+    return self
+
+
+def old_form(dim: int, ring: CoeffRing, terms: Mapping | None = None) -> GradedForm:
+    """A `GradedForm` built by `alternating_init`."""
+    self = object.__new__(GradedForm)
+    alternating_init(self, dim, ring, terms)
+    return self
