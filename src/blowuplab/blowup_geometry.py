@@ -3,11 +3,11 @@ fields, and the exact identities tying its rank to heights and coadjoint orbits.
 
 For a nonzero direction v, the distribution at the divisor point [v] is
 spanned by the lifts of the Hamiltonian fields of constant covectors
-annihilating v, evaluated at [v].  Its rank equals twice the height of the
-corresponding covector; together with the orbit-dimension case split
-(2k + 2 when the radial line is tangent to the orbit, 2k otherwise) and the
-Cartan-class identity, this gives a per-point cross-check that must hold
-with zero violations on every input.
+annihilating v, evaluated at [v]: the fields are built once per algebra, their
+lifts once per chart.  Its rank equals twice the height of the covector; with
+the orbit-dimension case split (2k + 2 when the radial line is tangent to the
+orbit, 2k otherwise) and the Cartan-class identity, this gives a per-point
+cross-check that must hold with zero violations on every input.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import linalg
-from .charts import BlowupChart, integer_terms, integer_value, preferred_chart
+from .charts import BlowupChart, integer_terms, preferred_chart
 from .errors import InternalError
 from .liealg import Covector, HeightReport, LieAlgebra, invariant_failures, sampled_covectors
 from .poisson_spinor import hamiltonian_field, shared_linear_poisson
@@ -23,17 +23,21 @@ from .sampling import DEFAULT_SEED
 
 
 def _compiled_lifts(L: LieAlgebra, chart: int):
-    """The lifts through `chart` of the Hamiltonian fields of dx_1, ...,
-    dx_dim of the integer bivector D pi (D times those of pi: the same
-    ranks), as `integer_terms` with one padding degree for every field,
-    built once per algebra and chart."""
+    """The lifts through `chart` of the Hamiltonian fields of dx_1, ..., dx_dim
+    of the integer bivector D pi (D times those of pi: the same ranks), one
+    table per field of (component, c, nonzero (variable, exponent) pairs, pad)
+    per `integer_terms` term, one pad for all fields; once per algebra and chart."""
 
     def build():
         pi, _ = shared_linear_poisson(L)
-        bc = BlowupChart(pi.ring, chart)
-        fields = [bc.lift_vector_field(hamiltonian_field(pi, i)) for i in range(1, L.dim + 1)]
-        compiled = iter(integer_terms(*(poly.terms for field in fields for poly in field)))
-        return tuple(tuple(next(compiled) for _ in field) for field in fields)
+        fields = L.memo("hamiltonian", lambda: tuple(hamiltonian_field(pi, i) for i in range(1, L.dim + 1)))
+        lifts = list(map(BlowupChart(pi.ring, chart).lift_vector_field, fields))
+        compiled = iter(integer_terms(*(poly.terms for field in lifts for poly in field)))
+        return tuple(
+            tuple((k, c, tuple((v, n) for v, n in enumerate(e) if n), pad)
+                  for k in range(L.dim) for c, e, pad in next(compiled))
+            for _ in lifts
+        )
 
     return L.memo(("lifts", chart), build)
 
@@ -53,10 +57,12 @@ def _distribution_rank(L: LieAlgebra, x: tuple[int, ...]) -> int:
     chart = preferred_chart(x)
     q = x[chart - 1]
     point = x[: chart - 1] + (0,) + x[chart:]
-    at = [
-        [integer_value(poly, point, q) for poly in field]
-        for field in _compiled_lifts(L, chart)
-    ]
+    at = [[0] * L.dim for _ in range(L.dim)]
+    for values, table in zip(at, _compiled_lifts(L, chart)):
+        for k, c, factors, pad in table:
+            for v, n in factors:
+                c *= point[v] ** n
+            values[k] += c * q**pad
     rows = [
         [q * a - x[j] * b for a, b in zip(at[j], at[chart - 1])]
         for j in range(L.dim)

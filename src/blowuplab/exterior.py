@@ -108,10 +108,8 @@ class _Alternating:
 
     def coefficient(self, indices: Sequence[int]):
         mask, sign = _indices_mask(self.dim, indices)
-        if sign == 0:
-            return self.ring.zero()
-        coeff = self.terms.get(mask, self.ring.zero())
-        return coeff if sign > 0 else -coeff
+        coeff = self.terms.get(mask) if sign else None
+        return self.ring.zero() if coeff is None else coeff if sign > 0 else -coeff
 
     # -- linear operations -------------------------------------------------------
 

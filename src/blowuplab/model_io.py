@@ -21,9 +21,9 @@ the Jacobi identity, naming the violating triples on failure.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
 from .blowup_geometry import OrbitRankRecord, OrbitRankReport
@@ -617,10 +617,47 @@ def render_text(report: dict) -> str:
     return "\n".join(_TEXT_VIEWS[report["command"]](report)) + "\n"
 
 
+def _write_json(value, out: list, indent: str = "\n") -> None:
+    """Append to `out` the text of `json.dumps(value, sort_keys=True,
+    indent=2)` for `value` nested at `indent` (a newline, two spaces a
+    level): str, int, bool, None, list, tuple, and dict with str or int keys,
+    sorted as they are; any other type raises TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (dict, list, tuple)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, (str, int)) or key is True or key is False:
+                raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+            name = key if isinstance(key, str) else int.__repr__(key)
+            out.append(f"{sep}{inner}{encode_basestring_ascii(name)}: ")
+            _write_json(value[key], out, inner)
+            sep = ","
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]")
+    elif value is None or isinstance(value, bool):
+        out.append({None: "null", True: "true", False: "false"}[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_report(fmt: str, build, *parts) -> str:
-    """Build one report document from its parts and print it as JSON (fmt
-    "machine") or as text; identical inputs and seeds give identical bytes."""
+    """Build one report document from its parts and print it as text or, for
+    fmt "machine", as the bytes of `json.dumps(report, sort_keys=True,
+    indent=2)`, written in one pass; the same inputs give the same bytes."""
     report = build(*parts)
     if fmt == "machine":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(report, out)
+        return "".join(out) + "\n"
     return render_text(report)

@@ -25,10 +25,10 @@ from blowuplab import (
     spinor,
     vanishing_order,
 )
-from blowuplab.charts import BlowupChart
+from blowuplab.charts import BlowupChart, preferred_chart
 from blowuplab.linalg import rref_basis
 
-from conftest import apply_field, random_polynomial, random_vector_field
+from conftest import apply_field, as_lie, gen, random_polynomial, random_vector_field
 from reference import distribution_at, distribution_rows, restrict_zero
 
 
@@ -160,6 +160,23 @@ def test_distribution_rank_equals_twice_height(rng):
         for _ in range(30):
             v = next(stream)
             assert distribution_at(L, v) == 2 * height(L, v)
+
+
+def test_hamiltonian_fields_are_built_once_per_algebra(monkeypatch):
+    import blowuplab.blowup_geometry as geometry
+
+    real = geometry.hamiltonian_field
+    built = []
+
+    def counted(pi, i):
+        built.append(i)
+        return real(pi, i)
+
+    monkeypatch.setattr(geometry, "hamiltonian_field", counted)
+    L = as_lie(gen.heis(5))
+    report = orbit_rank_crosscheck(L, 48)
+    assert len({preferred_chart(record.v) for record in report.records}) > 1
+    assert sorted(built) == [1, 2, 3, 4, 5]
 
 
 # -- aggregated crosscheck -----------------------------------------------------------------

@@ -948,6 +948,21 @@ def test_integer_height_and_power_match_the_rational_chains(case):
     assert (record.height, record.cartan_class) == (k, k + r + 1)
 
 
+def _every_chart(L: LieAlgebra):
+    """Per chart c, a basis covector and one with every entry nonzero whose
+    largest entry is entry c: cases that read each chart's lift table."""
+    n = L.dim
+    for chart in range(1, n + 1):
+        yield L, tuple(int(j == chart) for j in range(1, n + 1))
+        yield L, tuple(4 * n if j == chart else (-1) ** j * j for j in range(1, n + 1))
+
+
+def _pinned(*algebras):
+    cases = [case for L in algebras for case in _every_chart(L)]
+    return lambda test: functools.reduce(lambda t, case: example(case=case)(t), cases, test)
+
+
+@_pinned(as_lie(gen.filiform(5)), seeded_conjugate(as_lie(gen.gl(3)), 1))
 @settings(SETTINGS, max_examples=100)
 @given(case=kernel_cases())
 def test_integer_distribution_rank_matches_the_rational_rows(case):

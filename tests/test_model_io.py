@@ -7,6 +7,8 @@ from fractions import Fraction
 import json
 import re
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab import (
     DomainError,
@@ -211,6 +213,44 @@ def test_emit_report_deterministic_and_parseable():
     human = emit_report("human", analysis_to_dict, *_analysis(heis3()))
     assert "does not lift" in human
     assert human == emit_report("human", analysis_to_dict, *_analysis(heis3()))
+
+
+# strings with what JSON escapes: the wedge, quotes, backslashes, controls
+json_text = st.text(
+    st.sampled_from(["a", "0", " ", "\u2227", '"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\U0001d400"]),
+    max_size=6,
+)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _machine(value) -> str:
+    return emit_report("machine", lambda document: document, value)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(value=json_values)
+def test_machine_output_is_the_sorted_indented_json_dump(value):
+    assert _machine(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_machine_output_sorts_int_keys_as_ints_and_rejects_other_types():
+    document = {10: ["x", {}], 2: [], 3: {2: True, 10: None}}
+    expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    assert _machine(document) == expected
+    assert expected.index('"2"') < expected.index('"3"') < expected.index('"10"')
+    # a float, a key of another type, a set, and str keys beside int ones
+    for bad in ({"x": 1.5}, [0.5], {1.5: "x"}, {True: "x"}, {(1, 2): "x"}, {"x": {1}}, {"2": 0, 10: 0}):
+        with pytest.raises(TypeError):
+            _machine(bad)
 
 
 def test_emit_report_so3_content():
