@@ -67,28 +67,24 @@ def is_diagonal_affine(L: LieAlgebra):
     """Recognize R x| R^(n-1) with the generator acting as a nonzero scalar.
 
     Returns (normalized generator, ideal basis) with the generator rescaled
-    so that it acts as the identity, or None.  The test: the derived algebra
-    is abelian of dimension dim-1, and any complement vector acts on it as a
-    nonzero scalar; the choice of complement does not affect the outcome.
+    so that it acts as the identity, or None.  The test is one identity on
+    the integer table, [a, b] = lambda(a) b - lambda(b) a for a nonzero form
+    lambda: ker lambda = [g, g] is abelian, and lambda(x) = 1 makes x act as 1.
     """
     n = L.dim
-    ideal = derived_algebra(L)
-    if len(ideal) != n - 1 or n < 2:
+    if n < 2:
         return None
-    # D times the brackets of the rows' integer multiples, in ints: the same
-    # zeros, and D times the scalar
-    rows = linalg.integer_rows(ideal)
-    if any(any(L.bracket(u, v, scaled=True)) for u in rows for v in rows):
+    # D lambda_i is the b_j-coefficient of D [b_i, b_j], here for j = i % n + 1
+    lam = [L.bracket_basis(i, i % n + 1, scaled=True)[i % n] for i in range(1, n + 1)]
+    if not any(lam) or any(
+        L.bracket_basis(i + 1, j + 1, scaled=True)
+        != [lam[i] if k == j else -lam[j] if k == i else 0 for k in range(n)]
+        for i, j in itertools.combinations(range(n), 2)
+    ):
         return None
-    # a standard basis vector outside the (n-1)-dimensional ideal must act on
-    # it as one nonzero scalar
-    candidate = next(e for e in dual_basis(n) if not linalg.in_row_space(ideal, e))
-    images = [L.bracket([int(x) for x in candidate], h, scaled=True) for h in rows]
-    pivot = next(i for i, v in enumerate(rows[0]) if v)
-    scalar = Fraction(images[0][pivot], rows[0][pivot])
-    if not scalar or any(image != [scalar * v for v in h] for h, image in zip(rows, images)):
-        return None
-    return [v * L._scale / scalar for v in candidate], ideal
+    # the first basis vector off ker lambda, over the scalar it acts by
+    f = next(i for i, v in enumerate(lam) if v)
+    return [Fraction(L._scale if k == f else 0, lam[f]) for k in range(n)], derived_algebra(L)
 
 
 def _structural_candidates(L: LieAlgebra):

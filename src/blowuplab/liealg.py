@@ -108,11 +108,6 @@ class LieAlgebra:
                     out[k] += factor * c
         return out if scaled else [RATIONALS.coerce(x) / self._scale for x in out]
 
-    def ad_matrix(self, i: int, scaled: bool = False) -> list[list[Rational]]:
-        """Matrix of ad_{b_i} with columns [b_i, b_a]; with `scaled`, D times it."""
-        cols = [self.bracket_basis(i, a, scaled) for a in range(1, self.dim + 1)]
-        return [[cols[a][k] for a in range(self.dim)] for k in range(self.dim)]
-
     def is_abelian(self) -> bool:
         return not self._table
 
@@ -442,8 +437,9 @@ def killing_form(L: LieAlgebra, scaled: bool = False) -> list[list[Rational]]:
     per algebra and shared: callers read it and never modify it."""
 
     def build():
-        ads = [L.ad_matrix(i, scaled=True) for i in range(1, L.dim + 1)]
+        # D ad_{b_i} as its columns [b_i, b_a]: the trace reads them as rows
         n = range(L.dim)
+        ads = [[L.bracket_basis(i + 1, a + 1, scaled=True) for a in n] for i in n]
         return [[sum(x[a][b] * y[b][a] for a in n for b in n) for y in ads] for x in ads]
 
     matrix = L.memo("killing_form", build)

@@ -4,7 +4,7 @@ lcm of its denominators) and `primitive` (that multiple over the gcd of its
 entries) feed every integer kernel.  Rank, row-space membership and
 definiteness and the reduced echelon basis use one fraction-free (Bareiss)
 elimination of ints, which keeps intermediate values integral; only
-`rref_basis` and `in_row_space` take rationals, and clear `integer_rows`.
+`rref_basis` takes rationals, which `integer_rows` clears.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ def rref_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
         pivot = row[col]
         reduced.append((col, [Fraction(x) / pivot for x in row]))
     return [row for _, row in reversed(reduced)]
-
-
-def in_row_space(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
-    return rank_and_membership(integer_rows(rows), integer_multiple(vector)[1])[1]
 
 
 def null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[list[int]]:

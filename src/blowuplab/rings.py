@@ -299,24 +299,30 @@ MAX_NESTING = 100
 
 
 class _Degree(int):
-    """A subexpression's total degree as written, for a parser pass that
-    builds no polynomial: a sum takes the larger degree, a product adds."""
+    """A subexpression's total degree as written, which bounds the real one,
+    for a parser pass that builds no polynomial: a sum takes the larger
+    degree, a product adds, and one over MAX_POWER_DEGREE is a parse error."""
 
     __add__ = __sub__ = lambda a, b: _Degree(max(a, b))  # noqa: E731
-    __mul__ = lambda a, b: _Degree(int(a) + int(b))  # noqa: E731
-    __pow__ = lambda a, exponent: _Degree(int(a) * exponent)  # noqa: E731
     __neg__ = lambda a: a  # noqa: E731
+
+    def __mul__(self, other):
+        if (degree := int(self) + int(other)) > MAX_POWER_DEGREE:
+            raise ParseError(f"a product of total degree {degree} exceeds {MAX_POWER_DEGREE}")
+        return _Degree(degree)
+
+    def __pow__(self, exponent):
+        if exponent > MAX_POWER_DEGREE or int(self) * exponent > MAX_POWER_DEGREE:
+            raise ParseError(
+                f"power {exponent} of a degree-{int(self)} polynomial exceeds the "
+                f"limit of {MAX_POWER_DEGREE} on exponents and total degrees"
+            )
+        return _Degree(int(self) * exponent)
 
 
 class _DegreeRing(PolyRing):
     const = lambda self, value: _Degree(0)  # noqa: E731
     named = lambda self, name: _Degree(1)  # noqa: E731
-
-
-def _total_degree(value) -> int:
-    if isinstance(value, int):
-        return int(value)
-    return max((sum(exps) for exps in value.terms), default=0)
 
 
 _TOKEN_RE = re.compile(
@@ -382,8 +388,6 @@ class _PolyParser:
         value = self._unary()
         while self._accept("*"):
             value = value * self._unary()
-            if (degree := _total_degree(value)) > MAX_POWER_DEGREE:
-                raise ParseError(f"a product of total degree {degree} exceeds {MAX_POWER_DEGREE}")
         return value
 
     def _unary(self) -> Polynomial:
@@ -410,14 +414,7 @@ class _PolyParser:
         rat = self._next().group("rat")
         if rat is None or "/" in rat:
             raise ParseError("exponents must be nonnegative integers")
-        exponent = parse_rational(rat).numerator
-        degree = _total_degree(base)
-        if exponent > MAX_POWER_DEGREE or degree * exponent > MAX_POWER_DEGREE:
-            raise ParseError(
-                f"power {exponent} of a degree-{degree} polynomial exceeds the "
-                f"limit of {MAX_POWER_DEGREE} on exponents and total degrees"
-            )
-        return base**exponent
+        return base ** parse_rational(rat).numerator
 
     def _base(self) -> Polynomial:
         token = self._next()

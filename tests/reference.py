@@ -37,6 +37,12 @@ the bivector, the conversion of a form to (D, D form), the spinor divided
 per term, the Killing form and the Jacobi check in rational arithmetic;
 `divided` is an integer form over its scale with Fraction coefficients.
 
+`reference_is_diagonal_affine` is the diagonal-affine test as it was before
+the program read it as one identity [a, b] = lambda(a) b - lambda(b) a on the
+integer table: an rref of [g, g], a complement found by row-space membership
+(`in_row_space`, as `linalg` had it) and its action on every ideal row.  It
+is copied verbatim, calling the `in_row_space` kept here.
+
 `_merge_sign` and `_sort_indices` are the shuffle sign and the sorting sign
 on increasing index tuples, as the exterior algebra computed them before its
 terms were keyed by index masks.
@@ -88,11 +94,14 @@ from blowuplab.charts import BlowupChart, integer_terms, integer_value, nonzero_
 from blowuplab.charts import preferred_chart
 from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, _indices_mask
 from blowuplab.exterior import wedge_sign
-from blowuplab.linalg import _eliminate, integer_multiple, primitive
+from blowuplab import linalg
+from blowuplab.liealg import derived_algebra
+from blowuplab.linalg import _eliminate, integer_multiple, integer_rows, primitive
+from blowuplab.linalg import rank_and_membership
 from blowuplab.poisson_spinor import _by_order, _divisor_points, _line_table, _order_on_line
 from blowuplab.poisson_spinor import coordinate_ring
 from blowuplab.rings import CoeffRing, Rational, format_rational
-from blowuplab.sampling import DEFAULT_SEED
+from blowuplab.sampling import DEFAULT_SEED, dual_basis
 
 
 def _sort_indices(dim: int, indices: Sequence[int]):
@@ -434,12 +443,45 @@ def fraction_killing_form(L: LieAlgebra) -> list[list[Fraction]]:
     """B_ij = trace(ad_{b_i} ad_{b_j}), an exact symmetric matrix."""
 
     def build():
-        ads = [L.ad_matrix(i) for i in range(1, L.dim + 1)]
+        # ads[i][a] is the column [b_i, b_a] of ad_{b_i}; the trace reads it as a row
         n = range(L.dim)
+        ads = [[L.bracket_basis(i + 1, a + 1) for a in n] for i in n]
         return [[sum((x[a][b] * y[b][a] for a in n for b in n), Fraction(0)) for y in ads]
                 for x in ads]
 
     return build()
+
+
+def in_row_space(rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
+    return rank_and_membership(integer_rows(rows), integer_multiple(vector)[1])[1]
+
+
+def reference_is_diagonal_affine(L: LieAlgebra):
+    """Recognize R x| R^(n-1) with the generator acting as a nonzero scalar.
+
+    Returns (normalized generator, ideal basis) with the generator rescaled
+    so that it acts as the identity, or None.  The test: the derived algebra
+    is abelian of dimension dim-1, and any complement vector acts on it as a
+    nonzero scalar; the choice of complement does not affect the outcome.
+    """
+    n = L.dim
+    ideal = derived_algebra(L)
+    if len(ideal) != n - 1 or n < 2:
+        return None
+    # D times the brackets of the rows' integer multiples, in ints: the same
+    # zeros, and D times the scalar
+    rows = linalg.integer_rows(ideal)
+    if any(any(L.bracket(u, v, scaled=True)) for u in rows for v in rows):
+        return None
+    # a standard basis vector outside the (n-1)-dimensional ideal must act on
+    # it as one nonzero scalar
+    candidate = next(e for e in dual_basis(n) if not in_row_space(ideal, e))
+    images = [L.bracket([int(x) for x in candidate], h, scaled=True) for h in rows]
+    pivot = next(i for i, v in enumerate(rows[0]) if v)
+    scalar = Fraction(images[0][pivot], rows[0][pivot])
+    if not scalar or any(image != [scalar * v for v in h] for h, image in zip(rows, images)):
+        return None
+    return [v * L._scale / scalar for v in candidate], ideal
 
 
 def fraction_jacobi_check(L: LieAlgebra) -> list[tuple[tuple[int, int, int], tuple[Fraction, ...]]]:

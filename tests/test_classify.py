@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from blowuplab import (
     sl2,
     so3,
 )
+import blowuplab.classify as classify_mod
 from blowuplab.classify import RealRootWitness, verify_real_root_witness
 from blowuplab.linalg import is_negative_definite
 from conftest import as_lie, gen, seeded_conjugate
@@ -193,6 +195,39 @@ def test_is_diagonal_affine_fixtures():
     assert is_diagonal_affine(so3()) is None
     # one-dimensional derived algebra but nilpotent action
     assert is_diagonal_affine(LieAlgebra(2, {})) is None
+    # a line has no pair to read a linear form off
+    assert is_diagonal_affine(LieAlgebra(1, {})) is None
+
+
+def test_the_sampled_fallback_finds_the_witness_a_first_draw_on_the_drop_locus_misses(
+    monkeypatch,
+):
+    """On heis3, xi has height 1 exactly when xi_3 != 0.  With (1, 0, 0) the
+    only structural candidate and a first random draw with xi_3 = 0, every
+    height seen is 0, so the slice phase has no height to drop from and is
+    skipped; the sampled draws after the first give the height-1 witness."""
+    drawn = []
+    real_draws = classify_mod.random_covectors
+
+    def draws(n, seed):
+        first = (Fraction(2), Fraction(-1), Fraction(0))
+        for xi in itertools.chain([first], real_draws(n, seed)):
+            drawn.append(xi)
+            yield xi
+
+    def no_slice(L, top, seed):
+        raise AssertionError("the slice phase must not run")
+
+    one = (Fraction(1), Fraction(0), Fraction(0))
+    monkeypatch.setattr(classify_mod, "_structural_candidates", lambda L: iter([one]))
+    monkeypatch.setattr(classify_mod, "random_covectors", draws)
+    monkeypatch.setattr(classify_mod, "_slice_witness", no_slice)
+    verdict = classify_constant_height(heis3())
+    assert verdict.kind == "not_constant_height"
+    assert verdict.witness_heights == (0, 1)
+    low, high = verdict.witnesses
+    assert low == one
+    assert high in drawn[1:] and high[2] != 0
 
 
 def test_diagonal_affine_detection_does_not_depend_on_generator_scaling():

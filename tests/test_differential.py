@@ -36,6 +36,10 @@ An algebra keeps one integer table D c: its spinor over D^(dim // 2), its
 Killing matrix D^2 B, its Jacobi defects and its lifted fields D times those
 of pi are checked against the Fraction paths of `tests/reference.py`, on
 random rational tables and seeded conjugates.
+The diagonal-affine test reads one identity [a, b] = lambda(a) b - lambda(b) a
+off that table; it is checked against the rref-and-complement test of
+`tests/reference.py` on semidirect products R x|_A R^n, the benchmark's
+tables and their sums with a line, in their own and in seeded bases.
 The real-root kernel behind the constructed height witnesses (gcd,
 square-free part, Sturm counts, isolating intervals, the rational-root test)
 is checked against sympy's polynomial arithmetic and real roots.
@@ -84,9 +88,10 @@ from blowuplab import (
 )
 from blowuplab import realroots
 from blowuplab.charts import BlowupChart, integer_terms, nonzero_at, preferred_chart
+from blowuplab.classify import is_diagonal_affine
 from blowuplab.exterior import _indices_mask, index_bit, mask_indices, wedge_sign
 from blowuplab.liealg import _checked_height, _wedge_chain, height_report
-from blowuplab.linalg import in_row_space, integer_multiple, integer_rows, primitive, rank
+from blowuplab.linalg import integer_multiple, integer_rows, primitive, rank
 from blowuplab.linalg import rank_and_membership, rref_basis
 from blowuplab.model_io import MAX_DIM, SCALED_SO3_BLOWN
 from blowuplab.poisson_spinor import _by_order, _line_table, _order_on_line
@@ -99,8 +104,9 @@ from reference import polynomial_lift, rational_chains, reference_jacobi_check, 
 from reference import _merge_sign, _sort_indices, shift_down, substitute, volume_form
 from reference import evaluate, reference_leading_form, reference_line_table
 from reference import reference_order_on_line, reference_rref_basis, zeroed_leading_part
-from reference import divided, fraction_jacobi_check, fraction_killing_form
+from reference import divided, fraction_jacobi_check, fraction_killing_form, in_row_space
 from reference import fraction_linear_poisson, fraction_spinor, integral_form
+from reference import reference_is_diagonal_affine
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 POLY = PolyRing(("y1", "y2"))
@@ -1204,6 +1210,77 @@ def test_the_killing_matrix_is_d_squared_times_the_fraction_killing_form(L):
     assert all(type(v) is int for row in got for v in row)
     assert got == [[square * v for v in row] for row in want]
     assert killing_form(L) == want
+
+
+def semidirect(action: list[list[Fraction]]) -> LieAlgebra:
+    """R x|_A R^n: b_1 acts on b_2, ..., b_(n+1) by A, column j the image of b_(j+2)."""
+    n = len(action)
+    return LieAlgebra(
+        n + 1, {(1, j + 2): {i + 2: row[j] for i, row in enumerate(action)} for j in range(n)}
+    )
+
+
+def with_line(L: LieAlgebra, first: bool) -> LieAlgebra:
+    """L + R, the line the first basis vector or the last."""
+    shift = int(first)
+    brackets = {
+        (i + shift, j + shift): {k + 1 + shift: v for k, v in enumerate(L.bracket_basis(i, j))}
+        for i, j in itertools.combinations(range(1, L.dim + 1), 2)
+    }
+    return LieAlgebra(L.dim + 1, brackets)
+
+
+DIAGONAL_AFFINE_NEIGHBOURS = [
+    gen.heis(3), gen.heis(5), gen.filiform(4), gen.filiform(5), gen.sl(2), gen.sl(3),
+    gen.so(3), gen.so(4), gen.gl(2), gen.gl(3),
+]
+
+
+@st.composite
+def diagonal_affine_candidates(draw):
+    """diagonal_affine(n) with its generator scaled by a rational, R x|_A R^n
+    with A zero, nilpotent or diagonal with one entry off a scalar, or a
+    benchmark table; then maybe plus a line, and in a permuted basis or a
+    seeded rational one."""
+    # the one kind in the family, drawn about as often as the other four together
+    kind = draw(st.sampled_from(["scalar"] * 3 + ["zero", "diagonal", "nilpotent", "table"]))
+    n = draw(st.integers(2 if kind == "diagonal" else 1, 5))
+    if kind == "scalar":
+        scale = [[draw(nonzero_rationals) if i == j == 0 else int(i == j) for j in range(n + 1)]
+                 for i in range(n + 1)]
+        L = change_basis(diagonal_affine(n), scale)
+    elif kind == "table":
+        L = as_lie(draw(st.sampled_from(DIAGONAL_AFFINE_NEIGHBOURS)))
+    else:
+        c = draw(nonzero_rationals)
+        entries = [c] * n
+        if kind == "diagonal":
+            entries[draw(st.integers(0, n - 1))] = draw(nonzero_rationals.filter(lambda d: d != c))
+        L = semidirect([
+            [entries[i] if (kind == "diagonal" and i == j) or (kind == "nilpotent" and j == i + 1)
+             else Fraction(0) for j in range(n)]
+            for i in range(n)
+        ])
+    if draw(st.booleans()):
+        kind += " + line"
+        L = with_line(L, draw(st.booleans()))
+    basis = draw(st.sampled_from(["own", "permuted", "conjugated"]))
+    if basis == "permuted":
+        order = draw(st.permutations(range(L.dim)))
+        L = change_basis(L, [[int(order[j] == i) for j in range(L.dim)] for i in range(L.dim)])
+    elif basis == "conjugated":
+        L = seeded_conjugate(L, draw(st.integers(1, 40)))
+    event(f"{kind}, {basis} basis")
+    return L
+
+
+@settings(SETTINGS, max_examples=200)
+@given(L=diagonal_affine_candidates())
+def test_the_diagonal_affine_identity_matches_the_complement_test(L):
+    want = reference_is_diagonal_affine(L)
+    event(f"diagonal affine: {want is not None}")
+    # the reprs compare entry types too: Fractions, never ints
+    assert repr(is_diagonal_affine(L)) == repr(want)
 
 
 @settings(SETTINGS, max_examples=80)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from blowuplab import killing_form, sl2, so3
 from blowuplab.linalg import (
-    in_row_space,
     integer_multiple,
     integer_rows,
     inverse,
@@ -22,7 +21,7 @@ from blowuplab.linalg import (
     rank,
     rref_basis,
 )
-from reference import det
+from reference import det, in_row_space
 
 
 def _random_matrix(rng, rows, cols, singularish=False):
