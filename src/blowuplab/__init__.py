@@ -47,7 +47,6 @@ from .liealg import (
     killing_form,
 )
 from .model_io import (
-    AlgebraDocument,
     CatalogEntry,
     abelian,
     catalog_algebra,

@@ -99,7 +99,7 @@ class OrbitRankReport(NamedTuple):
 
 
 def orbit_rank_crosscheck(
-    L: LieAlgebra, samples: int = 100, seed: int = DEFAULT_SEED
+    L: LieAlgebra, samples: int, seed: int = DEFAULT_SEED
 ) -> OrbitRankReport:
     """Check, at seeded sample points, every exact identity between the
     distribution rank, height, orbit dimension, radial membership and Cartan

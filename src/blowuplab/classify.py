@@ -63,28 +63,23 @@ class ClassificationVerdict(NamedTuple):
     witness_heights: tuple[int, int] | None = None
 
 
-def is_diagonal_affine(L: LieAlgebra):
+def is_diagonal_affine(L: LieAlgebra) -> bool:
     """Recognize R x| R^(n-1) with the generator acting as a nonzero scalar.
 
-    Returns (normalized generator, ideal basis) with the generator rescaled
-    so that it acts as the identity, or None.  The test is one identity on
-    the integer table, [a, b] = lambda(a) b - lambda(b) a for a nonzero form
-    lambda: ker lambda = [g, g] is abelian, and lambda(x) = 1 makes x act as 1.
+    The test is one identity on the integer table, [a, b] = lambda(a) b -
+    lambda(b) a for a nonzero form lambda: ker lambda = [g, g] is abelian,
+    and x with lambda(x) = 1 acts on it as the identity.
     """
     n = L.dim
     if n < 2:
-        return None
+        return False
     # D lambda_i is the b_j-coefficient of D [b_i, b_j], here for j = i % n + 1
     lam = [L.bracket_basis(i, i % n + 1, scaled=True)[i % n] for i in range(1, n + 1)]
-    if not any(lam) or any(
+    return any(lam) and not any(
         L.bracket_basis(i + 1, j + 1, scaled=True)
         != [lam[i] if k == j else -lam[j] if k == i else 0 for k in range(n)]
         for i, j in itertools.combinations(range(n), 2)
-    ):
-        return None
-    # the first basis vector off ker lambda, over the scalar it acts by
-    f = next(i for i, v in enumerate(lam) if v)
-    return [Fraction(L._scale if k == f else 0, lam[f]) for k in range(n)], derived_algebra(L)
+    )
 
 
 def _structural_candidates(L: LieAlgebra):
@@ -226,7 +221,7 @@ def classify_constant_height(
     L.validate()
     if L.is_abelian():
         return ClassificationVerdict("abelian", 0, param=L.dim)
-    if is_diagonal_affine(L) is not None:
+    if is_diagonal_affine(L):
         return ClassificationVerdict("diagonal_affine", 0, param=L.dim - 1)
     if L.dim == 3 and linalg.is_negative_definite(killing_form(L, scaled=True)):
         return ClassificationVerdict("so3", 1)

@@ -14,9 +14,12 @@ Document grammar (UTF-8 text, one key per line, ``#`` starts a comment):
 
 Indices are integers and values exact rationals ("p" or "p/q"), written in
 the ASCII digits 0-9; float literals are rejected.
-Every key but ``bracket`` appears at most once.
-The antisymmetric completion is implied.  Parsing validates index ranges and
-the Jacobi identity, naming the violating triples on failure.
+Every key but ``bracket`` appears at most once; the metadata keys are
+accepted but not kept.  The antisymmetric completion is implied.
+`parse_document` checks index ranges and returns the algebra before its
+Jacobi check, which `parse_algebra` adds, naming the violating triples on
+failure.  `serialize_algebra` writes no metadata.  A function, record field,
+parameter or return value that only tests read does not belong here.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .blowup_geometry import OrbitRankRecord, OrbitRankReport
 from .classify import ClassificationVerdict, HeightSpectrum, RealRootWitness
@@ -51,29 +54,13 @@ MAX_SAMPLES = 10_000
 _METADATA_KEYS = ("expected_verdict", "expected_height", "note")
 
 
-class AlgebraDocument(NamedTuple):
-    """Parsed algebra document: sparse i<j brackets plus optional metadata."""
-
-    name: str
-    dim: int
-    brackets: tuple[tuple[int, int, int, Fraction], ...]
-    metadata: Mapping[str, str]
-    schema_version: int = SCHEMA_VERSION
-
-    def to_algebra(self) -> LieAlgebra:
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i, j, k, value in self.brackets:
-            table.setdefault((i, j), {})[k] = value
-        return LieAlgebra(self.dim, table, name=self.name).validate()
-
-
-def parse_document(text: str) -> AlgebraDocument:
+def parse_document(text: str) -> LieAlgebra:
+    """The algebra a document states, before its Jacobi check."""
     name = None
     dim = None
     schema = None
-    brackets: list[tuple[int, int, int, Fraction]] = []
-    bracket_lines: dict[tuple[int, int, int], int] = {}
-    metadata: dict[str, str] = {}
+    # (i, j, k) -> (value, line) in document order: the first bad one is reported
+    brackets: dict[tuple[int, int, int], tuple[Fraction, int]] = {}
     key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,17 +100,14 @@ def parse_document(text: str) -> AlgebraDocument:
                 coeff = parse_rational(fields[3])
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-            if (i, j, k) in bracket_lines:
+            if (i, j, k) in brackets:
                 raise ParseError(
                     f"duplicate bracket entry ({i},{j},{k}); first on line "
-                    f"{bracket_lines[(i, j, k)]}",
+                    f"{brackets[(i, j, k)][1]}",
                     line=lineno,
                 )
-            bracket_lines[(i, j, k)] = lineno
-            brackets.append((i, j, k, coeff))
-        elif key in _METADATA_KEYS:
-            metadata[key] = value
-        else:
+            brackets[(i, j, k)] = coeff, lineno
+        elif key not in _METADATA_KEYS:
             raise ParseError(f"unknown key {key!r}", line=lineno)
     if dim is None:
         raise ParseError("missing required key 'dimension'")
@@ -131,8 +115,8 @@ def parse_document(text: str) -> AlgebraDocument:
         raise ParseError("missing required key 'schema_version'")
     if schema != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {schema}")
-    for i, j, k, _ in brackets:
-        lineno = bracket_lines[(i, j, k)]
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j, k), (coeff, lineno) in brackets.items():
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise ParseError(
                 f"bracket indices ({i},{j},{k}) out of range 1..{dim}", line=lineno
@@ -142,12 +126,8 @@ def parse_document(text: str) -> AlgebraDocument:
                 f"bracket requires i < j, got ({i},{j}); the other half is implied",
                 line=lineno,
             )
-    return AlgebraDocument(
-        name=name or "anonymous",
-        dim=dim,
-        brackets=tuple(brackets),
-        metadata=dict(sorted(metadata.items())),
-    )
+        table.setdefault((i, j), {})[k] = coeff
+    return LieAlgebra(dim, table, name=name or "anonymous")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -161,31 +141,24 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 def parse_algebra(text: str) -> LieAlgebra:
     """Parse and fully validate (antisymmetry and Jacobi) an algebra document."""
-    return parse_document(text).to_algebra()
+    return parse_document(text).validate()
 
 
-def _written_value(key: str, value: str) -> str:
-    """A value the parser reads back as written.  The format has no escape,
-    so a "#", a line break or surrounding whitespace is refused."""
-    if "#" in value or len(value.splitlines()) > 1 or value != value.strip():
-        raise DomainError(f"{key} {value!r} cannot be written to a document")
-    return value
-
-
-def serialize_algebra(L: LieAlgebra, metadata: Mapping[str, str] | None = None) -> str:
+def serialize_algebra(L: LieAlgebra) -> str:
+    """The document of L.  The format has no escape, so a name holding "#",
+    a line break or surrounding whitespace, which reads back changed, is refused."""
+    name = L.name or "anonymous"
+    if "#" in name or len(name.splitlines()) > 1 or name != name.strip():
+        raise DomainError(f"name {name!r} cannot be written to a document")
     lines = [
         f"schema_version: {SCHEMA_VERSION}",
-        f"name: {_written_value('name', L.name or 'anonymous')}",
+        f"name: {name}",
         f"dimension: {L.dim}",
     ]
     for (i, j), vec in sorted(L._table.items()):
         for k, value in enumerate(vec, start=1):
             if value:
                 lines.append(f"bracket: {i} {j} {k} {format_rational(value, L._scale)}")
-    for key, value in sorted((metadata or {}).items()):
-        if key not in _METADATA_KEYS:
-            raise DomainError(f"unknown metadata key {key!r}")
-        lines.append(f"{key}: {_written_value(key, value)}")
     return "\n".join(lines) + "\n"
 
 

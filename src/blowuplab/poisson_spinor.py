@@ -362,7 +362,7 @@ class LineOrderReport(NamedTuple):
 
 
 def check_line_orders(
-    L: LieAlgebra, samples: int = 200, seed: int = DEFAULT_SEED
+    L: LieAlgebra, samples: int, seed: int = DEFAULT_SEED
 ) -> LineOrderReport:
     """Primary cross-oracle identity: for each sampled covector, the t-adic
     order of the line-restricted pullback spinor equals dim - 1 - height."""

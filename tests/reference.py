@@ -43,6 +43,12 @@ integer table: an rref of [g, g], a complement found by row-space membership
 (`in_row_space`, as `linalg` had it) and its action on every ideal row.  It
 is copied verbatim, calling the `in_row_space` kept here.
 
+`reference_parse_document`, `AlgebraDocument` and its `to_algebra` are the
+document parser as it was before `parse_document` returned the algebra the
+document states: a record of the name, the dimension, the brackets in
+document order and the metadata, turned into a validated algebra by
+`to_algebra`.  They are copied verbatim, with the function renamed.
+
 `_merge_sign` and `_sort_indices` are the shuffle sign and the sorting sign
 on increasing index tuples, as the exterior algebra computed them before its
 terms were keyed by index masks.
@@ -72,13 +78,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from blowuplab import (
     RATIONALS,
     ChartForm,
     DomainError,
     LieAlgebra,
+    ParseError,
     PolyRing,
     Polynomial,
     StructureError,
@@ -96,11 +103,12 @@ from blowuplab.exterior import GradedForm, GradedVector, IndexTuple, _indices_ma
 from blowuplab.exterior import wedge_sign
 from blowuplab import linalg
 from blowuplab.liealg import derived_algebra
+from blowuplab.model_io import _METADATA_KEYS, MAX_DIM, SCHEMA_VERSION, _parse_int
 from blowuplab.linalg import _eliminate, integer_multiple, integer_rows, primitive
 from blowuplab.linalg import rank_and_membership
 from blowuplab.poisson_spinor import _by_order, _divisor_points, _line_table, _order_on_line
 from blowuplab.poisson_spinor import coordinate_ring
-from blowuplab.rings import CoeffRing, Rational, format_rational
+from blowuplab.rings import CoeffRing, Rational, format_rational, parse_rational
 from blowuplab.sampling import DEFAULT_SEED, dual_basis
 
 
@@ -482,6 +490,105 @@ def reference_is_diagonal_affine(L: LieAlgebra):
     if not scalar or any(image != [scalar * v for v in h] for h, image in zip(rows, images)):
         return None
     return [v * L._scale / scalar for v in candidate], ideal
+
+
+class AlgebraDocument(NamedTuple):
+    """Parsed algebra document: sparse i<j brackets plus optional metadata."""
+
+    name: str
+    dim: int
+    brackets: tuple[tuple[int, int, int, Fraction], ...]
+    metadata: Mapping[str, str]
+    schema_version: int = SCHEMA_VERSION
+
+    def to_algebra(self) -> LieAlgebra:
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i, j, k, value in self.brackets:
+            table.setdefault((i, j), {})[k] = value
+        return LieAlgebra(self.dim, table, name=self.name).validate()
+
+
+def reference_parse_document(text: str) -> AlgebraDocument:
+    name = None
+    dim = None
+    schema = None
+    brackets: list[tuple[int, int, int, Fraction]] = []
+    bracket_lines: dict[tuple[int, int, int], int] = {}
+    metadata: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ParseError("expected 'key: value'", line=lineno)
+        key, _, value = line.partition(":")
+        key = key.strip()
+        value = value.strip()
+        if key in key_lines:
+            raise ParseError(f"duplicate key {key!r}; first on line {key_lines[key]}", line=lineno)
+        if key != "bracket":
+            key_lines[key] = lineno
+        if key == "schema_version":
+            schema = _parse_int(value, lineno, "schema_version")
+        elif key == "name":
+            name = value
+        elif key == "dimension":
+            dim = _parse_int(value, lineno, "dimension")
+            if dim < 1:
+                raise ParseError("dimension must be positive", line=lineno)
+            if dim > MAX_DIM:
+                raise DomainError(
+                    f"dimension {dim} on line {lineno} exceeds the limit of {MAX_DIM}"
+                )
+        elif key == "bracket":
+            fields = value.split()
+            if len(fields) != 4:
+                raise ParseError(
+                    "bracket needs four fields: i j k value", line=lineno
+                )
+            i = _parse_int(fields[0], lineno, "i")
+            j = _parse_int(fields[1], lineno, "j")
+            k = _parse_int(fields[2], lineno, "k")
+            try:
+                coeff = parse_rational(fields[3])
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if (i, j, k) in bracket_lines:
+                raise ParseError(
+                    f"duplicate bracket entry ({i},{j},{k}); first on line "
+                    f"{bracket_lines[(i, j, k)]}",
+                    line=lineno,
+                )
+            bracket_lines[(i, j, k)] = lineno
+            brackets.append((i, j, k, coeff))
+        elif key in _METADATA_KEYS:
+            metadata[key] = value
+        else:
+            raise ParseError(f"unknown key {key!r}", line=lineno)
+    if dim is None:
+        raise ParseError("missing required key 'dimension'")
+    if schema is None:
+        raise ParseError("missing required key 'schema_version'")
+    if schema != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema_version {schema}")
+    for i, j, k, _ in brackets:
+        lineno = bracket_lines[(i, j, k)]
+        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
+            raise ParseError(
+                f"bracket indices ({i},{j},{k}) out of range 1..{dim}", line=lineno
+            )
+        if i >= j:
+            raise ParseError(
+                f"bracket requires i < j, got ({i},{j}); the other half is implied",
+                line=lineno,
+            )
+    return AlgebraDocument(
+        name=name or "anonymous",
+        dim=dim,
+        brackets=tuple(brackets),
+        metadata=dict(sorted(metadata.items())),
+    )
 
 
 def fraction_jacobi_check(L: LieAlgebra) -> list[tuple[tuple[int, int, int], tuple[Fraction, ...]]]:

@@ -48,14 +48,10 @@ expected_height: 1
 
 
 def test_parse_so3_document():
-    doc = parse_document(SO3_DOC)
-    assert doc.name == "so3"
-    assert doc.dim == 3
-    assert doc.metadata == {
-        "expected_height": "1",
-        "expected_verdict": "lifts_as_dirac_only",
-    }
-    algebra = doc.to_algebra()
+    algebra = parse_document(SO3_DOC)
+    assert algebra.name == "so3"
+    assert algebra.dim == 3
+    assert algebra.validate() is algebra
     assert algebra.bracket_basis(2, 1) == [0, 0, -1]
     assert algebra.jacobi_violations() == []
 
@@ -133,14 +129,10 @@ def test_round_trip_catalog():
         assert (back._table, back._scale) == (L._table, L._scale)
 
 
-def test_round_trip_preserves_metadata():
-    text = serialize_algebra(so3(), {"expected_height": "1", "note": "check"})
-    doc = parse_document(text)
-    assert doc.metadata == {"expected_height": "1", "note": "check"}
+def test_round_trip_preserves_the_name():
     for name in ("so3~conj", "aff: v2", "R x| R^3"):
         L = LieAlgebra(3, {(1, 2): {3: 1}}, name=name)
-        doc = parse_document(serialize_algebra(L, {"note": name}))
-        assert (doc.name, doc.metadata) == (name, {"note": name})
+        assert parse_document(serialize_algebra(L)).name == name
 
 
 @pytest.mark.parametrize("value", ["a # b", "a\nb", " a", "a ", "a\rb", "a\x1cb"])
@@ -149,8 +141,6 @@ def test_serialize_refuses_values_the_parser_would_change(value):
     # line and the parser strips surrounding whitespace
     with pytest.raises(DomainError, match=re.escape(repr(value))):
         serialize_algebra(LieAlgebra(3, {(1, 2): {3: 1}}, name=value))
-    with pytest.raises(DomainError, match="note"):
-        serialize_algebra(so3(), {"note": value})
 
 
 def test_catalog_entries_cover_expected_names():

@@ -1,12 +1,14 @@
 """Fuzzing of the two exact input grammars.
 
-The document parser: any text either parses to an AlgebraDocument or is
+The document parser: any text either parses to a LieAlgebra or is
 rejected with a ParseError, never another exception, except that a declared
 dimension over the work budget MAX_DIM is refused with a DomainError (a
 usage error at the command line).  Two sources of input: arbitrary text, and
 documents shaped like the grammar whose literals are drawn from valid,
 malformed, zero-denominator and over-long (beyond the 4,300 digits that
-int() accepts) spellings.
+int() accepts) spellings.  The parser also matches, on the same texts and
+on the bench documents, the parser it replaced (`reference_parse_document`),
+which built a record first: the same algebra or the same error.
 
 The polynomial parser of `--f`: an expression in y1, y2 means what sympy
 reads in the same text with `^` as `**`, signs included, or it is a
@@ -16,16 +18,21 @@ MAX_POWER_DEGREE.
 
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from blowuplab import AlgebraDocument, DomainError, ParseError, PolyRing, parse_document
+from blowuplab import BlowupLabError, DomainError, LieAlgebra, ParseError, PolyRing
+from blowuplab import parse_algebra, parse_document, serialize_algebra, so3
 from blowuplab.model_io import MAX_DIM
 from blowuplab.rings import MAX_POWER_DEGREE, Polynomial, parse_polynomial
+from conftest import gen
+from reference import reference_parse_document
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -41,7 +48,7 @@ def _parses_or_rejects(text: str) -> None:
         event("over the dimension budget")
         return
     event("parsed")
-    assert isinstance(doc, AlgebraDocument)
+    assert isinstance(doc, LieAlgebra)
 
 
 @SETTINGS
@@ -106,6 +113,92 @@ def documents(draw):
 @given(text=documents())
 def test_grammar_shaped_documents_parse_or_raise_parse_error(text):
     _parses_or_rejects(text)
+
+
+# -- the parser against the record-building parser it replaced ---------------------------
+
+# The bench algebras: their documents and seeded conjugates parse, so with a
+# line or two inserted a fair share of the texts reach the range checks after
+# the loop and the Jacobi check.  Each conjugate is built once.
+BENCH_ALGEBRAS = (
+    gen.so(3), gen.sl(2), gen.heis(3), gen.abelian(6), gen.diagonal_affine(5), gen.heis(5),
+    gen.filiform(5), gen.sl(3), gen.so(4), gen.gl(3), gen.so(5), gen.anisotropic_sl2(),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_document(index: int, seed: int) -> str:
+    alg = BENCH_ALGEBRAS[index]
+    return gen.to_document(gen.seeded_conjugate(alg, random.Random(seed)) if seed else alg)
+
+
+@st.composite
+def bench_documents(draw):
+    """A bench document, with drawn lines inserted and its lines shuffled or not."""
+    index = draw(st.integers(0, len(BENCH_ALGEBRAS) - 1))
+    body = _bench_document(index, draw(st.integers(0, 3))).splitlines()
+    for extra in draw(st.lists(valid_brackets, max_size=1)) + draw(st.lists(lines, max_size=1)):
+        body.insert(draw(st.integers(0, len(body))), extra)
+    if draw(st.booleans()):
+        body = draw(st.permutations(body))
+    return "\n".join(body) + "\n"
+
+
+def _outcome(parse, text):
+    """(name, dim, table, scale) of the parsed algebra, or the error raised."""
+    try:
+        L = parse(text)
+    except BlowupLabError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return L.name, L.dim, L._table, L._scale
+
+
+def _reference_unvalidated(text):
+    doc = reference_parse_document(text)
+    table: dict = {}
+    for i, j, k, value in doc.brackets:
+        table.setdefault((i, j), {})[k] = value
+    return LieAlgebra(doc.dim, table, name=doc.name)
+
+
+# two bad brackets, out of range and i > j, reported in document order
+TWO_BAD_BRACKETS = ("bracket: 1 5 2 1", "bracket: 2 1 3 1")
+METADATA_DOCUMENT = (
+    "schema_version: 1\nname: so3\ndimension: 3\nexpected_verdict: lifts_as_dirac_only\n"
+    "bracket: 1 2 3 1\nbracket: 2 3 1 1\nexpected_height: 1\nbracket: 1 3 2 -1\n"
+    "note: compact # and simple\n"
+)
+
+
+@settings(SETTINGS, max_examples=600)
+@given(text=st.one_of(
+    st.text(), documents(), st.lists(lines, max_size=6).map("\n".join),
+    bench_documents(), bench_documents(),
+))
+@example(text="schema_version: 1\n{}\n{}\ndimension: 3\n".format(*TWO_BAD_BRACKETS))
+@example(text="schema_version: 1\n{1}\n{0}\ndimension: 3\n".format(*TWO_BAD_BRACKETS))
+@example(text=METADATA_DOCUMENT)
+def test_the_parser_matches_the_record_building_parser(text):
+    for parse, reference in (
+        (parse_document, _reference_unvalidated),
+        (parse_algebra, lambda t: reference_parse_document(t).to_algebra()),
+    ):
+        got = _outcome(parse, text)
+        event(f"{parse.__name__}: {'parsed' if isinstance(got[0], str) else got[0].__name__}")
+        assert got == _outcome(reference, text)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_the_first_bad_bracket_in_the_document_is_reported(order):
+    first, second = (TWO_BAD_BRACKETS[n] for n in order)
+    text = f"schema_version: 1\n{first}\n{second}\ndimension: 3\n"
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert info.value.line == 2
+
+
+def test_metadata_is_accepted_and_not_kept():
+    assert serialize_algebra(parse_algebra(METADATA_DOCUMENT)) == serialize_algebra(so3())
 
 
 # -- the polynomial grammar against sympy --------------------------------------------------------

@@ -10,12 +10,18 @@ subprocess.  The methods a NamedTuple record gets (`_replace`, `_asdict`,
 `__new__`, ...) are not excepted but out of view: `collections` defines them,
 outside the package.  A method written in `src/`, a ring's `__new__` or a
 `__hash__` alike, is judged.
+
+A record's fields are data, which the hook does not see, so they are judged
+by reading: every field of a NamedTuple defined in `src/` must be read as
+`.field` in `src/` or in the example.  `CatalogEntry` is excepted, because
+`catalog` prints each entry whole through `_asdict()`.
 """
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
 import sys
 import types
 from pathlib import Path
@@ -28,6 +34,7 @@ from conftest import gen
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(blowuplab.__file__).resolve().parent
 EXEMPT = {"cli.run"}
+FIELD_EXEMPT = {"model_io.CatalogEntry"}
 
 # height-drop cone xi1^2 + xi2^2 = 3 xi3^2 has real points but no rational
 # ones, so its witness search reaches the Cartan-slice phase
@@ -132,3 +139,30 @@ def test_every_function_is_run_by_a_command_or_the_library_example(tmp_path, cap
         if code not in called and name not in EXEMPT and not name.endswith(".__repr__")
     )
     assert unreached == []
+
+
+def _records():
+    """(qualified name, class) for every NamedTuple defined in the package."""
+    for info in pkgutil.iter_modules(blowuplab.__path__):
+        module = importlib.import_module(f"blowuplab.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                if obj.__module__ == module.__name__:
+                    yield f"{info.name}.{name}", obj
+
+
+def test_every_record_field_is_read_in_src_or_the_library_example():
+    text = _library_example() + "".join(
+        path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    )
+    records = dict(_records())
+    # the enumeration sees records of every module
+    assert {"model_io.CatalogEntry", "poisson_spinor.LiftVerdict"} <= set(records)
+    unread = sorted(
+        f"{name}.{field}"
+        for name, record in records.items()
+        if name not in FIELD_EXEMPT
+        for field in record._fields
+        if not re.search(rf"\.{field}\b", text)
+    )
+    assert unread == []

@@ -63,7 +63,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 # The same verdicts and bytes from less code (aim 2 of ROADMAP.md): the lines
 # of src/blowuplab/*.py may not grow past this count.  A change that must grow
 # them raises the ceiling and says why in CHANGES.md.
-SRC_LINE_CEILING = 3464
+SRC_LINE_CEILING = 3431
 
 
 def test_src_stays_under_its_line_ceiling():
