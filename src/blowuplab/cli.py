@@ -17,6 +17,7 @@ environment variable overrides the default seed 1729.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -94,11 +95,13 @@ def _default_seed() -> int:
         raise UsageError(f"BLOWUPLAB_SEED must be an integer, got {raw!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves no state in it."""
     parser = _Parser(prog="blowuplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, charts=False):
+    def add_common(p):
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--catalog", help="built-in fixture name")
         source.add_argument("--input", help="path to an algebra document")
@@ -107,20 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("human", "machine"), default="human", dest="fmt"
         )
-        if charts:
-            p.add_argument("--chart", type=integer, default=None, help="chart index")
 
-    analyze = sub.add_parser("analyze", help="full liftability analysis")
-    add_common(analyze)
+    add_common(sub.add_parser("analyze", help="full liftability analysis"))
 
     spinor_cmd = sub.add_parser("spinor", help="pulled-back spinor per chart")
-    add_common(spinor_cmd, charts=True)
+    add_common(spinor_cmd)
+    spinor_cmd.add_argument("--chart", type=integer, default=None, help="chart index")
     spinor_cmd.add_argument(
         "--f", default=None, help="scaling polynomial in y1,y2 (scaled_so3_bundle only)"
     )
 
-    crosscheck = sub.add_parser("crosscheck", help="per-sample identity suites")
-    add_common(crosscheck)
+    add_common(sub.add_parser("crosscheck", help="per-sample identity suites"))
 
     catalog = sub.add_parser("catalog", help="list built-in fixtures")
     catalog.add_argument(

@@ -492,6 +492,15 @@ def test_env_seed_override(capsys, monkeypatch):
         "machine",
     )
     assert json.loads(out)["seed"] == 99
+    # the parser is shared by every call in a process, so a default seed
+    # frozen into it would give the second call the first one's seed
+    for env_seed in (7, 8):
+        monkeypatch.setenv("BLOWUPLAB_SEED", str(env_seed))
+        code, out, _ = run(
+            capsys, "analyze", "--catalog", "so3", "--samples", "10", "--format", "machine"
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == env_seed
     monkeypatch.setenv("BLOWUPLAB_SEED", "notanint")
     assert run(capsys, "analyze", "--catalog", "so3")[0] == 64
 

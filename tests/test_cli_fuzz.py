@@ -10,17 +10,23 @@ directory and a file that is not UTF-8; and malformed bundle scalings.
 `--samples` takes values up to 3 or a 25-digit one, which the samples
 budget refuses before any covector is drawn, and `-h`, which exits through
 argparse, is left out.
+
+`main` builds its parser once per process and reuses it, so a differential
+test runs short sequences of argvs, refusals among them, and checks that
+each gives through the shared parser what it gives through a fresh one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import blowuplab.cli as cli
 from blowuplab import serialize_algebra, sl2
 from blowuplab.cli import main
 
@@ -90,16 +96,46 @@ def paths(tmp_path_factory):
     }
 
 
+def _run(argv):
+    """(exit code, stdout, stderr) of one `main(argv)` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @SETTINGS
 @given(argv=argvs)
 def test_any_argv_exits_0_1_2_or_64(paths, argv):
     argv = [paths.get(token, token) for token in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, _, err = _run(argv)
     event(f"exit {code}")
-    assert code in (0, 1, 2, 64), (argv, err.getvalue())
+    assert code in (0, 1, 2, 64), (argv, err)
     if code:
-        assert err.getvalue().startswith(
+        assert err.startswith(
             ("usage error: ", "parse error: ", "invalid algebra: ", "error: ")
-        ), (argv, err.getvalue())
+        ), (argv, err)
+
+
+# commands that run, mixed in so that a refusal often comes before one
+RUNS = [
+    ["analyze", "--catalog", "sl2", "--samples", "3"],
+    ["spinor", "--catalog", "so3", "--samples", "1", "--chart", "1", "--format", "machine"],
+    ["crosscheck", "--input", "<valid>", "--samples", "2"],
+    ["catalog", "--filter", "dim=3"],
+]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(sequence=st.lists(argvs | st.sampled_from(RUNS), min_size=2, max_size=4))
+def test_the_shared_parser_answers_as_a_fresh_one(paths, sequence):
+    fresh_parser = cli.build_parser.__wrapped__
+    refused = False
+    for argv in sequence:
+        argv = [paths.get(token, token) for token in argv]
+        shared = _run(argv)
+        with mock.patch.object(cli, "build_parser", fresh_parser):
+            assert _run(argv) == shared, argv
+        if shared[0] == 0 and refused:
+            event("a command ran after a refusal")
+        refused = refused or shared[0] == 64

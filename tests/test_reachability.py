@@ -27,6 +27,7 @@ import types
 from pathlib import Path
 
 import blowuplab
+import blowuplab.cli as cli
 from blowuplab import serialize_algebra, sl2
 from blowuplab.cli import main
 from conftest import gen
@@ -87,6 +88,7 @@ def _functions(cls_or_module):
             member = member.__func__
         if isinstance(member, property):
             member = member.fget
+        member = getattr(member, "__wrapped__", member)  # a cached function
         if isinstance(member, types.FunctionType):
             yield name, member
 
@@ -119,6 +121,8 @@ def test_every_function_is_run_by_a_command_or_the_library_example(tmp_path, cap
             called.add(frame.f_code)
 
     codes = []
+    # as in a fresh process, so that the first command line builds the parser
+    cli.build_parser.cache_clear()
     sys.setprofile(profiler)
     try:
         for argv, _ in command_lines:
@@ -130,8 +134,11 @@ def test_every_function_is_run_by_a_command_or_the_library_example(tmp_path, cap
     assert codes == [code for _, code in command_lines]
 
     defined = _defined_in_src()
-    # the enumeration sees module functions, methods and properties alike
-    seen = {"cli.main", "rings.Polynomial.valuation", "poisson_spinor.ChartForm.ring"}
+    # the enumeration sees module functions, cached ones, methods and properties alike
+    seen = {
+        "cli.main", "cli.build_parser", "rings.Polynomial.valuation",
+        "poisson_spinor.ChartForm.ring",
+    }
     assert seen <= set(defined)
     unreached = sorted(
         name

@@ -22,6 +22,7 @@ import pstats
 from fractions import Fraction
 
 import blowuplab.classify as classify_mod
+import blowuplab.cli as cli
 from blowuplab import change_basis, charts, heis3, liealg, linalg, poisson_spinor, sampling
 from blowuplab import sl2, so3
 from blowuplab.cli import main
@@ -191,3 +192,29 @@ def test_pullback_and_line_restriction_read_exponents_only():
     profile, report = _profiled(lambda: poisson_spinor.check_line_orders(L, samples=48))
     assert not report.mismatches
     assert _calls(profile, Polynomial._trusted.__func__) == 0
+
+
+def test_the_command_line_parser_is_built_once_per_process(capsys, monkeypatch):
+    """After one warm-up call, no command builds a parser or a subparser."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted_init(self, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    assert main(["catalog", "--format", "machine"]) == 0
+    assert len(built) == 5, built  # the parser and its four subparsers
+    built.clear()
+    for argv in (
+        ["analyze", "--catalog", "so3", "--samples", "3"],
+        ["spinor", "--catalog", "so3", "--samples", "3", "--chart", "1"],
+        ["crosscheck", "--catalog", "so3", "--samples", "3"],
+        ["catalog", "--filter", "dim=3"],
+        ["analyze", "--catalog", "so3", "--samples", "x"],
+    ):
+        assert main(argv) in (0, 64), argv
+    capsys.readouterr()
+    assert built == []

@@ -1,6 +1,6 @@
 """The package imports nothing outside the standard library, its command
-line does not load `dataclasses` or `inspect` at start-up, and `src/` stays
-under its line ceiling."""
+line does not load `dataclasses` or `inspect` or build its parser at
+start-up, and `src/` stays under its line ceiling."""
 
 from __future__ import annotations
 
@@ -13,6 +13,17 @@ from pathlib import Path
 import blowuplab
 
 SRC = Path(blowuplab.__file__).resolve().parent.parent
+
+
+def _fresh(probe: str):
+    """What `probe` prints as JSON, run in a fresh interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        check=True, timeout=60,
+    )
+    return json.loads(proc.stdout)
+
 
 # Interpreter start-up may load site hooks from outside the standard library,
 # so only the modules that importing the package adds are judged.
@@ -27,12 +38,7 @@ print(json.dumps(sorted({name.split(".")[0] for name in set(sys.modules) - befor
 
 
 def test_every_module_imports_only_the_standard_library():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env,
-        check=True, timeout=60,
-    )
-    added = json.loads(proc.stdout)
+    added = _fresh(PROBE)
     assert "blowuplab" in added
     outside = [
         name for name in added
@@ -52,12 +58,28 @@ print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env,
-        check=True, timeout=60,
-    )
-    assert json.loads(proc.stdout) == []
+    assert _fresh(STARTUP_PROBE) == []
+
+
+# The one command-line parser is built on the first `main()` call, so a
+# command line that starts a fresh interpreter never pays for it at import.
+PARSER_PROBE = """
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted_init(self, *args, **kwargs):
+    built.append(type(self).__name__)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted_init
+import blowuplab.cli
+print(json.dumps(built))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    assert _fresh(PARSER_PROBE) == []
 
 
 # The same verdicts and bytes from less code (aim 2 of ROADMAP.md): the lines
